@@ -14,14 +14,8 @@ import argparse
 from fractions import Fraction
 
 from perfcolor.coloring import TwoColorParams
-from perfcolor.periodic import GridSpec, SearchStatus, grid_reject_2color, patch_search
-
-
-def minimal_patch(spec: GridSpec, b: int, c: int, max_side: int) -> str:
-    for side in range(3, max_side + 1):
-        if patch_search(spec, (b, c), (side, side)).status is SearchStatus.REJECTED:
-            return f"{side}x{side}"
-    return "-"
+from perfcolor.periodic import GridSpec, grid_reject_2color
+from perfcolor.repro import minimal_rejecting_patch
 
 
 def main() -> None:
@@ -40,7 +34,8 @@ def main() -> None:
             if window.verdict.infeasible:
                 verdict = "window"
             else:
-                verdict = minimal_patch(spec, b, c, args.max_side)
+                patch = minimal_rejecting_patch(spec, b, c, args.max_side)
+                verdict = f"{patch[0]}x{patch[1]}" if patch else "-"
             print(f"  ({b},{c}): {verdict}")
 
 

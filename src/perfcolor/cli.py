@@ -370,7 +370,8 @@ def _cmd_grid(args) -> int:
     if args.which == "reject":
         params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
         report = grid_reject_2color(
-            spec, params, window=args.window, quotient_budget=args.budget
+            spec, params, window=args.window,
+            quotient_budget=args.budget, node_budget=args.node_budget,
         )
         obj = {
             "status": report.verdict.status.value,
@@ -397,7 +398,8 @@ def _cmd_grid(args) -> int:
     if args.which == "torus-search":
         target = _target_from_args(args, spec)
         outcome = torus_search(
-            spec, (args.p, args.q), target, budget=args.budget, find_all=args.all
+            spec, (args.p, args.q), target,
+            budget=args.budget, node_budget=args.node_budget, find_all=args.all,
         )
         _emit(outcome.to_json(), args, _outcome_text(outcome))
         return _STATUS_EXITS[outcome.status]
@@ -465,13 +467,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--node-budget",
         type=int,
         default=DEFAULT_NODE_BUDGET,
-        help="node cap for backtracking patch searches",
-    )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; results are deterministic and independent of this value",
+        help="node cap for every backtracking search: patch, torus and quotient",
     )
 
 

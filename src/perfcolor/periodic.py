@@ -31,11 +31,13 @@ search at fixed periods is only INCONCLUSIVE.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
+from operator import le
 
 from .coloring import Coloring, TwoColorParams, induced_parameters, two_color_matrix
 from .filters import FilterVerdict, PairContext, VerdictStatus, two_color_check
@@ -367,7 +369,7 @@ def torus_quotient(spec: GridSpec, periods: tuple[int, int]) -> Graph:
     return _lattice_quotient(spec, [(p, 0), (0, q)])
 
 
-# --- exhaustive quotient search ----------------------------------------------
+# --- the backtracking search engine ------------------------------------------
 
 
 class SearchStatus(str, Enum):
@@ -406,88 +408,112 @@ class SearchOutcome:
         }
 
 
-def _search_quotient_colorings(
-    g: Graph,
+def _backtrack(
     s: RationalMatrix,
+    affected: list[list[tuple[int, Fraction | int]]],
+    constrained: list[bool],
+    allowed: list[tuple[int, ...]],
+    accept: Callable[[tuple[int, ...]], bool],
     *,
+    all_colors: bool,
     find_all: bool,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[list[Coloring], int, bool]:
-    """Backtracking over colorings of a finite (multi)graph with exact target rows.
+    node_budget: int,
+) -> tuple[list[tuple[int, ...]], int, bool]:
+    """Color cells 0..n-1 in index order so that every constrained cell meets its row of S.
 
-    A vertex of color i must see exactly s[i, j] total weight of color-j
-    neighbors.  Vertices are assigned in index order; partial assignments
-    are pruned by comparing the weight already seen per color against the
-    target row, with the unassigned remainder as slack.  All k colors must
-    be used.  Returns (witnesses, nodes expanded, search completed).
+    ``affected[u]`` lists (w, weight) for each cell w that sees cell u.  A
+    constrained cell of color i must see exactly s[i-1, j-1] weight of color
+    j; a colored one ends the branch when it sees too much of some color or
+    needs more than its uncolored neighbors can still supply.  Cell u tries
+    the colors ``allowed[u]`` in order.  With ``all_colors`` a branch ends
+    once the unused colors outnumber the cells left.  Complete colorings
+    that pass ``accept`` are collected, only the first unless ``find_all``.
+    Each color tried at a cell is one node; the search stops after
+    ``node_budget`` of them.  Weights and rows are scaled to integers by
+    their common denominator, and one "next choice" index per cell stands
+    in for recursion, so no window is too deep for the interpreter stack.
+
+    Returns (colorings, nodes expanded, search completed).
     """
-    n, k = g.n, s.rows
-    m = g.adjacency
-    # affected[u]: vertices whose neighborhood sum changes when u is colored,
-    # with the weight each one sees (column u of the adjacency matrix)
-    affected = [
-        [(w, m[w, u]) for w in range(n) if m[w, u] != 0] for u in range(n)
-    ]
+    n, k = len(allowed), s.rows
+    entries = [x for i in range(k) for x in s.row(i)]
+    entries += [wt for column in affected for _, wt in column]
+    denom = lcm(*(x.denominator for x in entries))
+    rows = [[0] * (k + 1)] + [[0, *(int(x * denom) for x in s.row(i))] for i in range(k)]
+    row_sums = [sum(row) for row in rows]
+    affected = [[(w, int(wt * denom)) for w, wt in column] for column in affected]
+    remaining = [0] * n  # remaining[w]: weight w sees on uncolored cells
+    for column in affected:
+        for w, wt in column:
+            remaining[w] += wt
     color = [0] * n
-    seen = [[Fraction(0)] * (k + 1) for _ in range(n)]  # seen[u][j]: assigned weight of color j
-    remaining = [sum(m.row(u), Fraction(0)) for u in range(n)]
+    seen = [[0] * (k + 1) for _ in range(n)]  # seen[w][j]: weight w sees on color j
     used = [0] * (k + 1)
-    witnesses: list[Coloring] = []
+    next_choice = [0] * n
+    found: list[tuple[int, ...]] = []
     nodes = 0
-    aborted = False
-
-    def consistent(u: int) -> bool:
-        i = color[u]
-        row = s.row(i - 1)
-        slack = remaining[u]
-        need = Fraction(0)
-        for j in range(1, k + 1):
-            have = seen[u][j]
-            want = row[j - 1]
-            if have > want:
-                return False
-            need += want - have
-        return need <= slack
-
-    def dfs(u: int) -> bool:
-        nonlocal nodes, aborted
+    if all_colors and k > n:
+        return found, nodes, True
+    u = 0
+    while True:
         if u == n:
-            if any(used[j] == 0 for j in range(1, k + 1)):
-                return False
-            f = Coloring(tuple(color), k)
-            if induced_parameters(g, f) != s:  # defensive re-check; should be unreachable
-                return False
-            witnesses.append(f)
-            return not find_all
-        missing = sum(1 for j in range(1, k + 1) if used[j] == 0)
-        if missing > n - u:
-            return False
-        for c in range(1, k + 1):
+            colors = tuple(color)
+            if accept(colors):
+                found.append(colors)
+                if not find_all:
+                    return found, nodes, True
+            u -= 1
+        elif next_choice[u] < len(allowed[u]):
+            c = allowed[u][next_choice[u]]
+            next_choice[u] += 1
             nodes += 1
             if nodes > node_budget:
-                aborted = True
-                return True
+                return found, nodes, False
             color[u] = c
             used[c] += 1
+            # every colored constrained cell met its row before u was colored;
+            # a neighbor's need and slack both drop by the weight it sees on u,
+            # so only its color-c entry can go wrong
             ok = True
             for w, wt in affected[u]:
                 seen[w][c] += wt
                 remaining[w] -= wt
-                if ok and color[w] and not consistent(w):
+                if ok and color[w] and constrained[w] and seen[w][c] > rows[color[w]][c]:
                     ok = False
-            if ok and not consistent(u):
-                ok = False
-            if ok and dfs(u + 1):
-                return True
-            for w, wt in affected[u]:
-                seen[w][c] -= wt
-                remaining[w] += wt
-            used[c] -= 1
-            color[u] = 0
-        return False
+            if ok and constrained[u]:
+                have = seen[u]
+                ok = all(map(le, have, rows[c])) and row_sums[c] - sum(have) <= remaining[u]
+            if ok and not (all_colors and used[1:].count(0) > n - u - 1):
+                u += 1
+                continue
+        else:
+            next_choice[u] = 0
+            u -= 1
+            if u < 0:
+                return found, nodes, True
+        c = color[u]  # uncolor cell u before its next choice
+        for w, wt in affected[u]:
+            seen[w][c] -= wt
+            remaining[w] += wt
+        used[c] -= 1
+        color[u] = 0
 
-    dfs(0)
-    return witnesses, nodes, not aborted
+
+def _quotient_colorings(
+    g: Graph, s: RationalMatrix, *, find_all: bool, node_budget: int
+) -> tuple[list[Coloring], int, bool]:
+    """Colorings of a finite (multi)graph using all k colors, each vertex meeting its row."""
+    n, k, m = g.n, s.rows, g.adjacency
+    affected = [[(w, m[w, u]) for w in range(n) if m[w, u]] for u in range(n)]
+
+    def accept(colors: tuple[int, ...]) -> bool:
+        return induced_parameters(g, Coloring(colors, k)) == s  # defensive re-check
+
+    found, nodes, complete = _backtrack(
+        s, affected, [True] * n, [tuple(range(1, k + 1))] * n, accept,
+        all_colors=True, find_all=find_all, node_budget=node_budget,
+    )
+    return [Coloring(colors, k) for colors in found], nodes, complete
 
 
 def _target_matrix(
@@ -511,12 +537,15 @@ def torus_search(
     target: RationalMatrix | tuple | TwoColorParams,
     *,
     budget: int = DEFAULT_ENUM_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     find_all: bool = False,
 ) -> SearchOutcome:
     """Search doubly periodic colorings with the exact target parameter matrix.
 
     WITNESS carries quotient colorings that re-verify; no witness is only
     INCONCLUSIVE for the infinite grid, since other periods might work.
+    ``budget`` caps k^n before the search starts and ``node_budget`` caps
+    the nodes it expands.
     """
     g = torus_quotient(spec, periods)
     s = _target_matrix(target, spec.valency)
@@ -524,8 +553,12 @@ def torus_search(
         raise BudgetExceededError(
             f"{s.rows}^{g.n} colorings exceed the budget of {budget}"
         )
-    witnesses, nodes, complete = _search_quotient_colorings(g, s, find_all=find_all)
+    witnesses, nodes, complete = _quotient_colorings(
+        g, s, find_all=find_all, node_budget=node_budget
+    )
     detail = f"torus {periods[0]}x{periods[1]}, {len(witnesses)} witness(es)"
+    if not complete:
+        detail += ", node budget exhausted"
     status = SearchStatus.WITNESS if witnesses else SearchStatus.INCONCLUSIVE
     return SearchOutcome(status, tuple(witnesses), SearchStats(nodes, complete, detail))
 
@@ -583,6 +616,7 @@ def grid_reject_2color(
     *,
     window: int | None = None,
     quotient_budget: int = DEFAULT_ENUM_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> GridRejectReport:
     """Scan pair differences, derive monochromatic directions, and try to reject.
 
@@ -600,7 +634,9 @@ def grid_reject_2color(
 
     INFEASIBLE verdicts here are proofs; FEASIBLE only means no bound in
     the window fired, and INCONCLUSIVE means directions fired without a
-    contradiction within the budget.
+    contradiction within the budget.  ``node_budget`` caps the quotient
+    searches of both orientations together; a search that runs out of it
+    proves nothing and gives INCONCLUSIVE.
     """
     if params.r != spec.valency:
         raise ValueError(f"parameter valency {params.r} != |offsets| = {spec.valency}")
@@ -637,13 +673,22 @@ def grid_reject_2color(
         targets = [params.matrix()]
         if params.b != params.c:
             targets.append(TwoColorParams(params.c, params.b, params.r).matrix())
+        nodes = 0
         for s in targets:
-            witnesses, _, _ = _search_quotient_colorings(quotient, s, find_all=False)
+            witnesses, spent, complete = _quotient_colorings(
+                quotient, s, find_all=False, node_budget=node_budget - nodes
+            )
+            nodes += spent
             if witnesses:
                 return report(
                     FilterVerdict(VerdictStatus.FEASIBLE),
                     f"forced directions [{directions}] admit a periodic witness "
                     f"on the index-{index} quotient",
+                )
+            if not complete:
+                return report(
+                    FilterVerdict(VerdictStatus.INCONCLUSIVE),
+                    f"the search of the index-{index} quotient ran out of its node budget",
                 )
         return report(
             FilterVerdict(
@@ -713,14 +758,10 @@ def patch_search(
         raise ValueError("patch dimensions must be positive")
     cells = [(x, y) for y in range(height) for x in range(width)]
     index = {cell: i for i, cell in enumerate(cells)}
-    interior = [
-        index[(x, y)]
-        for (x, y) in cells
-        if all((x + ox, y + oy) in index for ox, oy in spec.offsets)
-    ]
+    constrained = [all((x + ox, y + oy) in index for ox, oy in spec.offsets) for x, y in cells]
+    interior = [u for u, inside in enumerate(constrained) if inside]
     if not interior:
         raise ValueError("patch too small: no cell has its whole neighborhood inside")
-    interior_set = set(interior)
 
     if isinstance(target, (RationalMatrix,)):
         runs = [(_target_matrix(target, spec.valency), False)]
@@ -736,80 +777,30 @@ def patch_search(
         if params.b != params.c:
             runs.append((TwoColorParams(params.c, params.b, params.r).matrix(), True))
 
-    nbr_idx = [
-        [index[(x + ox, y + oy)] for ox, oy in spec.offsets if (x + ox, y + oy) in index]
+    affected = [
+        [(index[(x + ox, y + oy)], 1) for ox, oy in spec.offsets if (x + ox, y + oy) in index]
         for (x, y) in cells
     ]
 
+    def accept(colors: tuple[int, ...]) -> bool:
+        return not require_two_interior_colors or len({colors[u] for u in interior}) > 1
+
     total_nodes = 0
-    complete = True
     for s, pin_first in runs:
-        k = s.rows
-        color = [0] * len(cells)
-        seen = [[0] * (k + 1) for _ in range(len(cells))]
-        remaining = [len(nbr_idx[c]) for c in range(len(cells))]
-        pinned = interior[0] if pin_first else -1
-        found = False
-        nodes = 0
-
-        def consistent(u: int) -> bool:
-            row = s.row(color[u] - 1)
-            need = 0
-            for j in range(1, k + 1):
-                have = seen[u][j]
-                want = row[j - 1]
-                if have > want:
-                    return False
-                need += want - have
-            return need <= remaining[u]
-
-        def dfs(u: int) -> bool:
-            nonlocal nodes, found, complete
-            if u == len(cells):
-                if require_two_interior_colors and len({color[c] for c in interior_set}) < 2:
-                    return False
-                found = True
-                return True
-            choices = (1,) if u == pinned else tuple(range(1, k + 1))
-            for c in choices:
-                nodes += 1
-                if total_nodes + nodes > node_budget:
-                    complete = False
-                    return True
-                color[u] = c
-                ok = True
-                for w in nbr_idx[u]:
-                    seen[w][c] += 1
-                    remaining[w] -= 1
-                    if ok and w in interior_set and color[w] and not consistent(w):
-                        ok = False
-                if ok and u in interior_set and not consistent(u):
-                    ok = False
-                if ok and dfs(u + 1):
-                    return True
-                for w in nbr_idx[u]:
-                    seen[w][c] -= 1
-                    remaining[w] += 1
-                color[u] = 0
-            return False
-
-        dfs(0)
+        allowed = [tuple(range(1, s.rows + 1))] * len(cells)
+        if pin_first:
+            allowed[interior[0]] = (1,)
+        found, nodes, complete = _backtrack(
+            s, affected, constrained, allowed, accept,
+            all_colors=False, find_all=False, node_budget=node_budget - total_nodes,
+        )
         total_nodes += nodes
-        if found and complete:
+        if found or not complete:
+            what = "a valid window coloring exists" if found else "node budget exhausted"
             return SearchOutcome(
                 SearchStatus.INCONCLUSIVE,
                 (),
-                SearchStats(
-                    total_nodes,
-                    True,
-                    f"patch {width}x{height}: a valid window coloring exists",
-                ),
-            )
-        if not complete:
-            return SearchOutcome(
-                SearchStatus.INCONCLUSIVE,
-                (),
-                SearchStats(total_nodes, False, f"patch {width}x{height}: node budget exhausted"),
+                SearchStats(total_nodes, complete, f"patch {width}x{height}: {what}"),
             )
     return SearchOutcome(
         SearchStatus.REJECTED,

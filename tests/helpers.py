@@ -1,12 +1,14 @@
 """Shared test oracles: direct neighbor counting on explicit patches/segments.
 
-These deliberately avoid the quotient machinery so that quotient-based
-parameter computations can be checked against an independent route.
+These deliberately avoid the quotient machinery and the search engine so
+that quotient-based parameter computations and searches can be checked
+against an independent route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from perfcolor.coloring import Coloring
 from perfcolor.periodic import CirculantSpec, GridSpec
@@ -76,3 +78,59 @@ def normalized_coloring(colors: tuple[int, ...]) -> Coloring:
             relabel[c] = len(relabel) + 1
         out.append(relabel[c])
     return Coloring(tuple(out), len(relabel))
+
+
+def _brute_force_colorings(neighbors, checked, rows):
+    """Yield every coloring in which each checked cell sees exactly its row.
+
+    ``neighbors[u]`` lists the cells u sees, with repeats for multiple edges;
+    colors run 1..len(rows) and all k^n colorings are tried.
+    """
+    k = len(rows)
+    for colors in product(range(1, k + 1), repeat=len(neighbors)):
+        if all(
+            [sum(colors[w] == j for w in neighbors[u]) for j in range(1, k + 1)]
+            == list(rows[colors[u] - 1])
+            for u in checked
+        ):
+            yield colors
+
+
+def brute_force_torus_colorings(offsets, periods, rows) -> set[tuple[int, ...]]:
+    """All colorings of the p x q torus using every color whose cells all see their rows.
+
+    Cell (x, y) has index x*q + y, and its neighbors are reached through the
+    offsets modulo the periods.
+    """
+    p, q = periods
+    neighbors = [
+        [((x + ox) % p) * q + (y + oy) % q for ox, oy in offsets]
+        for x in range(p)
+        for y in range(q)
+    ]
+    k = len(rows)
+    return {
+        colors
+        for colors in _brute_force_colorings(neighbors, range(p * q), rows)
+        if len(set(colors)) == k
+    }
+
+
+def brute_force_window_colorable(offsets, size, rows, two_interior_colors=False) -> bool:
+    """Whether some coloring of the window has every interior cell seeing its row.
+
+    Interior cells are those whose neighbors all lie in the width x height
+    window; with ``two_interior_colors`` the interior must not be constant.
+    """
+    width, height = size
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    index = {cell: u for u, cell in enumerate(cells)}
+    neighbors = [
+        [index[(x + ox, y + oy)] for ox, oy in offsets if (x + ox, y + oy) in index]
+        for x, y in cells
+    ]
+    interior = [u for u, nbrs in enumerate(neighbors) if len(nbrs) == len(offsets)]
+    return any(
+        not two_interior_colors or len({colors[u] for u in interior}) > 1
+        for colors in _brute_force_colorings(neighbors, interior, rows)
+    )

@@ -201,6 +201,30 @@ def test_grid_patch_search(capsys):
     assert json.loads(out)["status"] == "rejected"
 
 
+def test_grid_node_budget_reaches_every_search(capsys):
+    code, _ = run(
+        capsys, ["grid", "reject", "--grid", "square", "--b", "4", "--c", "3", "--node-budget", "1"]
+    )
+    assert code == 2
+    code, out = run(
+        capsys,
+        ["grid", "torus-search", "--grid", "triangular", "--p", "4", "--q", "5",
+         "--b", "3", "--c", "3", "--all", "--node-budget", "100", "--format", "json"],
+    )
+    assert json.loads(out)["certificate"]["complete"] is False
+
+
+def test_grid_patch_search_deep_window(tmp_path, capsys):
+    s = write(tmp_path, "s.json", {"rows": 1, "cols": 1, "data": [[6]]})
+    code, out = run(
+        capsys,
+        ["grid", "patch-search", "--grid", "triangular", "--s", s,
+         "--width", "40", "--height", "40", "--format", "json"],
+    )
+    assert code == 2
+    assert json.loads(out)["certificate"]["complete"] is True
+
+
 def test_graph_constructors(capsys):
     code, out = run(capsys, ["graph", "cycle", "--n", "6", "--format", "json"])
     assert code == 0

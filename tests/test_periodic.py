@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    brute_force_torus_colorings,
+    brute_force_window_colorable,
     circulant_params_by_segment_count,
     grid_params_by_patch_count,
     normalized_coloring,
@@ -32,6 +34,15 @@ from perfcolor.ratmat import RationalMatrix
 
 def params(b, c, r):
     return TwoColorParams(Fraction(b), Fraction(c), Fraction(r))
+
+
+def target_rows(data, k, r):
+    """Draw k rows of k non-negative integers, each summing to r."""
+    rows = []
+    for _ in range(k):
+        cuts = sorted(data.draw(st.lists(st.integers(0, r), min_size=k - 1, max_size=k - 1)))
+        rows.append([hi - lo for lo, hi in zip([0, *cuts], [*cuts, r])])
+    return rows
 
 
 # --- circulant specs and h ------------------------------------------------------
@@ -312,6 +323,36 @@ def test_torus_search_checkerboard():
     assert outcome.status is SearchStatus.WITNESS
 
 
+def test_torus_search_node_budget():
+    outcome = torus_search(
+        GridSpec.triangular(), (4, 5), (3, 3), find_all=True, node_budget=100
+    )
+    assert not outcome.stats.complete
+
+
+def test_torus_search_needs_every_color():
+    # the classes of [[4,0],[0,4]] never meet, so on the connected 2x2 torus only
+    # the one-color coloring meets both rows, and that is no 2-coloring
+    s = RationalMatrix([[4, 0], [0, 4]])
+    outcome = torus_search(GridSpec.square(), (2, 2), s, find_all=True)
+    assert outcome.witnesses == ()
+    assert outcome.stats.complete
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([GridSpec.square(), GridSpec.triangular()]), st.data())
+def test_torus_search_matches_brute_force(spec, data):
+    p = data.draw(st.integers(1, 12))
+    q = data.draw(st.integers(1, 12 // p))
+    k = data.draw(st.integers(2, 3 if p * q <= 7 else 2))
+    rows = target_rows(data, k, spec.valency)
+    outcome = torus_search(spec, (p, q), RationalMatrix(rows), find_all=True)
+    expected = brute_force_torus_colorings(spec.offsets, (p, q), rows)
+    assert outcome.stats.complete
+    assert len(outcome.witnesses) == len(expected)
+    assert {w.colors for w in outcome.witnesses} == expected
+
+
 # --- patch search -----------------------------------------------------------------------------
 
 
@@ -349,6 +390,35 @@ def test_patch_search_matrix_target():
     s = params(4, 3, 4).matrix()
     outcome = patch_search(GridSpec.square(), s, (6, 6))
     assert outcome.status is SearchStatus.REJECTED
+
+
+@pytest.mark.parametrize("spec, side", [(GridSpec.square(), 32), (GridSpec.triangular(), 40)])
+def test_patch_search_deep_one_color_window(spec, side):
+    outcome = patch_search(spec, RationalMatrix([[spec.valency]]), (side, side))
+    assert outcome.status is SearchStatus.INCONCLUSIVE
+    assert outcome.stats.complete
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([GridSpec.square(), GridSpec.triangular()]),
+    st.sampled_from([(3, 3), (3, 4), (4, 3)]),
+    st.booleans(),
+    st.data(),
+)
+def test_patch_search_matches_brute_force(spec, size, two_colors, data):
+    r = spec.valency
+    if data.draw(st.booleans()):
+        b, c = data.draw(st.integers(0, r)), data.draw(st.integers(0, r))
+        target, rows = (b, c), [[r - b, b], [c, r - c]]
+    else:  # explicit matrix targets are searched unpinned, in one orientation
+        rows = target_rows(data, data.draw(st.integers(1, 3 if size == (3, 3) else 2)), r)
+        target = RationalMatrix(rows)
+    outcome = patch_search(spec, target, size, require_two_interior_colors=two_colors)
+    assert outcome.stats.complete
+    assert (outcome.status is SearchStatus.REJECTED) == (
+        not brute_force_window_colorable(spec.offsets, size, rows, two_colors)
+    )
 
 
 # --- grid rejection report ----------------------------------------------------------------------
@@ -398,6 +468,12 @@ def test_grid_reject_rank_one_contradiction():
     assert "class sizes" in report.verdict.violated
     inconclusive = grid_reject_2color(line, params(2, 2, 2))
     assert inconclusive.verdict.status.value == "inconclusive"
+
+
+def test_grid_reject_incomplete_quotient_search_proves_nothing():
+    report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=1)
+    assert report.verdict.status.value == "inconclusive"
+    assert "node budget" in report.note
 
 
 def test_grid_reject_valency_check():
