@@ -13,6 +13,7 @@ from .coloring import (
     PerfectColoringTriple,
     TwoColorParams,
     VerifyResult,
+    imperfection_witness,
     induced_parameters,
     make_triple,
     partition_matrix,
@@ -22,6 +23,7 @@ from .coloring import (
     verify_perfect,
 )
 from .filters import (
+    DistanceRegularData,
     FilterVerdict,
     ForcedDistributions,
     ForcedSets,

@@ -15,16 +15,16 @@ from . import repro
 from .coloring import (
     Coloring,
     TwoColorParams,
+    imperfection_witness,
     induced_parameters,
     make_triple,
     two_color_matrix,
     verify_perfect,
 )
 from .filters import (
+    DistanceRegularData,
     PairContext,
     VerdictStatus,
-    drg_check,
-    distance_power_check,
     pair_color_feasible,
     simple_pair_bound,
     two_color_check,
@@ -189,7 +189,7 @@ def _cmd_verify(args) -> int:
     if s is not None:
         _emit({"perfect": True, "witness": None, "s": s.to_json()}, args, "perfect")
         return EXIT_OK
-    witness = _imperfection_witness(g, f)
+    witness = imperfection_witness(g, f)
     _emit(
         {"perfect": False, "witness": list(witness), "s": None},
         args,
@@ -198,49 +198,41 @@ def _cmd_verify(args) -> int:
     return EXIT_REJECTED
 
 
-def _imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int]:
-    """Lowest (vertex, color) whose class sum differs from its class representative."""
-    reps: dict[int, list[Fraction]] = {}
-    for u in range(g.n):
-        sums = [Fraction(0)] * f.k
-        for w, a in enumerate(g.adjacency.row(u)):
-            if a:
-                sums[f.colors[w] - 1] += a
-        i = f.colors[u]
-        if i not in reps:
-            reps[i] = sums
-            continue
-        for j in range(f.k):
-            if sums[j] != reps[i][j]:
-                return (u, j + 1)
-    raise AssertionError("no witness found for an imperfect coloring")
+def _requested_pairs(args, n: int) -> list[tuple[int, int, int, int]]:
+    """(u, v, i, j) for every vertex pair u < v of --coloring, or the one pair given by flags."""
+    if args.coloring:
+        f = _load_coloring(args.coloring)
+        if f.n != n:
+            raise CliDataError(f"coloring has {f.n} entries but the graph has {n} vertices")
+        return [(u, v, f.colors[u], f.colors[v]) for u in range(n) for v in range(u + 1, n)]
+    if None in (args.u, args.v, args.i, args.j):
+        raise CliDataError("give --u --v --i --j, or --coloring for a full scan")
+    return [(args.u, args.v, args.i, args.j)]
+
+
+def _pair_scan(args, l: int | None) -> int:
+    """Row-distance bound on M^l against S^l for each requested pair; M against S when l is None.
+
+    The powers are taken once, before the scan.
+    """
+    m = _load_matrix(args.m)
+    s = _load_matrix(args.s)
+    pairs = _requested_pairs(args, m.rows)
+    extra = {}
+    if l is not None:
+        if l < 1:
+            raise ValueError("power must be a positive integer")
+        m, s = m**l, s**l
+        extra["l"] = l
+    rows = [
+        _verdict_row(pair_color_feasible(m, s, u, v, i, j), u=u, v=v, i=i, j=j, **extra)
+        for u, v, i, j in pairs
+    ]
+    return _finish_rows(rows, args)
 
 
 def _cmd_filter_pair(args) -> int:
-    m = _load_matrix(args.m)
-    s = _load_matrix(args.s)
-    rows = []
-    if args.coloring:
-        f = _load_coloring(args.coloring)
-        for u in range(m.rows):
-            for v in range(u + 1, m.rows):
-                i, j = f.colors[u], f.colors[v]
-                rows.append(
-                    _verdict_row(pair_color_feasible(m, s, u, v, i, j), u=u, v=v, i=i, j=j)
-                )
-    else:
-        if None in (args.u, args.v, args.i, args.j):
-            raise CliDataError("give --u --v --i --j, or --coloring for a full scan")
-        rows.append(
-            _verdict_row(
-                pair_color_feasible(m, s, args.u, args.v, args.i, args.j),
-                u=args.u,
-                v=args.v,
-                i=args.i,
-                j=args.j,
-            )
-        )
-    return _finish_rows(rows, args)
+    return _pair_scan(args, None)
 
 
 def _cmd_filter_simple(args) -> int:
@@ -269,53 +261,19 @@ def _cmd_filter_two_color(args) -> int:
 
 
 def _cmd_filter_power(args) -> int:
-    m = _load_matrix(args.m)
-    s = _load_matrix(args.s)
-    rows = []
-    if args.coloring:
-        f = _load_coloring(args.coloring)
-        for u in range(m.rows):
-            for v in range(u + 1, m.rows):
-                i, j = f.colors[u], f.colors[v]
-                rows.append(
-                    _verdict_row(
-                        distance_power_check(m, s, args.l, u, v, i, j),
-                        u=u, v=v, i=i, j=j, l=args.l,
-                    )
-                )
-    else:
-        if None in (args.u, args.v, args.i, args.j):
-            raise CliDataError("give --u --v --i --j, or --coloring for a full scan")
-        rows.append(
-            _verdict_row(
-                distance_power_check(m, s, args.l, args.u, args.v, args.i, args.j),
-                u=args.u, v=args.v, i=args.i, j=args.j, l=args.l,
-            )
-        )
-    return _finish_rows(rows, args)
+    return _pair_scan(args, args.l)
 
 
 def _cmd_filter_drg(args) -> int:
     g = _load_graph(args.graph)
     s = _load_matrix(args.s)
-
-    def both(u: int, v: int, i: int, j: int) -> list[dict]:
-        ball, sphere = drg_check(g, s, args.radius, u, v, i, j)
-        return [
-            _verdict_row(ball, u=u, v=v, i=i, j=j, radius=args.radius, kind="ball"),
-            _verdict_row(sphere, u=u, v=v, i=i, j=j, radius=args.radius, kind="sphere"),
-        ]
-
+    pairs = _requested_pairs(args, g.n)
+    data = DistanceRegularData(g)
     rows = []
-    if args.coloring:
-        f = _load_coloring(args.coloring)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                rows.extend(both(u, v, f.colors[u], f.colors[v]))
-    else:
-        if None in (args.u, args.v, args.i, args.j):
-            raise CliDataError("give --u --v --i --j, or --coloring for a full scan")
-        rows.extend(both(args.u, args.v, args.i, args.j))
+    for u, v, i, j in pairs:
+        ball, sphere = data.check(s, args.radius, u, v, i, j)
+        rows.append(_verdict_row(ball, u=u, v=v, i=i, j=j, radius=args.radius, kind="ball"))
+        rows.append(_verdict_row(sphere, u=u, v=v, i=i, j=j, radius=args.radius, kind="sphere"))
     return _finish_rows(rows, args)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "PerfectColoringTriple",
     "TwoColorParams",
     "VerifyResult",
+    "imperfection_witness",
     "induced_parameters",
     "make_triple",
     "partition_matrix",
@@ -71,11 +72,14 @@ def partition_matrix(f: Coloring) -> RationalMatrix:
     )
 
 
-def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
-    """Color-wise row sums if they are constant on every class, else None.
+def _class_sums(
+    g: Graph, f: Coloring
+) -> tuple[list[list[Fraction] | None], tuple[int, list[Fraction]] | None]:
+    """Color-wise neighbor weight sums, walked vertex by vertex in index order.
 
-    None is the common outcome when search code probes many candidate
-    colorings, so imperfection is signalled by absence, not by an error.
+    Returns the sums of each color's lowest vertex, one row per color, and
+    the first vertex whose sums differ from the row of its own color, with
+    those sums (None when every vertex matches its row).
     """
     m = g.adjacency
     if f.n != g.n:
@@ -91,8 +95,32 @@ def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
         if rows[i] is None:
             rows[i] = sums
         elif rows[i] != sums:
-            return None
-    return RationalMatrix(rows)  # type: ignore[arg-type]
+            return rows, (u, sums)
+    return rows, None
+
+
+def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
+    """Color-wise row sums if they are constant on every class, else None.
+
+    None is the common outcome when search code probes many candidate
+    colorings, so imperfection is signalled by absence, not by an error.
+    """
+    rows, mismatch = _class_sums(g, f)
+    return None if mismatch else RationalMatrix(rows)  # type: ignore[arg-type]
+
+
+def imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int] | None:
+    """The lowest (vertex, color) at which the coloring fails to be perfect, or None.
+
+    A vertex fails at color j when the weight it sees on color j differs
+    from the weight the lowest vertex of its own color sees there.
+    """
+    rows, mismatch = _class_sums(g, f)
+    if mismatch is None:
+        return None
+    u, sums = mismatch
+    row = rows[f.colors[u] - 1]
+    return u, next(j for j in range(f.k) if sums[j] != row[j]) + 1  # type: ignore[index]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .graphs import Graph, distance_matrices, distance_polynomials, intersection
 from .ratmat import RationalMatrix, l1_row_distance, rat
 
 __all__ = [
+    "DistanceRegularData",
     "FilterVerdict",
     "ForcedDistributions",
     "ForcedSets",
@@ -234,6 +235,79 @@ def distance_power_check(
     return pair_color_feasible(m**l, s**l, u, v, i, j)
 
 
+class DistanceRegularData:
+    """Graph-level data of a distance-regular graph, prepared once for many queries.
+
+    Holds the intersection array, the distance matrices A_0..A_d and the
+    sphere and ball polynomials.  The ball indicator of each radius, and the
+    images ball[r](S) and sphere[r](S) of each (S, radius), are built on
+    first use and kept, so one query builds only what its radius needs and
+    an all-pairs scan does O(n) row distances per pair.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        ia = intersection_array(g)
+        if ia is None:
+            raise ValueError("graph is not distance-regular")
+        self.intersection_array = ia
+        self.spheres = distance_matrices(g)
+        self.polynomials = distance_polynomials(ia)
+        self._balls: dict[int, RationalMatrix] = {}
+        self._images: dict[tuple[RationalMatrix, int], tuple[RationalMatrix, RationalMatrix]] = {}
+
+    @property
+    def diameter(self) -> int:
+        return len(self.spheres) - 1
+
+    def _require_radius(self, radius: int) -> None:
+        if not 1 <= radius <= self.diameter:
+            raise ValueError(f"radius must be in 1..{self.diameter}")
+
+    def ball(self, radius: int) -> RationalMatrix:
+        """0/1 matrix of the pairs at distance at most ``radius``."""
+        if radius not in self._balls:
+            self._require_radius(radius)
+            indicator = self.spheres[0]
+            for t in range(1, radius + 1):
+                indicator = indicator + self.spheres[t]
+            self._balls[radius] = indicator
+        return self._balls[radius]
+
+    def images(self, s: RationalMatrix, radius: int) -> tuple[RationalMatrix, RationalMatrix]:
+        """The ball and sphere polynomial images (ball[radius](S), sphere[radius](S))."""
+        key = (s, radius)
+        if key not in self._images:
+            self._require_radius(radius)
+            self._images[key] = (
+                self.polynomials.ball[radius](s),
+                self.polynomials.sphere[radius](s),
+            )
+        return self._images[key]
+
+    def check(
+        self, s: RationalMatrix, radius: int, u: int, v: int, i: int, j: int
+    ) -> tuple[FilterVerdict, FilterVerdict]:
+        """The (ball, sphere) verdicts of ``drg_check`` for one query."""
+        ball_image, sphere_image = self.images(s, radius)
+
+        def side(indicator: RationalMatrix, image: RationalMatrix, kind: str) -> FilterVerdict:
+            lhs = l1_row_distance(indicator, u, v)
+            rhs = l1_row_distance(image, i - 1, j - 1)
+            if lhs < rhs:
+                return FilterVerdict(
+                    VerdictStatus.INFEASIBLE,
+                    lhs,
+                    rhs,
+                    f"|{kind}_{radius}({u}) symdiff {kind}_{radius}({v})| = {lhs} < {rhs}",
+                )
+            return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
+
+        return (
+            side(self.ball(radius), ball_image, "B"),
+            side(self.spheres[radius], sphere_image, "W"),
+        )
+
+
 def drg_check(
     g: Graph, s: RationalMatrix, radius: int, u: int, v: int, i: int, j: int
 ) -> tuple[FilterVerdict, FilterVerdict]:
@@ -241,32 +315,7 @@ def drg_check(
 
     |B_r(u) symdiff B_r(v)| must dominate the distance between rows i, j of
     the ball polynomial image of S, and likewise for spheres.  Returns the
-    (ball, sphere) verdicts.
+    (ball, sphere) verdicts.  For many queries on one graph, prepare a
+    ``DistanceRegularData`` once and call its ``check``.
     """
-    ia = intersection_array(g)
-    if ia is None:
-        raise ValueError("graph is not distance-regular")
-    mats = distance_matrices(g)
-    if not 1 <= radius <= len(mats) - 1:
-        raise ValueError(f"radius must be in 1..{len(mats) - 1}")
-    polys = distance_polynomials(ia)
-
-    ball_indicator = mats[0]
-    for t in range(1, radius + 1):
-        ball_indicator = ball_indicator + mats[t]
-
-    def side(indicator: RationalMatrix, image: RationalMatrix, kind: str) -> FilterVerdict:
-        lhs = l1_row_distance(indicator, u, v)
-        rhs = l1_row_distance(image, i - 1, j - 1)
-        if lhs < rhs:
-            return FilterVerdict(
-                VerdictStatus.INFEASIBLE,
-                lhs,
-                rhs,
-                f"|{kind}_{radius}({u}) symdiff {kind}_{radius}({v})| = {lhs} < {rhs}",
-            )
-        return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
-
-    ball = side(ball_indicator, polys.ball[radius](s), "B")
-    sphere = side(mats[radius], polys.sphere[radius](s), "W")
-    return ball, sphere
+    return DistanceRegularData(g).check(s, radius, u, v, i, j)

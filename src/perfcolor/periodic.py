@@ -423,8 +423,10 @@ def _backtrack(
 
     ``affected[u]`` lists (w, weight) for each cell w that sees cell u.  A
     constrained cell of color i must see exactly s[i-1, j-1] weight of color
-    j; a colored one ends the branch when it sees too much of some color or
-    needs more than its uncolored neighbors can still supply.  Cell u tries
+    j; a colored one ends the branch when it sees too much of some color.
+    Every constrained cell must see a total weight equal to each row sum of
+    S; then a complete coloring with no color over its target meets every
+    row exactly, so colors short of their target need no cut.  Cell u tries
     the colors ``allowed[u]`` in order.  With ``all_colors`` a branch ends
     once the unused colors outnumber the cells left.  Complete colorings
     that pass ``accept`` are collected, only the first unless ``find_all``.
@@ -440,12 +442,14 @@ def _backtrack(
     entries += [wt for column in affected for _, wt in column]
     denom = lcm(*(x.denominator for x in entries))
     rows = [[0] * (k + 1)] + [[0, *(int(x * denom) for x in s.row(i))] for i in range(k)]
-    row_sums = [sum(row) for row in rows]
     affected = [[(w, int(wt * denom)) for w, wt in column] for column in affected]
-    remaining = [0] * n  # remaining[w]: weight w sees on uncolored cells
+    total = [0] * n  # total[w]: weight w sees on all cells
     for column in affected:
         for w, wt in column:
-            remaining[w] += wt
+            total[w] += wt
+    row_sums = {sum(row) for row in rows[1:]}
+    if any(constrained[w] and {total[w]} != row_sums for w in range(n)):
+        raise ValueError("every constrained cell must see a total weight equal to each row sum of S")
     color = [0] * n
     seen = [[0] * (k + 1) for _ in range(n)]  # seen[w][j]: weight w sees on color j
     used = [0] * (k + 1)
@@ -471,18 +475,16 @@ def _backtrack(
                 return found, nodes, False
             color[u] = c
             used[c] += 1
-            # every colored constrained cell met its row before u was colored;
-            # a neighbor's need and slack both drop by the weight it sees on u,
-            # so only its color-c entry can go wrong
+            # no colored constrained cell was over its row before u was colored,
+            # and coloring u raises only a neighbor's color-c entry, so only
+            # that entry can go wrong
             ok = True
             for w, wt in affected[u]:
                 seen[w][c] += wt
-                remaining[w] -= wt
                 if ok and color[w] and constrained[w] and seen[w][c] > rows[color[w]][c]:
                     ok = False
             if ok and constrained[u]:
-                have = seen[u]
-                ok = all(map(le, have, rows[c])) and row_sums[c] - sum(have) <= remaining[u]
+                ok = all(map(le, seen[u], rows[c]))
             if ok and not (all_colors and used[1:].count(0) > n - u - 1):
                 u += 1
                 continue
@@ -494,7 +496,6 @@ def _backtrack(
         c = color[u]  # uncolor cell u before its next choice
         for w, wt in affected[u]:
             seen[w][c] -= wt
-            remaining[w] += wt
         used[c] -= 1
         color[u] = 0
 
@@ -763,19 +764,14 @@ def patch_search(
     if not interior:
         raise ValueError("patch too small: no cell has its whole neighborhood inside")
 
-    if isinstance(target, (RationalMatrix,)):
-        runs = [(_target_matrix(target, spec.valency), False)]
+    s = _target_matrix(target, spec.valency)
+    if isinstance(target, RationalMatrix):
+        runs = [(s, False)]
     else:
-        params = (
-            target
-            if isinstance(target, TwoColorParams)
-            else TwoColorParams(
-                *(Fraction(v) for v in target), Fraction(spec.valency)
-            )
-        )
-        runs = [(params.matrix(), True)]
-        if params.b != params.c:
-            runs.append((TwoColorParams(params.c, params.b, params.r).matrix(), True))
+        b, c = s[0, 1], s[1, 0]
+        runs = [(s, True)]
+        if b != c:
+            runs.append((two_color_matrix(c, b, spec.valency), True))
 
     affected = [
         [(index[(x + ox, y + oy)], 1) for ox, oy in spec.offsets if (x + ox, y + oy) in index]

@@ -12,6 +12,8 @@ entry is an integer or a ``"p/q"`` string.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 from typing import Iterable, Union
 
 RatLike = Union[Fraction, int, str]
@@ -50,6 +52,20 @@ def rat_to_json(x: Fraction) -> int | str:
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _integer_rows(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[list[list[int]], int]:
+    """Integer rows and a denominator d with rows[i][j] = ints[i][j] / d.
+
+    d is the least common denominator of the entries, so every entry
+    scales to an exact integer.
+    """
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 class RationalMatrix:
     """Immutable dense matrix with exact rational entries."""
 
@@ -65,8 +81,22 @@ class RationalMatrix:
         self._rows = rows
 
     @classmethod
+    def _from_rows(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalMatrix":
+        """Wrap rows of Fractions, non-empty and of equal length, without checking them.
+
+        Only for rows this module built itself from checked matrices.
+        """
+        m = object.__new__(cls)
+        m._rows = rows
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix must have at least one row and one column")
+        return cls._from_rows(
+            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -99,34 +129,43 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix addition")
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
+        return RationalMatrix._from_rows(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self._rows, other._rows))
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix subtraction")
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
+        return RationalMatrix._from_rows(
+            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self._rows, other._rows))
         )
 
     def scaled(self, factor: RatLike) -> "RationalMatrix":
         f = rat(factor)
-        return RationalMatrix([[f * x for x in row] for row in self._rows])
+        return RationalMatrix._from_rows(tuple(tuple(f * x for x in row) for row in self._rows))
 
     def __rmul__(self, factor: RatLike) -> "RationalMatrix":
         return self.scaled(factor)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Exact product, computed over integers and divided once per entry.
+
+        With A = A'/da and B = B'/db for integer A', B', the product is
+        A'B' / (da db); each entry is one integer dot product and one
+        Fraction normalization.
+        """
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bt = tuple(zip(*other._rows))  # columns of other
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._rows]
+        a, da = _integer_rows(self._rows)
+        b, db = _integer_rows(other._rows)
+        d = da * db
+        bt = tuple(zip(*b))  # columns of other
+        return RationalMatrix._from_rows(
+            tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in bt) for row in a)
         )
 
     def __pow__(self, exponent: int) -> "RationalMatrix":
@@ -134,15 +173,15 @@ class RationalMatrix:
             raise ValueError("matrix power requires a square matrix")
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("matrix exponent must be a non-negative integer")
-        result = RationalMatrix.identity(self.rows)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
+        return RationalMatrix.identity(self.rows) if result is None else result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalMatrix) and self._rows == other._rows
@@ -258,10 +297,9 @@ class Polynomial:
         if isinstance(a, RationalMatrix):
             if not a.is_square:
                 raise ValueError("polynomial evaluation requires a square matrix")
-            n = a.rows
-            result = RationalMatrix.identity(n).scaled(self._coeffs[-1])
+            result = RationalMatrix.identity(a.rows).scaled(self._coeffs[-1])
             for c in reversed(self._coeffs[:-1]):
-                result = result * a + RationalMatrix.identity(n).scaled(c)
+                result = _add_diagonal(result * a, c)
             return result
         x = rat(a)
         acc = self._coeffs[-1]
@@ -277,6 +315,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial([{', '.join(str(c) for c in self._coeffs)}])"
+
+
+def _add_diagonal(a: RationalMatrix, c: Fraction) -> RationalMatrix:
+    """a + c I for a square matrix a."""
+    if not c:
+        return a
+    return RationalMatrix._from_rows(
+        tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(a._rows))
+    )
 
 
 def eval_poly(p: Polynomial, a: RationalMatrix) -> RationalMatrix:

@@ -1,9 +1,13 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from perfcolor.cli import main
-from perfcolor.graphs import cycle
+from perfcolor.coloring import Coloring, induced_parameters
+from perfcolor.filters import distance_power_check, drg_check, pair_color_feasible
+from perfcolor.graphs import cycle, distance_matrices, from_edges, petersen
+from perfcolor.ratmat import RationalMatrix
 
 
 def write(tmp_path, name, obj):
@@ -98,6 +102,123 @@ def test_filter_pair_scan_exit_codes(c4_files, capsys):
     )
     assert code == 0
     assert all(row["status"] == "feasible" for row in json.loads(out))
+
+
+def cube():
+    return from_edges(8, [(a, b) for a, b in combinations(range(8), 2) if bin(a ^ b).count("1") == 1])
+
+
+@pytest.fixture(params=["petersen", "C6", "cube"])
+def distance_scan(request, tmp_path):
+    """A distance-regular graph, its distance partition from vertex 0 and the input files."""
+    g = {"petersen": petersen, "C6": lambda: cycle(6), "cube": cube}[request.param]()
+    spheres = distance_matrices(g)
+    colors = tuple(next(r + 1 for r, a in enumerate(spheres) if a[0, v] == 1) for v in range(g.n))
+    f = Coloring(colors, len(spheres))
+    s = induced_parameters(g, f)
+    files = {
+        "graph": write(tmp_path, "g.json", g.to_json()),
+        "m": write(tmp_path, "m.json", g.adjacency.to_json()),
+        "s": write(tmp_path, "s.json", s.to_json()),
+        "coloring": write(tmp_path, "f.json", f.to_json()),
+    }
+    return g, f, s, files
+
+
+def scan_pairs(f):
+    return [(u, v, f.colors[u], f.colors[v]) for u, v in combinations(range(f.n), 2)]
+
+
+def json_rows(rows):
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def test_filter_drg_scan_matches_per_pair_checks(distance_scan, capsys):
+    g, f, s, files = distance_scan
+    for radius in range(1, len(distance_matrices(g))):
+        code, out = run(
+            capsys,
+            ["filter", "drg", "--graph", files["graph"], "--s", files["s"],
+             "--radius", str(radius), "--coloring", files["coloring"], "--format", "json"],
+        )
+        expected = []
+        for u, v, i, j in scan_pairs(f):
+            for kind, verdict in zip(("ball", "sphere"), drg_check(g, s, radius, u, v, i, j)):
+                expected.append(dict(u=u, v=v, i=i, j=j, radius=radius, kind=kind, **verdict.to_json()))
+        assert code == 0
+        assert out == json_rows(expected)
+
+
+def test_filter_power_and_pair_scans_match_per_pair_checks(distance_scan, capsys):
+    g, f, s, files = distance_scan
+    m = g.adjacency
+    for l in (1, 2, 3):
+        code, out = run(
+            capsys,
+            ["filter", "power", "--m", files["m"], "--s", files["s"], "--l", str(l),
+             "--coloring", files["coloring"], "--format", "json"],
+        )
+        expected = [
+            dict(u=u, v=v, i=i, j=j, l=l, **distance_power_check(m, s, l, u, v, i, j).to_json())
+            for u, v, i, j in scan_pairs(f)
+        ]
+        assert code == 0
+        assert out == json_rows(expected)
+    code, out = run(
+        capsys,
+        ["filter", "pair", "--m", files["m"], "--s", files["s"],
+         "--coloring", files["coloring"], "--format", "json"],
+    )
+    expected = [
+        dict(u=u, v=v, i=i, j=j, **pair_color_feasible(m, s, u, v, i, j).to_json())
+        for u, v, i, j in scan_pairs(f)
+    ]
+    assert code == 0
+    assert out == json_rows(expected)
+
+
+def test_filter_drg_scan_rejects_mismatched_colors(tmp_path, capsys):
+    g = cycle(6)
+    graph = write(tmp_path, "c6.json", g.to_json())
+    s = write(tmp_path, "s.json", {"rows": 2, "cols": 2, "data": [[0, 2], [2, 0]]})
+    # vertices 0 and 2 are at distance 2 but get different colors: their
+    # neighborhoods differ in 2 vertices, the rows of S in 4
+    f = Coloring((1, 2, 2, 1, 2, 1), 2)
+    coloring = write(tmp_path, "f.json", f.to_json())
+    code, out = run(
+        capsys,
+        ["filter", "drg", "--graph", graph, "--s", s, "--radius", "1",
+         "--coloring", coloring, "--format", "json"],
+    )
+    assert code == 1
+    rows = json.loads(out)
+    sphere_02 = next(r for r in rows if (r["u"], r["v"], r["kind"]) == (0, 2, "sphere"))
+    assert (sphere_02["status"], sphere_02["lhs"], sphere_02["rhs"]) == ("infeasible", "2", "4")
+    s_matrix = RationalMatrix([[0, 2], [2, 0]])
+    assert [r["status"] for r in rows] == [
+        verdict.status.value
+        for u, v, i, j in scan_pairs(f)
+        for verdict in drg_check(g, s_matrix, 1, u, v, i, j)
+    ]
+
+
+@pytest.mark.parametrize("length", [9, 3])
+@pytest.mark.parametrize("which", ["pair", "power", "drg"])
+def test_filter_scan_rejects_coloring_of_wrong_length(tmp_path, capsys, which, length):
+    graph = write(tmp_path, "c6.json", cycle(6).to_json())
+    m = write(tmp_path, "m.json", cycle(6).adjacency.to_json())
+    s = write(tmp_path, "s.json", {"rows": 2, "cols": 2, "data": [[0, 2], [2, 0]]})
+    coloring = write(tmp_path, "f.json", {"k": 2, "colors": [1 + x % 2 for x in range(length)]})
+    inputs = {
+        "pair": ["--m", m, "--s", s],
+        "power": ["--m", m, "--s", s, "--l", "2"],
+        "drg": ["--graph", graph, "--s", s, "--radius", "1"],
+    }[which]
+    code = main(["filter", which, *inputs, "--coloring", coloring, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert f"coloring has {length} entries but the graph has 6 vertices" in captured.err
 
 
 def test_filter_two_color_square_grid(capsys):

@@ -5,6 +5,7 @@ from perfcolor.coloring import (
     Coloring,
     PerfectColoringTriple,
     TwoColorParams,
+    imperfection_witness,
     induced_parameters,
     make_triple,
     partition_matrix,
@@ -55,6 +56,15 @@ def test_induced_parameters_absent_for_imperfect():
 def test_induced_parameters_length_check():
     with pytest.raises(ValueError):
         induced_parameters(cycle(4), Coloring((1, 2, 1), 2))
+
+
+def test_imperfection_witness_c5():
+    # vertex 0 (color 1) sees one neighbor of each color; vertex 2 (color 1)
+    # sees two of color 2, so the lowest bad cell is vertex 2, color 1
+    assert imperfection_witness(cycle(5), Coloring((1, 2, 1, 2, 1), 2)) == (2, 1)
+    assert imperfection_witness(cycle(4), Coloring((1, 2, 1, 2), 2)) is None
+    with pytest.raises(ValueError):
+        imperfection_witness(cycle(4), Coloring((1, 2, 1), 2))
 
 
 def test_triple_structure_validation():
@@ -176,3 +186,20 @@ def test_poly_lift_composes(colors, coeffs):
     nested = poly_lift(poly_lift(triple, p), q)
     composed = poly_lift(triple, Polynomial([1]) - p)
     assert nested == composed
+
+
+@given(colorings_c6)
+def test_imperfection_witness_is_lowest_bad_cell(colors):
+    used = sorted(set(colors))
+    f = Coloring(tuple(used.index(c) + 1 for c in colors), len(used))
+    g = cycle(6)
+    sums = [
+        [sum(1 for w in ((u - 1) % 6, (u + 1) % 6) if f.colors[w] == j) for j in range(1, f.k + 1)]
+        for u in range(6)
+    ]
+    first = {f.colors[u]: sums[u] for u in reversed(range(6))}
+    bad = [
+        (u, j + 1) for u in range(6) for j in range(f.k) if sums[u][j] != first[f.colors[u]][j]
+    ]
+    assert imperfection_witness(g, f) == (bad[0] if bad else None)
+    assert (induced_parameters(g, f) is None) == bool(bad)

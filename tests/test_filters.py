@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from perfcolor.coloring import (
     two_color_params,
 )
 from perfcolor.filters import (
+    DistanceRegularData,
     PairContext,
     VerdictStatus,
     distance_power_check,
@@ -367,3 +369,22 @@ def test_drg_check_radius_range():
     g = cycle(6)
     with pytest.raises(ValueError):
         drg_check(g, RationalMatrix([[2]]), 4, 0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("g", [cycle(7), petersen()], ids=["C7", "petersen"])
+def test_distance_regular_data_balls_and_images(g):
+    data = DistanceRegularData(g)
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adjacency[u, v] == 1]
+    dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(edges)))
+    s = RationalMatrix([[0, 1, 1], [Fraction(1, 2), 1, Fraction(1, 2)], [2, 0, 0]])
+    for radius in range(1, data.diameter + 1):
+        within = [[int(dist[u][v] <= radius) for v in range(g.n)] for u in range(g.n)]
+        assert data.ball(radius) == RationalMatrix(within)
+        ball_image, sphere_image = data.images(s, radius)
+        assert ball_image == data.polynomials.ball[radius](s)
+        assert sphere_image == data.polynomials.sphere[radius](s)
+        assert data.images(s, radius) is data.images(s, radius)
+        for u in range(g.n):
+            assert data.check(s, radius, 0, u, 1, 3) == drg_check(g, s, radius, 0, u, 1, 3)
+    with pytest.raises(ValueError, match="radius"):
+        data.check(s, data.diameter + 1, 0, 1, 1, 1)

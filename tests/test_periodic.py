@@ -16,6 +16,7 @@ from perfcolor.periodic import (
     CirculantSpec,
     GridSpec,
     SearchStatus,
+    _backtrack,
     _lattice_basis,
     circulant_enumerate,
     circulant_h,
@@ -378,6 +379,25 @@ def test_patch_search_22_inconclusive():
 def test_patch_search_needs_interior():
     with pytest.raises(ValueError):
         patch_search(GridSpec.square(), (1, 1), (2, 2))
+
+
+def test_patch_search_checks_two_color_valency():
+    # r = 7 is not the square grid's valency; no window search can prove anything for it
+    for target in (params(1, 1, 7), params(1, 2, 3)):
+        with pytest.raises(ValueError, match="valency"):
+            patch_search(GridSpec.square(), target, (4, 4))
+        with pytest.raises(ValueError, match="valency"):
+            torus_search(GridSpec.square(), (2, 2), target)
+
+
+def test_backtrack_requires_cell_weight_equal_to_row_sums():
+    # a cell seeing weight 1 against a row summing to 2 could never meet it,
+    # yet the engine only cuts colors over target, so it refuses such input
+    with pytest.raises(ValueError, match="row sum"):
+        _backtrack(
+            RationalMatrix([[2]]), [[(0, 1)]], [True], [(1,)], lambda colors: True,
+            all_colors=False, find_all=False, node_budget=10,
+        )
 
 
 def test_patch_search_budget_exhaustion():

@@ -101,6 +101,15 @@ def test_c4_adjacency_squared():
     assert c4**2 == expected
 
 
+@given(st.data())
+def test_product_matches_fraction_sums(data):
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = data.draw(st.lists(st.lists(fractions, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(fractions, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    naive = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+    assert RationalMatrix(a) * RationalMatrix(b) == RationalMatrix(naive)
+
+
 @given(small_matrices(), st.integers(0, 4), st.integers(0, 4))
 def test_pow_additivity(a, i, j):
     assert a ** (i + j) == (a**i) * (a**j)
