@@ -419,7 +419,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--budget",
         type=int,
         default=DEFAULT_ENUM_BUDGET,
-        help="candidate-count cap for enumerations and torus searches",
+        help="cap on k^n colorings of a torus or grid reject quotient, "
+        "and on both k^T and T^2 in circulant enumerate",
     )
     sub.add_argument(
         "--node-budget",

@@ -35,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 from operator import le
 
@@ -209,23 +209,78 @@ def circulant_enumerate(
     deduplicated up to rotation of Z_period and renaming of colors; the
     stored representative is the lexicographically least orbit member, so
     output is stable across runs.
+
+    Every such representative is a restricted-growth string: position 0
+    has color 1 and each later position at most one more than the highest
+    color before it.  Positions are colored 0..period-1 in that form,
+    smallest color first, so representatives come out in lexicographic
+    order.  A vertex is checked once it and all its neighbors are colored:
+    its color-wise neighbor counts must equal those of the first checked
+    vertex of its color, or the branch ends.  Each complete string is kept
+    when it is its own canonical form and ``induced_parameters`` gives its
+    S.  ``budget`` caps both k^period and the period^2 entries of the
+    quotient.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    # period^2 first: it is cheap even where k**period would be a huge integer
+    if period * period > budget:
+        raise BudgetExceededError(
+            f"a period of {period} needs {period}^2 quotient entries, over the budget of {budget}"
+        )
     if k**period > budget:
         raise BudgetExceededError(
             f"{k}^{period} colorings exceed the budget of {budget}"
         )
     quotient = circulant_quotient(spec, period)
+    neighbors = [
+        [(x + o) % period for d in spec.ds for o in (d, -d)] for x in range(period)
+    ]
+    ready: list[list[int]] = [[] for _ in range(period)]  # vertices complete at a position
+    for x in range(period):
+        ready[max(x, *neighbors[x])].append(x)
+    color = [0] * period
+    top = [0] * (period + 1)  # top[p]: highest color at positions before p
+    next_color = [1] * period
+    row: list[list[int] | None] = [None] * (k + 1)  # counts of a color's first checked vertex
+    recorded: list[list[int]] = [[] for _ in range(period)]  # colors whose row position p set
     found = []
-    for assignment in product(range(1, k + 1), repeat=period):
-        if _cyclic_canonical(assignment) != assignment:
-            continue
-        f = Coloring(assignment, max(assignment))
-        s = induced_parameters(quotient, f)
-        if s is not None:
-            found.append(EnumeratedColoring(f, s))
-    return tuple(found)
+    p = 0
+    while True:
+        if p == period:
+            t = tuple(color)
+            if _cyclic_canonical(t) == t:
+                f = Coloring(t, top[period])
+                s = induced_parameters(quotient, f)  # exact re-check of every survivor
+                if s is not None:
+                    found.append(EnumeratedColoring(f, s))
+            p -= 1
+        elif next_color[p] <= min(k, top[p] + 1):
+            c = next_color[p]
+            next_color[p] += 1
+            color[p] = c
+            top[p + 1] = max(top[p], c)
+            for x in ready[p]:
+                counts = [0] * (k + 1)
+                for w in neighbors[x]:
+                    counts[color[w]] += 1
+                cx = color[x]
+                if row[cx] is None:
+                    row[cx] = counts
+                    recorded[p].append(cx)
+                elif row[cx] != counts:
+                    break
+            else:
+                p += 1
+                continue
+        else:
+            next_color[p] = 1
+            p -= 1
+            if p < 0:
+                return tuple(found)
+        for c in recorded[p]:  # undo position p before its next color
+            row[c] = None
+        recorded[p].clear()
 
 
 # ---------------------------------------------------------------------------

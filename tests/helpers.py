@@ -134,3 +134,44 @@ def brute_force_window_colorable(offsets, size, rows, two_interior_colors=False)
         not two_interior_colors or len({colors[u] for u in interior}) > 1
         for colors in _brute_force_colorings(neighbors, interior, rows)
     )
+
+
+def circulant_class_rows(ds, colors) -> list[list[int]] | None:
+    """Color-wise neighbor counts per color on Z_T, or None if a class disagrees.
+
+    Vertex x sees x + d and x - d modulo T = len(colors) for each d in ds,
+    counted with multiplicity; the row of a color is that of its lowest vertex.
+    """
+    period, k = len(colors), max(colors)
+    rows: list[list[int] | None] = [None] * k
+    for x, c in enumerate(colors):
+        sums = [0] * k
+        for d in ds:
+            sums[colors[(x + d) % period] - 1] += 1
+            sums[colors[(x - d) % period] - 1] += 1
+        if rows[c - 1] is None:
+            rows[c - 1] = sums
+        elif rows[c - 1] != sums:
+            return None
+    return rows  # type: ignore[return-value]
+
+
+def rotation_renaming_canonical(colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Least rotation of the colors, each rotation renamed 1, 2, ... by first appearance."""
+    return min(
+        normalized_coloring(colors[s:] + colors[:s]).colors for s in range(len(colors))
+    )
+
+
+def brute_force_circulant_census(ds, period, k) -> list[tuple[tuple[int, ...], list[list[int]]]]:
+    """(canonical colors, class rows) of every perfect coloring of Z_period in at most k colors.
+
+    Tries all k^period colorings, keeps the perfect ones, and lists their
+    canonical forms once each in lexicographic order.
+    """
+    canonical = {
+        rotation_renaming_canonical(colors)
+        for colors in product(range(1, k + 1), repeat=period)
+        if circulant_class_rows(ds, colors) is not None
+    }
+    return [(colors, circulant_class_rows(ds, colors)) for colors in sorted(canonical)]

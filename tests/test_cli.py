@@ -280,6 +280,12 @@ def test_circulant_budget_exit(capsys):
     assert code == 66
 
 
+def test_circulant_budget_caps_period_squared(capsys):
+    code = main(["circulant", "enumerate", "--d", "1", "--T", "2000", "--k", "1"])
+    assert code == 66
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_grid_h(capsys):
     code, out = run(
         capsys, ["grid", "h", "--grid", "square", "--delta", "1,1", "--format", "json"]

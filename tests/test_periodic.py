@@ -1,14 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    brute_force_circulant_census,
     brute_force_torus_colorings,
     brute_force_window_colorable,
+    circulant_class_rows,
     circulant_params_by_segment_count,
     grid_params_by_patch_count,
     normalized_coloring,
+    rotation_renaming_canonical,
 )
 from perfcolor.coloring import Coloring, TwoColorParams, induced_parameters
 from perfcolor.periodic import (
@@ -174,6 +178,56 @@ def test_enumerate_representatives_are_canonical():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         circulant_enumerate(CirculantSpec((1,)), 21, 2)
+
+
+def test_enumerate_budget_caps_period_squared():
+    # 1**T never exceeds a budget, but the T x T quotient does
+    with pytest.raises(BudgetExceededError):
+        circulant_enumerate(CirculantSpec((1,)), 2000, 1)
+    with pytest.raises(BudgetExceededError):
+        circulant_enumerate(CirculantSpec((1,)), 11, 1, budget=120)
+    assert len(circulant_enumerate(CirculantSpec((1,)), 11, 1, budget=121)) == 1
+
+
+def test_enumerate_long_period_needs_no_recursion():
+    found = circulant_enumerate(CirculantSpec((1,)), 1000, 1)
+    assert [(e.coloring.colors, e.s) for e in found] == [((1,) * 1000, RationalMatrix([[2]]))]
+
+
+def _census(spec, period, k):
+    return [
+        (e.coloring.colors, [list(e.s.row(i)) for i in range(e.s.rows)])
+        for e in circulant_enumerate(spec, period, k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [ds for r in range(1, 6) for ds in combinations(range(1, 6), r)],
+    ids=lambda ds: ",".join(map(str, ds)),
+)
+def test_enumerate_matches_brute_force_census(ds):
+    spec = CirculantSpec(ds)
+    for k, max_period in ((2, 10), (3, 6)):
+        for period in range(1, max_period + 1):
+            assert _census(spec, period, k) == brute_force_circulant_census(ds, period, k)
+
+
+@pytest.mark.parametrize("ds", [(1, 2, 4), (1, 3, 5)])
+def test_enumerate_long_periods(ds):
+    # beyond brute force: every entry is perfect, canonical and new, and each
+    # census at a divisor p of the period reappears repeated period/p times
+    spec = CirculantSpec(ds)
+    for period in (16, 18, 20):
+        census = _census(spec, period, 2)
+        assert len({colors for colors, _ in census}) == len(census)
+        for colors, rows in census:
+            assert rotation_renaming_canonical(colors) == colors
+            assert circulant_class_rows(ds, colors) == rows
+        for p in range(1, period):
+            if period % p == 0:
+                for colors, rows in _census(spec, p, 2):
+                    assert (colors * (period // p), rows) in census
 
 
 def _minimal_period(colors: tuple[int, ...]) -> int:
