@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import repro
 from .coloring import (
@@ -577,9 +578,17 @@ _FILTER_HANDLERS = {
 }
 
 
+@cache
+def _parser() -> _Parser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    Parsing reads the parser and never changes it, so every call can share it.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "filter":
             return _FILTER_HANDLERS[args.which](args)

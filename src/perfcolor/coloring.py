@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .graphs import Graph
 from .ratmat import Polynomial, RationalMatrix, RatLike, rat
@@ -73,30 +74,46 @@ def partition_matrix(f: Coloring) -> RationalMatrix:
 
 
 def _class_sums(
-    g: Graph, f: Coloring
-) -> tuple[list[list[Fraction] | None], tuple[int, list[Fraction]] | None]:
-    """Color-wise neighbor weight sums, walked vertex by vertex in index order.
+    m: RationalMatrix, colors: Sequence[int], k: int, s: RationalMatrix | None = None
+) -> tuple[list[list[int] | None], tuple[int, list[int]] | None, int]:
+    """Color-wise weight sums of the rows of m, walked vertex by vertex in index order.
 
-    Returns the sums of each color's lowest vertex, one row per color, and
-    the first vertex whose sums differ from the row of its own color, with
-    those sums (None when every vertex matches its row).
+    ``colors[v]`` is the color, 1..k, of vertex v.  The sums of each vertex
+    are compared with the row of its own color: row ``colors[v]`` of s when s
+    is given, otherwise the sums of that color's lowest vertex.  Everything
+    is counted in integers over one common denominator D.  Returns those
+    rows (None for a color whose row is not known), the first vertex whose
+    sums differ from its row, with those sums (None when every vertex
+    matches), and D.
     """
-    m = g.adjacency
-    if f.n != g.n:
+    if len(colors) != m.rows:
         raise ValueError("coloring length must equal the number of vertices")
-    rows: list[list[Fraction] | None] = [None] * f.k
-    for u in range(g.n):
-        sums = [Fraction(0)] * f.k
-        mu = m.row(u)
+    ints, dm = m.integer_form()
+    if s is None:
+        rows: list[list[int] | None] = [None] * k
+        ds = 1
+    else:
+        s_ints, ds = s.integer_form()
+        rows = [[x * dm for x in row] for row in s_ints]
+    for u, mu in enumerate(ints):
+        sums = [0] * k
         for w, a in enumerate(mu):
             if a:
-                sums[f.colors[w] - 1] += a
-        i = f.colors[u] - 1
+                sums[colors[w] - 1] += a
+        sums = [x * ds for x in sums]
+        i = colors[u] - 1
         if rows[i] is None:
             rows[i] = sums
         elif rows[i] != sums:
-            return rows, (u, sums)
-    return rows, None
+            return rows, (u, sums), dm * ds
+    return rows, None, dm * ds
+
+
+def _first_difference(rows: list, mismatch: tuple[int, list[int]], colors: Sequence[int]) -> tuple[int, int]:
+    """(vertex, lowest color) at which a mismatching vertex leaves the row of its own color."""
+    u, sums = mismatch
+    row = rows[colors[u] - 1]
+    return u, next(j for j, (x, y) in enumerate(zip(sums, row)) if x != y) + 1
 
 
 def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
@@ -105,8 +122,10 @@ def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
     None is the common outcome when search code probes many candidate
     colorings, so imperfection is signalled by absence, not by an error.
     """
-    rows, mismatch = _class_sums(g, f)
-    return None if mismatch else RationalMatrix(rows)  # type: ignore[arg-type]
+    rows, mismatch, d = _class_sums(g.adjacency, f.colors, f.k)
+    if mismatch is not None:
+        return None
+    return RationalMatrix([[Fraction(x, d) for x in row] for row in rows])  # type: ignore[union-attr]
 
 
 def imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int] | None:
@@ -115,12 +134,8 @@ def imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int] | None:
     A vertex fails at color j when the weight it sees on color j differs
     from the weight the lowest vertex of its own color sees there.
     """
-    rows, mismatch = _class_sums(g, f)
-    if mismatch is None:
-        return None
-    u, sums = mismatch
-    row = rows[f.colors[u] - 1]
-    return u, next(j for j in range(f.k) if sums[j] != row[j]) + 1  # type: ignore[index]
+    rows, mismatch, _ = _class_sums(g.adjacency, f.colors, f.k)
+    return None if mismatch is None else _first_difference(rows, mismatch, f.colors)
 
 
 @dataclass(frozen=True)
@@ -184,16 +199,17 @@ class VerifyResult:
 def verify_perfect(triple: PerfectColoringTriple) -> VerifyResult:
     """Check M P = P S exactly; on failure report the first differing cell.
 
+    Row v of M P holds the class sums of row v of M, and row v of P S is row
+    f(v) of S, so the check compares the two without forming either product.
+    Colors are read from the rows of P, so a color no vertex has is allowed.
     The witness is chosen at the lowest vertex index, then lowest color, so
     the result does not depend on evaluation order.
     """
-    mp = triple.m * triple.p
-    ps = triple.p * triple.s
-    for v in range(mp.rows):
-        for j in range(mp.cols):
-            if mp[v, j] != ps[v, j]:
-                return VerifyResult(False, (v, j + 1))
-    return VerifyResult(True, None)
+    colors = tuple(triple.p.row(v).index(1) + 1 for v in range(triple.n))
+    rows, mismatch, _ = _class_sums(triple.m, colors, triple.k, triple.s)
+    if mismatch is None:
+        return VerifyResult(True, None)
+    return VerifyResult(False, _first_difference(rows, mismatch, colors))
 
 
 def poly_lift(triple: PerfectColoringTriple, p: Polynomial) -> PerfectColoringTriple:

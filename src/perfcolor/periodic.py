@@ -35,6 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import le
@@ -107,8 +108,12 @@ class CirculantSpec:
         return cls(tuple(int(part) for part in text.split(",") if part.strip()))
 
 
+@lru_cache(maxsize=4096)
 def circulant_h(spec: CirculantSpec, t: int) -> int:
-    """Common neighbors of x and x+t: |{+-d_i} multiset-cap {t +- d_i}|."""
+    """Common neighbors of x and x+t: |{+-d_i} multiset-cap {t +- d_i}|.
+
+    Memoized: a sweep over many (b, c) pairs asks for the same shifts again.
+    """
     if t < 1:
         raise ValueError("t must be a positive integer")
     left = Counter()

@@ -56,20 +56,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _integer_rows(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[list[list[int]], int]:
-    """Integer rows and a denominator d with rows[i][j] = ints[i][j] / d.
-
-    d is the least common denominator of the entries, so every entry
-    scales to an exact integer.
-    """
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
 class RationalMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix with exact rational entries.
 
-    __slots__ = ("_rows",)
+    The integer form and the hash are computed on first use and kept, so a
+    matrix shared by many products or row distances pays for them once.
+    Both are functions of the entries, so threads that race to fill them
+    store equal values.
+    """
+
+    __slots__ = ("_rows", "_ints", "_hash")
 
     def __init__(self, data: Iterable[Iterable[RatLike]]) -> None:
         rows = tuple(tuple(rat(x) for x in row) for row in data)
@@ -79,6 +75,8 @@ class RationalMatrix:
         if any(len(r) != width for r in rows):
             raise ValueError("rows must all have the same length")
         self._rows = rows
+        self._ints = None
+        self._hash = None
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalMatrix":
@@ -88,7 +86,23 @@ class RationalMatrix:
         """
         m = object.__new__(cls)
         m._rows = rows
+        m._ints = None
+        m._hash = None
         return m
+
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Integer rows and a denominator d with self[i, j] = rows[i][j] / d.
+
+        d is the least common denominator of the entries, so every entry
+        scales to an exact integer.
+        """
+        if self._ints is None:
+            d = lcm(*(x.denominator for row in self._rows for x in row))
+            self._ints = (
+                tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self._rows),
+                d,
+            )
+        return self._ints
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -160,8 +174,8 @@ class RationalMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, da = _integer_rows(self._rows)
-        b, db = _integer_rows(other._rows)
+        a, da = self.integer_form()
+        b, db = other.integer_form()
         d = da * db
         bt = tuple(zip(*b))  # columns of other
         return RationalMatrix._from_rows(
@@ -187,7 +201,9 @@ class RationalMatrix:
         return isinstance(other, RationalMatrix) and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        if self._hash is None:
+            self._hash = hash(self._rows)
+        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._rows)
@@ -221,9 +237,13 @@ def matrix_pow(a: RationalMatrix, exponent: int) -> RationalMatrix:
 
 
 def l1_row_distance(a: RationalMatrix, u: int, v: int) -> Fraction:
-    """Manhattan distance between rows u and v: sum of |a[u,w] - a[v,w]|."""
-    ru, rv = a.row(u), a.row(v)
-    return sum((abs(x - y) for x, y in zip(ru, rv)), Fraction(0))
+    """Manhattan distance between rows u and v: sum of |a[u,w] - a[v,w]|.
+
+    One integer sum over the integer form, divided once.
+    """
+    a.row(u), a.row(v)  # IndexError outside 0..rows-1
+    ints, d = a.integer_form()
+    return Fraction(sum(map(abs, map(sub, ints[u], ints[v]))), d)
 
 
 class Polynomial:

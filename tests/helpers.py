@@ -7,6 +7,7 @@ against an independent route.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -175,3 +176,26 @@ def brute_force_circulant_census(ds, period, k) -> list[tuple[tuple[int, ...], l
         if circulant_class_rows(ds, colors) is not None
     }
     return [(colors, circulant_class_rows(ds, colors)) for colors in sorted(canonical)]
+
+
+def product_witness(m, p, s) -> tuple[int, int] | None:
+    """First (vertex, 1-based color) where M P and P S differ, by explicit Fraction products.
+
+    ``m``, ``p`` and ``s`` are lists of rows; None when M P = P S.
+    """
+    def times(a, b):
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+    mp, ps = times(m, p), times(p, s)
+    for v, (left, right) in enumerate(zip(mp, ps)):
+        for j, (x, y) in enumerate(zip(left, right)):
+            if x != y:
+                return v, j + 1
+    return None
+
+
+def circulant_h_by_counting(ds, t: int) -> int:
+    """Common neighbors of 0 and t in the circulant multigraph, as a multiset intersection."""
+    around_0 = Counter(x for d in ds for x in (d, -d))
+    around_t = Counter(x for d in ds for x in (t + d, t - d))
+    return sum((around_0 & around_t).values())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from perfcolor import cli
 from perfcolor.cli import main
 from perfcolor.coloring import Coloring, induced_parameters
 from perfcolor.filters import distance_power_check, drg_check, pair_color_feasible
@@ -396,3 +401,56 @@ def test_repro_text_table(capsys):
     code, out = run(capsys, ["repro", "paper"])
     assert code == 0
     assert out.count("[PASS]") == 10
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_reuses_one_parser_and_matches_a_fresh_one(tmp_path, capsys):
+    g = petersen()
+    spheres = distance_matrices(g)
+    f = Coloring(tuple(next(r + 1 for r, a in enumerate(spheres) if a[0, v] == 1) for v in range(g.n)), 3)
+    graph = write(tmp_path, "g.json", g.to_json())
+    m = write(tmp_path, "m.json", g.adjacency.to_json())
+    s = write(tmp_path, "s.json", induced_parameters(g, f).to_json())
+    coloring = write(tmp_path, "f.json", f.to_json())
+    argvs = [
+        ["filter", "drg", "--graph", graph, "--s", s, "--radius", "2", "--coloring", coloring, "--format", "json"],
+        ["filter", "drg", "--graph", graph, "--radius", "two"],
+        ["verify", "--graph", graph, "--coloring", coloring],
+        ["filter", "power", "--m", m, "--s", s, "--l", "2", "--coloring", coloring],
+    ]
+    cli._parser.cache_clear()
+    shared = [outcome(capsys, argv) for argv in argvs]
+    parser = cli._parser()
+    assert [code for code, _, _ in shared] == [0, 64, 0, 0]
+    for argv, seen in zip(argvs, shared):
+        cli._parser.cache_clear()
+        assert outcome(capsys, argv) == seen
+    assert cli._parser() is not parser
+    assert outcome(capsys, argvs[0]) == shared[0]
+    assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circulant", "h", "--d", "1,2,4", "--t", "3", "--format", "json"],
+        ["circulant", "period-filter", "--d", "1,2,3", "--b", "1", "--c", "5", "--t-max", "8"],
+        ["filter", "unknown-subcommand"],
+    ],
+)
+def test_python_m_perfcolor_runs_the_cli(argv, capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome(capsys, argv)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import product_witness
 from perfcolor.coloring import (
     Coloring,
     PerfectColoringTriple,
@@ -203,3 +204,33 @@ def test_imperfection_witness_is_lowest_bad_cell(colors):
     ]
     assert imperfection_witness(g, f) == (bad[0] if bad else None)
     assert (induced_parameters(g, f) is None) == bool(bad)
+
+
+_entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@given(st.data())
+def test_verify_perfect_matches_product_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 3))
+    colors = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))  # colors may go unused
+    m = data.draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    s = data.draw(st.lists(st.lists(_entries, min_size=k, max_size=k), min_size=k, max_size=k))
+    perfect = data.draw(st.booleans())
+    if perfect:  # zero the columns of unused colors, then fix one entry per (vertex, class)
+        for j in range(1, k + 1):
+            cls = [w for w in range(n) if colors[w] == j]
+            for v in range(n):
+                if not cls:
+                    s[colors[v] - 1][j - 1] = 0
+                else:
+                    m[v][cls[-1]] += s[colors[v] - 1][j - 1] - sum(m[v][w] for w in cls)
+    p = [[int(c == j) for j in range(1, k + 1)] for c in colors]
+    triple = PerfectColoringTriple(RationalMatrix(m), RationalMatrix(p), RationalMatrix(s))
+    expected = product_witness(m, p, s)
+    result = verify_perfect(triple)
+    assert result.witness == expected
+    assert result.ok == (expected is None)
+    if perfect:
+        assert result.ok
+

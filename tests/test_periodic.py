@@ -9,6 +9,7 @@ from helpers import (
     brute_force_torus_colorings,
     brute_force_window_colorable,
     circulant_class_rows,
+    circulant_h_by_counting,
     circulant_params_by_segment_count,
     grid_params_by_patch_count,
     normalized_coloring,
@@ -593,3 +594,20 @@ def test_canonical_form_modulus_check():
         periodic_coloring_canonical(
             GridSpec.triangular(), (3, 1), Coloring((1, 2, 2), 2), modulus=4
         )
+
+
+def test_circulant_h_memo_matches_counting_across_a_sweep():
+    for ds in ((1, 2, 3, 4, 5), (1, 2, 4), (1, 1, 3)):
+        spec = CirculantSpec(ds)
+        pairs = [
+            TwoColorParams(Fraction(b), Fraction(c), Fraction(spec.valency))
+            for b in range(1, spec.valency + 1)
+            for c in range(1, spec.valency + 1)
+        ]
+        swept = [circulant_period_filter(spec, params, 16) for params in pairs]
+        for t in range(1, 17):
+            assert circulant_h(spec, t) == circulant_h_by_counting(ds, t)
+        for params, constraint in zip(pairs, swept):
+            circulant_h.cache_clear()
+            assert circulant_period_filter(spec, params, 16) == constraint
+    assert circulant_h.cache_info().maxsize is not None

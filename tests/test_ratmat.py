@@ -213,3 +213,37 @@ small_polys = st.lists(fractions, min_size=1, max_size=4).map(Polynomial)
 def test_eval_is_ring_homomorphism(p, q, a):
     assert eval_poly(p + q, a) == eval_poly(p, a) + eval_poly(q, a)
     assert eval_poly(p * q, a) == eval_poly(p, a) * eval_poly(q, a)
+
+
+@given(st.data())
+def test_l1_matches_fraction_sum_whichever_fills_the_integer_form(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = data.draw(st.lists(st.lists(fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    other = data.draw(st.lists(st.lists(fractions, min_size=cols, max_size=cols), min_size=cols, max_size=cols))
+    u, v = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, rows - 1))
+    naive_l1 = sum((abs(x - y) for x, y in zip(entries[u], entries[v])), Fraction(0))
+    naive_product = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*other)] for row in entries]
+    a, b = RationalMatrix(entries), RationalMatrix(other)
+    if data.draw(st.booleans()):
+        assert a * b == RationalMatrix(naive_product)
+        assert l1_row_distance(a, u, v) == naive_l1
+    else:
+        assert l1_row_distance(a, u, v) == naive_l1
+        assert a * b == RationalMatrix(naive_product)
+    assert l1_row_distance(a, u, v) == naive_l1
+
+
+def test_integer_form_is_least_and_immutable():
+    ints, d = RationalMatrix([[Fraction(1, 2), Fraction(-2, 3)], [3, Fraction(5, 6)]]).integer_form()
+    assert (ints, d) == (((3, -4), (18, 5)), 6)
+    assert RationalMatrix([[2, -1]]).integer_form() == (((2, -1),), 1)
+
+
+def test_equal_matrices_have_equal_cached_hashes():
+    a = RationalMatrix([[Fraction(1, 2), -3], [0, Fraction(7, 4)]])
+    b = RationalMatrix([["1/2", "-3"], [0, "7/4"]])
+    c = a * RationalMatrix.identity(2)
+    assert a == b == c and a is not c
+    assert hash(a) == hash(b) == hash(c) == hash(a._rows)
+    assert a._hash == b._hash == c._hash == hash(a._rows)
+    assert {a: 1}[c] == 1
