@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 verified / feasible / witness found; 1 infeasible / rejected;
-2 inconclusive; 64 usage error; 65 malformed input; 66 budget exceeded.
+2 inconclusive; 64 usage error; 65 malformed input; 66 budget exceeded: a
+census that needs more nodes than --node-budget, or a torus or circulant
+quotient too large for it, refused before it is built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .graphs import Graph, complete, cycle, petersen
 from .periodic import (
     BudgetExceededError,
     CirculantSpec,
-    DEFAULT_ENUM_BUDGET,
     DEFAULT_NODE_BUDGET,
     GridSpec,
     SearchStatus,
@@ -296,10 +297,14 @@ def _cmd_circulant(args) -> int:
         _emit(obj, args, text)
         return EXIT_OK
     if args.which == "quotient":
+        if args.T > 0 and args.T**2 > args.node_budget:
+            raise BudgetExceededError(
+                f"{args.T}^2 quotient entries exceed the node budget of {args.node_budget}"
+            )
         _emit(circulant_quotient(spec, args.T).to_json(), args)
         return EXIT_OK
     # enumerate
-    found = circulant_enumerate(spec, args.T, args.k, budget=args.budget)
+    found = circulant_enumerate(spec, args.T, args.k, node_budget=args.node_budget)
     obj = []
     for entry in found:
         item = {"coloring": entry.coloring.to_json(), "s": entry.s.to_json()}
@@ -329,8 +334,7 @@ def _cmd_grid(args) -> int:
     if args.which == "reject":
         params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
         report = grid_reject_2color(
-            spec, params, window=args.window,
-            quotient_budget=args.budget, node_budget=args.node_budget,
+            spec, params, window=args.window, node_budget=args.node_budget
         )
         obj = {
             "status": report.verdict.status.value,
@@ -358,7 +362,7 @@ def _cmd_grid(args) -> int:
         target = _target_from_args(args, spec)
         outcome = torus_search(
             spec, (args.p, args.q), target,
-            budget=args.budget, node_budget=args.node_budget, find_all=args.all,
+            node_budget=args.node_budget, find_all=args.all,
         )
         _emit(outcome.to_json(), args, _outcome_text(outcome))
         return _STATUS_EXITS[outcome.status]
@@ -393,20 +397,11 @@ def _outcome_text(outcome) -> str:
 
 def _cmd_repro(args) -> int:
     items = repro.run_suite(max_patch_side=args.patch_max)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items],
-                indent=2,
-            )
-        )
-    else:
-        width = max(len(i.name) for i in items)
-        for item in items:
-            mark = "PASS" if item.passed else "FAIL"
-            print(f"[{mark}] {item.name.ljust(width)}  {item.detail}")
-        total = sum(i.passed for i in items)
-        print(f"{total}/{len(items)} checks passed")
+    width = max(len(i.name) for i in items)
+    lines = [f"[{'PASS' if i.passed else 'FAIL'}] {i.name.ljust(width)}  {i.detail}" for i in items]
+    lines.append(f"{sum(i.passed for i in items)}/{len(items)} checks passed")
+    obj = [{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items]
+    _emit(obj, args, "\n".join(lines))
     return EXIT_OK if all(i.passed for i in items) else EXIT_REJECTED
 
 
@@ -414,21 +409,17 @@ def _cmd_repro(args) -> int:
 # parser wiring
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, node_budget: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_ENUM_BUDGET,
-        help="cap on k^n colorings of a torus or grid reject quotient, "
-        "and on both k^T and T^2 in circulant enumerate",
-    )
-    sub.add_argument(
-        "--node-budget",
-        type=int,
-        default=DEFAULT_NODE_BUDGET,
-        help="node cap for every backtracking search: patch, torus and quotient",
-    )
+    if node_budget:
+        sub.add_argument(
+            "--node-budget",
+            type=int,
+            default=DEFAULT_NODE_BUDGET,
+            help="node cap for the search: one node per color tried at a cell or "
+            "census position. A torus or grid reject quotient with more vertices, or "
+            "a circulant quotient with more than N entries, is refused before it is built",
+        )
 
 
 def build_parser() -> _Parser:
@@ -510,12 +501,12 @@ def build_parser() -> _Parser:
     cq = circ_sub.add_parser("quotient", help="quotient multigraph on Z_T")
     cq.add_argument("--d", required=True)
     cq.add_argument("--T", type=int, required=True)
-    _add_common(cq)
+    _add_common(cq, node_budget=True)
     ce = circ_sub.add_parser("enumerate", help="all perfect colorings of period T")
     ce.add_argument("--d", required=True)
     ce.add_argument("--T", type=int, required=True)
     ce.add_argument("--k", type=int, required=True)
-    _add_common(ce)
+    _add_common(ce, node_budget=True)
 
     p_grid = top.add_parser("grid", help="plane grid tools")
     grid_sub = p_grid.add_subparsers(dest="which", required=True)
@@ -533,7 +524,7 @@ def build_parser() -> _Parser:
     gr.add_argument("--b", required=True)
     gr.add_argument("--c", required=True)
     gr.add_argument("--window", type=int)
-    _add_common(gr)
+    _add_common(gr, node_budget=True)
     gt = grid_sub.add_parser("torus-search", help="witness search at fixed periods")
     add_grid_spec(gt)
     gt.add_argument("--p", type=int, required=True)
@@ -542,7 +533,7 @@ def build_parser() -> _Parser:
     gt.add_argument("--c")
     gt.add_argument("--s", help="explicit parameter matrix JSON")
     gt.add_argument("--all", action="store_true", help="collect every witness")
-    _add_common(gt)
+    _add_common(gt, node_budget=True)
     gp = grid_sub.add_parser("patch-search", help="exhaustive window nonexistence search")
     add_grid_spec(gp)
     gp.add_argument("--b")
@@ -551,7 +542,7 @@ def build_parser() -> _Parser:
     gp.add_argument("--width", type=int, required=True)
     gp.add_argument("--height", type=int, required=True)
     gp.add_argument("--require-two-colors", action="store_true")
-    _add_common(gp)
+    _add_common(gp, node_budget=True)
 
     p_repro = top.add_parser("repro", help="re-derive the bundled grid and circulant results")
     p_repro.add_argument("suite", nargs="?", default="paper", choices=("paper",))

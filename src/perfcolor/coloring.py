@@ -73,33 +73,41 @@ def partition_matrix(f: Coloring) -> RationalMatrix:
     )
 
 
-def _class_sums(
-    m: RationalMatrix, colors: Sequence[int], k: int, s: RationalMatrix | None = None
-) -> tuple[list[list[int] | None], tuple[int, list[int]] | None, int]:
-    """Color-wise weight sums of the rows of m, walked vertex by vertex in index order.
+Neighbors = list[list[tuple[int, int]]]  # nbrs[v]: (w, weight) for each w that v sees, by w
 
-    ``colors[v]`` is the color, 1..k, of vertex v.  The sums of each vertex
-    are compared with the row of its own color: row ``colors[v]`` of s when s
-    is given, otherwise the sums of that color's lowest vertex.  Everything
-    is counted in integers over one common denominator D.  Returns those
-    rows (None for a color whose row is not known), the first vertex whose
-    sums differ from its row, with those sums (None when every vertex
-    matches), and D.
+
+def _sparse_rows(m: RationalMatrix) -> tuple[Neighbors, int]:
+    """The nonzero entries of each row of m as (column, a), a an integer over m's denominator d; and d."""
+    ints, d = m.integer_form()
+    return [[(w, a) for w, a in enumerate(row) if a] for row in ints], d
+
+
+def _class_sums(
+    nbrs: Neighbors, dm: int, colors: Sequence[int], k: int, s: RationalMatrix | None = None
+) -> tuple[list[list[int] | None], tuple[int, list[int]] | None, int]:
+    """Color-wise weight sums of each vertex, walked vertex by vertex in index order.
+
+    ``nbrs[v]`` lists (w, a) for every vertex w that v sees with weight a/dm,
+    a an integer.  ``colors[v]`` is the color, 1..k, of vertex v.  The sums
+    of each vertex are compared with the row of its own color: row
+    ``colors[v]`` of s when s is given, otherwise the sums of that color's
+    lowest vertex.  Everything is counted in integers over one common
+    denominator D.  Returns those rows (None for a color whose row is not
+    known), the first vertex whose sums differ from its row, with those sums
+    (None when every vertex matches), and D.
     """
-    if len(colors) != m.rows:
+    if len(colors) != len(nbrs):
         raise ValueError("coloring length must equal the number of vertices")
-    ints, dm = m.integer_form()
     if s is None:
         rows: list[list[int] | None] = [None] * k
         ds = 1
     else:
         s_ints, ds = s.integer_form()
         rows = [[x * dm for x in row] for row in s_ints]
-    for u, mu in enumerate(ints):
+    for u, row in enumerate(nbrs):
         sums = [0] * k
-        for w, a in enumerate(mu):
-            if a:
-                sums[colors[w] - 1] += a
+        for w, a in row:
+            sums[colors[w] - 1] += a
         sums = [x * ds for x in sums]
         i = colors[u] - 1
         if rows[i] is None:
@@ -122,7 +130,7 @@ def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
     None is the common outcome when search code probes many candidate
     colorings, so imperfection is signalled by absence, not by an error.
     """
-    rows, mismatch, d = _class_sums(g.adjacency, f.colors, f.k)
+    rows, mismatch, d = _class_sums(*_sparse_rows(g.adjacency), f.colors, f.k)
     if mismatch is not None:
         return None
     return RationalMatrix([[Fraction(x, d) for x in row] for row in rows])  # type: ignore[union-attr]
@@ -134,7 +142,7 @@ def imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int] | None:
     A vertex fails at color j when the weight it sees on color j differs
     from the weight the lowest vertex of its own color sees there.
     """
-    rows, mismatch, _ = _class_sums(g.adjacency, f.colors, f.k)
+    rows, mismatch, _ = _class_sums(*_sparse_rows(g.adjacency), f.colors, f.k)
     return None if mismatch is None else _first_difference(rows, mismatch, f.colors)
 
 
@@ -206,7 +214,7 @@ def verify_perfect(triple: PerfectColoringTriple) -> VerifyResult:
     the result does not depend on evaluation order.
     """
     colors = tuple(triple.p.row(v).index(1) + 1 for v in range(triple.n))
-    rows, mismatch, _ = _class_sums(triple.m, colors, triple.k, triple.s)
+    rows, mismatch, _ = _class_sums(*_sparse_rows(triple.m), colors, triple.k, triple.s)
     if mismatch is None:
         return VerifyResult(True, None)
     return VerifyResult(False, _first_difference(rows, mismatch, colors))

@@ -59,15 +59,8 @@ class Graph:
             raise ValueError("adjacency matrix must be square")
         if self.labels is not None and len(self.labels) != m.rows:
             raise ValueError("label count must equal the number of vertices")
-        if self.simple:
-            for i in range(m.rows):
-                if m[i, i] != 0:
-                    raise ValueError("simple graph must have a zero diagonal")
-                for j in range(i + 1, m.cols):
-                    if m[i, j] != m[j, i]:
-                        raise ValueError("simple graph must be symmetric")
-                    if m[i, j] not in (ZERO, ONE):
-                        raise ValueError("simple graph entries must be 0 or 1")
+        if self.simple and (defect := _simple_defect(m)):
+            raise ValueError(defect)
 
     @property
     def n(self) -> int:
@@ -86,7 +79,7 @@ class Graph:
             adj = RationalMatrix.from_json(obj["adjacency"])
             simple = obj.get("simple")
             if simple is None:
-                simple = _looks_simple(adj)
+                simple = _simple_defect(adj) is None
             return cls(adj, simple=simple, labels=labels)
         if "edges" in obj:
             return from_edges(
@@ -98,12 +91,17 @@ class Graph:
         raise ValueError("graph JSON needs an 'adjacency' or 'edges' field")
 
 
-def _looks_simple(m: RationalMatrix) -> bool:
-    return all(
-        m[i, i] == 0
-        and all(m[i, j] == m[j, i] and m[i, j] in (ZERO, ONE) for j in range(i + 1, m.cols))
-        for i in range(m.rows)
-    )
+def _simple_defect(m: RationalMatrix) -> str | None:
+    """Why the square matrix m is not the adjacency of a simple graph, or None if it is."""
+    for i in range(m.rows):
+        if m[i, i] != 0:
+            return "simple graph must have a zero diagonal"
+        for j in range(i + 1, m.cols):
+            if m[i, j] != m[j, i]:
+                return "simple graph must be symmetric"
+            if m[i, j] not in (ZERO, ONE):
+                return "simple graph entries must be 0 or 1"
+    return None
 
 
 def from_edges(n, edges, simple=True, labels=None) -> Graph:

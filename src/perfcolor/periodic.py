@@ -11,12 +11,14 @@ Two families are covered:
 
 A coloring with period T (resp. doubly periodic with periods dividing a
 full-rank lattice L) factors through the quotient Z_T (resp. Z^2/L).  The
-quotient is built as a *multigraph* whose integer entry at (x, y) counts
-the connection offsets that land on y from x, including loops when an
-offset reduces to zero.  With that convention a periodic coloring of the
-infinite graph is perfect if and only if its quotient coloring is perfect
-on the quotient multigraph, with the same parameter matrix, so finite
-searches below are exact and need no "period large enough" caveats.
+quotient is a *multigraph* whose integer entry at (x, y) counts the
+connection offsets that land on y from x, including loops when an offset
+reduces to zero.  With that convention a periodic coloring of the infinite
+graph is perfect if and only if its quotient coloring is perfect on the
+quotient multigraph, with the same parameter matrix, so finite searches
+below are exact and need no "period large enough" caveats.  Searches read
+the quotient as neighbor lists of (y, multiplicity) pairs ordered by y;
+only ``circulant_quotient`` and ``torus_quotient`` build a dense ``Graph``.
 
 Multiset conventions: when D has repeated elements the common-neighbor
 count of the pair (x, x+t) intersects {+-d_i} with {t +- d_i} counting
@@ -37,18 +39,17 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import le
 
-from .coloring import Coloring, TwoColorParams, induced_parameters, two_color_matrix
+from .coloring import Coloring, Neighbors, TwoColorParams, _class_sums, two_color_matrix
 from .filters import FilterVerdict, PairContext, VerdictStatus, two_color_check
-from .graphs import Graph
+from .graphs import Graph, from_edges
 from .ratmat import RationalMatrix
 
 __all__ = [
     "BudgetExceededError",
     "CirculantSpec",
-    "DEFAULT_ENUM_BUDGET",
     "DEFAULT_NODE_BUDGET",
     "DeltaVerdict",
     "EnumeratedColoring",
@@ -71,12 +72,18 @@ __all__ = [
     "torus_search",
 ]
 
-DEFAULT_ENUM_BUDGET = 2**20
 DEFAULT_NODE_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a search or enumeration would exceed its configured budget."""
+    """Raised when a search or enumeration would exceed its node budget."""
+
+
+def _dense_graph(nbrs: Neighbors, labels: tuple[str, ...]) -> Graph:
+    """The multigraph of neighbor lists as a dense Graph, simple when it has no loop or repeat."""
+    simple = all(w != v and a == 1 for v, row in enumerate(nbrs) for w, a in row)
+    edges = [(v, w, a) for v, row in enumerate(nbrs) for w, a in row]
+    return from_edges(len(nbrs), edges, simple=simple, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +169,21 @@ def circulant_period_filter(
     return PeriodConstraint(tuple(fired), divides)
 
 
-def circulant_quotient(spec: CirculantSpec, period: int) -> Graph:
-    """Quotient multigraph on Z_period; entry (x, y) counts offsets +-d landing on y."""
+def _circulant_neighbors(spec: CirculantSpec, period: int) -> Neighbors:
+    """Neighbor lists of the quotient on Z_period: (y, offsets +-d taking x to y), by y."""
     if period < 1:
         raise ValueError("period must be a positive integer")
-    grid = [[0] * period for _ in range(period)]
-    for x in range(period):
-        for d in spec.ds:
-            grid[x][(x + d) % period] += 1
-            grid[x][(x - d) % period] += 1
-    adjacency = RationalMatrix(grid)
-    simple = all(
-        grid[x][x] == 0 and all(w in (0, 1) for w in grid[x]) for x in range(period)
+    return [
+        sorted(Counter((x + o) % period for d in spec.ds for o in (d, -d)).items())
+        for x in range(period)
+    ]
+
+
+def circulant_quotient(spec: CirculantSpec, period: int) -> Graph:
+    """Quotient multigraph on Z_period; entry (x, y) counts offsets +-d landing on y."""
+    return _dense_graph(
+        _circulant_neighbors(spec, period), tuple(str(x) for x in range(period))
     )
-    return Graph(adjacency, simple=simple, labels=tuple(str(x) for x in range(period)))
 
 
 def _cyclic_canonical(assignment: tuple[int, ...]) -> tuple[int, ...]:
@@ -204,7 +212,7 @@ class EnumeratedColoring:
 
 
 def circulant_enumerate(
-    spec: CirculantSpec, period: int, k: int, budget: int = DEFAULT_ENUM_BUDGET
+    spec: CirculantSpec, period: int, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[EnumeratedColoring, ...]:
     """All perfect colorings of the period quotient in at most k colors.
 
@@ -222,53 +230,45 @@ def circulant_enumerate(
     order.  A vertex is checked once it and all its neighbors are colored:
     its color-wise neighbor counts must equal those of the first checked
     vertex of its color, or the branch ends.  Each complete string is kept
-    when it is its own canonical form and ``induced_parameters`` gives its
-    S.  ``budget`` caps both k^period and the period^2 entries of the
-    quotient.
+    when it is its own canonical form and its class sums give its S.  Each
+    color tried at a position is one node; past ``node_budget`` of them the
+    census raises ``BudgetExceededError`` rather than return part of its
+    entries.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    # period^2 first: it is cheap even where k**period would be a huge integer
-    if period * period > budget:
-        raise BudgetExceededError(
-            f"a period of {period} needs {period}^2 quotient entries, over the budget of {budget}"
-        )
-    if k**period > budget:
-        raise BudgetExceededError(
-            f"{k}^{period} colorings exceed the budget of {budget}"
-        )
-    quotient = circulant_quotient(spec, period)
-    neighbors = [
-        [(x + o) % period for d in spec.ds for o in (d, -d)] for x in range(period)
-    ]
+    neighbors = _circulant_neighbors(spec, period)
     ready: list[list[int]] = [[] for _ in range(period)]  # vertices complete at a position
     for x in range(period):
-        ready[max(x, *neighbors[x])].append(x)
+        ready[max(x, neighbors[x][-1][0])].append(x)
     color = [0] * period
     top = [0] * (period + 1)  # top[p]: highest color at positions before p
     next_color = [1] * period
     row: list[list[int] | None] = [None] * (k + 1)  # counts of a color's first checked vertex
     recorded: list[list[int]] = [[] for _ in range(period)]  # colors whose row position p set
     found = []
+    nodes = 0
     p = 0
     while True:
         if p == period:
             t = tuple(color)
             if _cyclic_canonical(t) == t:
-                f = Coloring(t, top[period])
-                s = induced_parameters(quotient, f)  # exact re-check of every survivor
-                if s is not None:
-                    found.append(EnumeratedColoring(f, s))
+                rows, mismatch, _ = _class_sums(neighbors, 1, t, top[period])  # exact re-check
+                if mismatch is None:
+                    found.append(EnumeratedColoring(Coloring(t, top[period]), RationalMatrix(rows)))
             p -= 1
         elif next_color[p] <= min(k, top[p] + 1):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
             c = next_color[p]
             next_color[p] += 1
             color[p] = c
             top[p + 1] = max(top[p], c)
             for x in ready[p]:
                 counts = [0] * (k + 1)
-                for w in neighbors[x]:
-                    counts[color[w]] += 1
+                for w, a in neighbors[x]:
+                    counts[color[w]] += a
                 cx = color[x]
                 if row[cx] is None:
                     row[cx] = counts
@@ -394,31 +394,25 @@ def _lattice_basis(vectors: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return basis
 
 
-def _reduce_mod_basis(x: int, y: int, basis: list[tuple[int, int]]) -> tuple[int, int]:
+def _vertex_of(x: int, y: int, basis: list[tuple[int, int]]) -> int:
+    """Vertex of (x, y) in the quotient by [(a, b), (0, d)]: its residue (x', y') as x'*d + y'."""
     (a, b), (_, d) = basis
     q = x // a
-    x -= q * a
-    y -= q * b
-    return x, y % d
+    return (x - q * a) * d + (y - q * b) % d
 
 
-def _lattice_quotient(spec: GridSpec, basis: list[tuple[int, int]]) -> Graph:
-    """Quotient multigraph of the grid by a full-rank sublattice in Hermite form."""
+def _lattice_neighbors(spec: GridSpec, basis: list[tuple[int, int]]) -> Neighbors:
+    """Neighbor lists of the grid's quotient by a full-rank sublattice in Hermite form.
+
+    For the basis [(a, b), (0, d)] the residue (x, y), 0 <= x < a and
+    0 <= y < d, is vertex x*d + y; it lists (w, offsets taking it to w), by w.
+    """
     (a, _), (_, d) = basis
-    residues = [(i, j) for i in range(a) for j in range(d)]
-    index = {res: v for v, res in enumerate(residues)}
-    n = len(residues)
-    grid = [[0] * n for _ in range(n)]
-    for (x, y), v in index.items():
-        for ox, oy in spec.offsets:
-            w = index[_reduce_mod_basis(x + ox, y + oy, basis)]
-            grid[v][w] += 1
-    adjacency = RationalMatrix(grid)
-    simple = all(
-        grid[v][v] == 0 and all(w in (0, 1) for w in grid[v]) for v in range(n)
-    )
-    labels = tuple(f"({x},{y})" for x, y in residues)
-    return Graph(adjacency, simple=simple, labels=labels)
+    return [
+        sorted(Counter(_vertex_of(x + ox, y + oy, basis) for ox, oy in spec.offsets).items())
+        for x in range(a)
+        for y in range(d)
+    ]
 
 
 def torus_quotient(spec: GridSpec, periods: tuple[int, int]) -> Graph:
@@ -426,7 +420,10 @@ def torus_quotient(spec: GridSpec, periods: tuple[int, int]) -> Graph:
     p, q = periods
     if p < 1 or q < 1:
         raise ValueError("periods must be positive")
-    return _lattice_quotient(spec, [(p, 0), (0, q)])
+    return _dense_graph(
+        _lattice_neighbors(spec, [(p, 0), (0, q)]),
+        tuple(f"({x},{y})" for x in range(p) for y in range(q)),
+    )
 
 
 # --- the backtracking search engine ------------------------------------------
@@ -470,7 +467,7 @@ class SearchOutcome:
 
 def _backtrack(
     s: RationalMatrix,
-    affected: list[list[tuple[int, Fraction | int]]],
+    affected: Neighbors,
     constrained: list[bool],
     allowed: list[tuple[int, ...]],
     accept: Callable[[tuple[int, ...]], bool],
@@ -491,18 +488,17 @@ def _backtrack(
     once the unused colors outnumber the cells left.  Complete colorings
     that pass ``accept`` are collected, only the first unless ``find_all``.
     Each color tried at a cell is one node; the search stops after
-    ``node_budget`` of them.  Weights and rows are scaled to integers by
-    their common denominator, and one "next choice" index per cell stands
-    in for recursion, so no window is too deep for the interpreter stack.
+    ``node_budget`` of them.  Weights are integers; they and the rows of S
+    are scaled by the common denominator of S, and one "next choice" index
+    per cell stands in for recursion, so no window is too deep for the
+    interpreter stack.
 
     Returns (colorings, nodes expanded, search completed).
     """
     n, k = len(allowed), s.rows
-    entries = [x for i in range(k) for x in s.row(i)]
-    entries += [wt for column in affected for _, wt in column]
-    denom = lcm(*(x.denominator for x in entries))
-    rows = [[0] * (k + 1)] + [[0, *(int(x * denom) for x in s.row(i))] for i in range(k)]
-    affected = [[(w, int(wt * denom)) for w, wt in column] for column in affected]
+    ints, denom = s.integer_form()
+    rows = [[0] * (k + 1)] + [[0, *row] for row in ints]
+    affected = [[(w, wt * denom) for w, wt in column] for column in affected]
     total = [0] * n  # total[w]: weight w sees on all cells
     for column in affected:
         for w, wt in column:
@@ -561,17 +557,20 @@ def _backtrack(
 
 
 def _quotient_colorings(
-    g: Graph, s: RationalMatrix, *, find_all: bool, node_budget: int
+    nbrs: Neighbors, s: RationalMatrix, *, find_all: bool, node_budget: int
 ) -> tuple[list[Coloring], int, bool]:
-    """Colorings of a finite (multi)graph using all k colors, each vertex meeting its row."""
-    n, k, m = g.n, s.rows, g.adjacency
-    affected = [[(w, m[w, u]) for w in range(n) if m[w, u]] for u in range(n)]
+    """Colorings of a quotient using all k colors, each vertex meeting its row.
+
+    A quotient is symmetric, so the neighbor list of u also lists the
+    vertices that see u, as ``_backtrack`` wants.
+    """
+    n, k = len(nbrs), s.rows
 
     def accept(colors: tuple[int, ...]) -> bool:
-        return induced_parameters(g, Coloring(colors, k)) == s  # defensive re-check
+        return _class_sums(nbrs, 1, colors, k, s)[1] is None  # defensive re-check
 
     found, nodes, complete = _backtrack(
-        s, affected, [True] * n, [tuple(range(1, k + 1))] * n, accept,
+        s, nbrs, [True] * n, [tuple(range(1, k + 1))] * n, accept,
         all_colors=True, find_all=find_all, node_budget=node_budget,
     )
     return [Coloring(colors, k) for colors in found], nodes, complete
@@ -597,7 +596,6 @@ def torus_search(
     periods: tuple[int, int],
     target: RationalMatrix | tuple | TwoColorParams,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
     find_all: bool = False,
 ) -> SearchOutcome:
@@ -605,17 +603,20 @@ def torus_search(
 
     WITNESS carries quotient colorings that re-verify; no witness is only
     INCONCLUSIVE for the infinite grid, since other periods might work.
-    ``budget`` caps k^n before the search starts and ``node_budget`` caps
-    the nodes it expands.
+    ``node_budget`` caps the nodes the search expands.  A witness takes a
+    node per cell, so a torus with more cells than that is refused with
+    ``BudgetExceededError`` before its quotient is built.
     """
-    g = torus_quotient(spec, periods)
+    p, q = periods
+    if p < 1 or q < 1:
+        raise ValueError("periods must be positive")
     s = _target_matrix(target, spec.valency)
-    if s.rows ** g.n > budget:
+    if p * q > node_budget:
         raise BudgetExceededError(
-            f"{s.rows}^{g.n} colorings exceed the budget of {budget}"
+            f"a {p}x{q} torus has {p * q} cells, over the node budget of {node_budget}"
         )
     witnesses, nodes, complete = _quotient_colorings(
-        g, s, find_all=find_all, node_budget=node_budget
+        _lattice_neighbors(spec, [(p, 0), (0, q)]), s, find_all=find_all, node_budget=node_budget
     )
     detail = f"torus {periods[0]}x{periods[1]}, {len(witnesses)} witness(es)"
     if not complete:
@@ -676,7 +677,6 @@ def grid_reject_2color(
     params: TwoColorParams,
     *,
     window: int | None = None,
-    quotient_budget: int = DEFAULT_ENUM_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> GridRejectReport:
     """Scan pair differences, derive monochromatic directions, and try to reject.
@@ -696,8 +696,9 @@ def grid_reject_2color(
     INFEASIBLE verdicts here are proofs; FEASIBLE only means no bound in
     the window fired, and INCONCLUSIVE means directions fired without a
     contradiction within the budget.  ``node_budget`` caps the quotient
-    searches of both orientations together; a search that runs out of it
-    proves nothing and gives INCONCLUSIVE.
+    searches of both orientations together; a quotient with more vertices
+    than that is not built, and a search that runs out of it proves
+    nothing.  Both give INCONCLUSIVE.
     """
     if params.r != spec.valency:
         raise ValueError(f"parameter valency {params.r} != |offsets| = {spec.valency}")
@@ -725,12 +726,13 @@ def grid_reject_2color(
     directions = ", ".join(str(d) for d in mono)
     if len(basis) == 2:
         index = basis[0][0] * basis[1][1]
-        if 2**index > quotient_budget:
+        if index > node_budget:
             return report(
                 FilterVerdict(VerdictStatus.INCONCLUSIVE),
-                f"monochromatic directions give an index-{index} quotient, over budget",
+                f"monochromatic directions give an index-{index} quotient, "
+                f"over the node budget of {node_budget}",
             )
-        quotient = _lattice_quotient(spec, basis)
+        quotient = _lattice_neighbors(spec, basis)
         targets = [params.matrix()]
         if params.b != params.c:
             targets.append(TwoColorParams(params.c, params.b, params.r).matrix())

@@ -1,8 +1,8 @@
 """Shared test oracles: direct neighbor counting on explicit patches/segments.
 
-These deliberately avoid the quotient machinery and the search engine so
-that quotient-based parameter computations and searches can be checked
-against an independent route.
+These deliberately avoid the quotient machinery and the search engine, and
+import nothing from ``perfcolor.periodic``, so that quotient-based parameter
+computations and searches can be checked against an independent route.
 """
 
 from __future__ import annotations
@@ -12,18 +12,18 @@ from fractions import Fraction
 from itertools import product
 
 from perfcolor.coloring import Coloring
-from perfcolor.periodic import CirculantSpec, GridSpec
 from perfcolor.ratmat import RationalMatrix
 
 
 def grid_params_by_patch_count(
-    spec: GridSpec, periods: tuple[int, int], coloring: Coloring, patch: int = 20
+    spec, periods: tuple[int, int], coloring: Coloring, patch: int = 20
 ) -> RationalMatrix | None:
     """Parameters of a doubly periodic grid coloring via explicit patch counting.
 
-    Lays out a patch x patch window colored by periodic extension and counts
-    neighbor colors directly at every cell whose neighbors stay inside.
-    Returns None when some class has inconsistent counts.
+    ``spec`` gives the grid's ``offsets`` and their ``radius``.  Lays out a
+    patch x patch window colored by periodic extension and counts neighbor
+    colors directly at every cell whose neighbors stay inside.  Returns
+    None when some class has inconsistent counts.
     """
     p, q = periods
     k = coloring.k
@@ -48,9 +48,12 @@ def grid_params_by_patch_count(
 
 
 def circulant_params_by_segment_count(
-    spec: CirculantSpec, period: int, coloring: Coloring, segment: int = 100
+    spec, period: int, coloring: Coloring, segment: int = 100
 ) -> RationalMatrix | None:
-    """Parameters of a periodic circulant coloring via counting on a segment."""
+    """Parameters of a periodic circulant coloring via counting on a segment.
+
+    ``spec.ds`` is the connection multiset.
+    """
     k = coloring.k
     line = [coloring.colors[x % period] for x in range(segment)]
     rad = max(spec.ds)
@@ -199,3 +202,29 @@ def circulant_h_by_counting(ds, t: int) -> int:
     around_0 = Counter(x for d in ds for x in (d, -d))
     around_t = Counter(x for d in ds for x in (t + d, t - d))
     return sum((around_0 & around_t).values())
+
+
+def lattice_neighbor_counts(offsets, basis) -> list[list[tuple[int, int]]]:
+    """Neighbor lists of Z^2 modulo the lattice spanned by basis = [(a, b), (0, d)].
+
+    The class of (x, y), 0 <= x < a and 0 <= y < d, is vertex x*d + y.  Each
+    offset step from a representative is matched to the representative it
+    differs from by a lattice vector, tested by solving for the coefficients
+    of the basis.  Vertex v lists (w, number of offsets taking v to w), by w.
+    """
+    (a, b), (_, d) = basis
+    reps = [(x, y) for x in range(a) for y in range(d)]
+
+    def in_lattice(vx, vy):
+        # (vx, vy) = s*(a, b) + t*(0, d) with integers s and t
+        return vx % a == 0 and (vy - (vx // a) * b) % d == 0
+
+    out = []
+    for x, y in reps:
+        counts = Counter()
+        for ox, oy in offsets:
+            hits = [w for w, (rx, ry) in enumerate(reps) if in_lattice(x + ox - rx, y + oy - ry)]
+            assert len(hits) == 1
+            counts[hits[0]] += 1
+        out.append(sorted(counts.items()))
+    return out

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from perfcolor import cli
+from perfcolor import cli, periodic
 from perfcolor.cli import main
 from perfcolor.coloring import Coloring, induced_parameters
 from perfcolor.filters import distance_power_check, drg_check, pair_color_feasible
@@ -280,15 +281,31 @@ def test_circulant_enumerate(capsys):
 
 
 def test_circulant_budget_exit(capsys):
-    code = main(["circulant", "enumerate", "--d", "1", "--T", "25", "--k", "2"])
-    capsys.readouterr()
+    code = main(["circulant", "enumerate", "--d", "1", "--T", "25", "--k", "2", "--node-budget", "100"])
     assert code == 66
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_circulant_budget_caps_period_squared(capsys):
-    code = main(["circulant", "enumerate", "--d", "1", "--T", "2000", "--k", "1"])
+    # the dense T x T quotient is refused before it is allocated
+    code = main(["circulant", "quotient", "--d", "1", "--T", "6000"])
     assert code == 66
     assert "budget exceeded" in capsys.readouterr().err
+    code = main(["circulant", "quotient", "--d", "1", "--T", "100", "--node-budget", "9999"])
+    assert code == 66
+    assert "budget exceeded" in capsys.readouterr().err
+    code, out = run(capsys, ["circulant", "quotient", "--d", "1", "--T", "100", "--node-budget", "10000"])
+    assert code == 0
+    assert json.loads(out)["adjacency"]["rows"] == 100
+
+
+def test_circulant_enumerate_runs_past_the_old_gates(capsys):
+    code, out = run(capsys, ["circulant", "enumerate", "--d", "1", "--T", "2000", "--k", "1", "--format", "json"])
+    assert code == 0
+    assert [e["coloring"]["colors"] for e in json.loads(out)] == [[1] * 2000]
+    code, out = run(capsys, ["circulant", "enumerate", "--d", "1,2,4", "--T", "32", "--k", "2", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0]["coloring"]["colors"] == [1] * 32
 
 
 def test_grid_h(capsys):
@@ -346,6 +363,27 @@ def test_grid_node_budget_reaches_every_search(capsys):
     assert json.loads(out)["certificate"]["complete"] is False
 
 
+def test_grid_torus_search_refuses_huge_torus_before_building(capsys, monkeypatch):
+    def no_lists(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(periodic, "_lattice_neighbors", no_lists)
+    code = main(["grid", "torus-search", "--grid", "square", "--p", "4000", "--q", "4000",
+                 "--b", "1", "--c", "1"])
+    assert code == 66
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_grid_torus_search_square_41_witness(capsys):
+    code, out = run(
+        capsys,
+        ["grid", "torus-search", "--grid", "square", "--p", "5", "--q", "5",
+         "--b", "4", "--c", "1", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "witness"
+
+
 def test_grid_patch_search_deep_window(tmp_path, capsys):
     s = write(tmp_path, "s.json", {"rows": 1, "cols": 1, "data": [[6]]})
     code, out = run(
@@ -387,6 +425,76 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["filter", "unknown-subcommand"])
     assert err.value.code == 64
+
+
+def test_budget_flag_is_gone():
+    for argv in (["circulant", "enumerate", "--d", "1", "--T", "3", "--k", "1", "--budget", "5"],
+                 ["graph", "petersen", "--node-budget", "5"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
+
+
+def _leaves(parser, path=()):
+    """(subcommand path, parser) for every leaf subcommand under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaves(sub, (*path, name))
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that notes which attributes are read after ``reads`` is cleared."""
+
+    def __init__(self):
+        super().__init__()
+        self.__dict__["reads"] = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name != "reads":
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_node_budget_only_where_read(tmp_path, capsys):
+    graph = write(tmp_path, "g.json", cycle(4).to_json())
+    m = write(tmp_path, "m.json", cycle(4).adjacency.to_json())
+    s = write(tmp_path, "s.json", {"rows": 2, "cols": 2, "data": [[0, 2], [2, 0]]})
+    f = write(tmp_path, "f.json", {"k": 2, "colors": [1, 2, 1, 2]})
+    samples = {
+        ("graph", "cycle"): ["--n", "4"],
+        ("graph", "complete"): ["--n", "3"],
+        ("graph", "petersen"): [],
+        ("verify",): ["--graph", graph, "--coloring", f],
+        ("filter", "pair"): ["--m", m, "--s", s, "--coloring", f],
+        ("filter", "simple"): ["--s", s, "--r", "2", "--h", "0", "--i", "1", "--j", "2"],
+        ("filter", "two-color"): ["--r", "4", "--h", "2", "--b", "1", "--c", "1"],
+        ("filter", "power"): ["--m", m, "--s", s, "--l", "2", "--coloring", f],
+        ("filter", "drg"): ["--graph", graph, "--s", s, "--radius", "1", "--coloring", f],
+        ("circulant", "h"): ["--d", "1,2,4", "--t", "3"],
+        ("circulant", "period-filter"): ["--d", "1,2,4", "--b", "3", "--c", "3", "--t-max", "6"],
+        ("circulant", "quotient"): ["--d", "1,2,4", "--T", "3"],
+        ("circulant", "enumerate"): ["--d", "1,2,4", "--T", "3", "--k", "2"],
+        ("grid", "h"): ["--grid", "square", "--delta", "1,1"],
+        ("grid", "reject"): ["--grid", "square", "--b", "4", "--c", "3"],
+        ("grid", "torus-search"): ["--grid", "triangular", "--p", "4", "--q", "1", "--b", "2", "--c", "2"],
+        ("grid", "patch-search"): ["--grid", "square", "--b", "4", "--c", "3", "--width", "5", "--height", "5"],
+        ("repro",): ["--patch-max", "3"],
+    }
+    parser = cli.build_parser()
+    leaves = dict(_leaves(parser))
+    assert set(leaves) == set(samples)  # a new subcommand needs a sample here
+    for path, sub in leaves.items():
+        args = parser.parse_args([*path, *samples[path]], namespace=_ReadRecorder())
+        handlers = cli._FILTER_HANDLERS if args.command == "filter" else cli._HANDLERS
+        handler = handlers[args.which if args.command == "filter" else args.command]
+        args.reads.clear()
+        handler(args)
+        capsys.readouterr()
+        declared = "--node-budget" in sub._option_string_actions
+        assert declared == ("node_budget" in args.reads), path
 
 
 def test_repro_suite(capsys):

@@ -12,9 +12,11 @@ from helpers import (
     circulant_h_by_counting,
     circulant_params_by_segment_count,
     grid_params_by_patch_count,
+    lattice_neighbor_counts,
     normalized_coloring,
     rotation_renaming_canonical,
 )
+from perfcolor import periodic
 from perfcolor.coloring import Coloring, TwoColorParams, induced_parameters
 from perfcolor.periodic import (
     BudgetExceededError,
@@ -23,6 +25,7 @@ from perfcolor.periodic import (
     SearchStatus,
     _backtrack,
     _lattice_basis,
+    _lattice_neighbors,
     circulant_enumerate,
     circulant_h,
     circulant_period_filter,
@@ -178,16 +181,54 @@ def test_enumerate_representatives_are_canonical():
 
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
-        circulant_enumerate(CirculantSpec((1,)), 21, 2)
+        circulant_enumerate(CirculantSpec((1,)), 21, 2, node_budget=100)
 
 
-def test_enumerate_budget_caps_period_squared():
-    # 1**T never exceeds a budget, but the T x T quotient does
+def _nodes_needed(spec, period, k):
+    """The least node budget under which the census completes, by bisection."""
+    low, high = 0, 10**6
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            circulant_enumerate(spec, period, k, node_budget=mid)
+            high = mid
+        except BudgetExceededError:
+            low = mid + 1
+    return low
+
+
+@pytest.mark.parametrize(
+    "ds, period, k", [((1,), 21, 2), ((1, 2, 4), 12, 2), ((1, 2), 8, 3), ((2, 3), 7, 3)]
+)
+def test_enumerate_node_budget_never_returns_part(ds, period, k):
+    # a budget of exactly the nodes the census needs returns all of it; one fewer raises
+    spec = CirculantSpec(ds)
+    needed = _nodes_needed(spec, period, k)
+    assert needed >= period  # a node per position on the way to the first leaf
+    assert circulant_enumerate(spec, period, k, node_budget=needed) == circulant_enumerate(spec, period, k)
     with pytest.raises(BudgetExceededError):
-        circulant_enumerate(CirculantSpec((1,)), 2000, 1)
+        circulant_enumerate(spec, period, k, node_budget=needed - 1)
+
+
+def test_enumerate_node_budget_caps_long_periods():
+    # one color takes a node per position, and T = 2000 builds no T x T quotient
+    spec = CirculantSpec((1,))
     with pytest.raises(BudgetExceededError):
-        circulant_enumerate(CirculantSpec((1,)), 11, 1, budget=120)
-    assert len(circulant_enumerate(CirculantSpec((1,)), 11, 1, budget=121)) == 1
+        circulant_enumerate(spec, 2000, 1, node_budget=1999)
+    for found in (circulant_enumerate(spec, 2000, 1, node_budget=2000), circulant_enumerate(spec, 2000, 1)):
+        assert [(e.coloring.colors, e.s) for e in found] == [((1,) * 2000, RationalMatrix([[2]]))]
+
+
+def test_enumerate_c124_period_32_at_default_budget():
+    spec = CirculantSpec((1, 2, 4))
+    census = _census(spec, 32, 2)
+    assert len({colors for colors, _ in census}) == len(census)
+    for colors, rows in census:
+        assert rotation_renaming_canonical(colors) == colors
+        assert circulant_class_rows(spec.ds, colors) == rows
+    for p in (1, 2, 4, 8, 16):
+        for colors, rows in _census(spec, p, 2):
+            assert (colors * (32 // p), rows) in census
 
 
 def test_enumerate_long_period_needs_no_recursion():
@@ -303,6 +344,41 @@ def test_torus_triangular_4x1_ring():
     assert g.adjacency == expected
 
 
+def test_torus_quotient_is_the_rectangular_lattice_quotient():
+    for spec in (GridSpec.square(), GridSpec.triangular()):
+        for p, q in ((1, 1), (2, 3), (4, 1), (3, 5)):
+            adjacency = torus_quotient(spec, (p, q)).adjacency
+            nbrs = _lattice_neighbors(spec, [(p, 0), (0, q)])
+            assert nbrs == [
+                [(w, int(a)) for w, a in enumerate(adjacency.row(v)) if a] for v in range(p * q)
+            ]
+
+
+@pytest.mark.parametrize("basis", [[(1, 1), (0, 2)], [(1, 2), (0, 5)]])
+def test_lattice_neighbors_skew_bases(basis):
+    for spec in (GridSpec.square(), GridSpec.triangular()):
+        assert _lattice_neighbors(spec, basis) == lattice_neighbor_counts(spec.offsets, basis)
+
+
+def test_lattice_neighbors_perfect_code():
+    # [(1,2),(0,5)]: the five classes of x + 2y mod 5; each cell sees the other four once
+    nbrs = _lattice_neighbors(GridSpec.square(), [(1, 2), (0, 5)])
+    assert nbrs == [[(w, 1) for w in range(5) if w != v] for v in range(5)]
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([GridSpec.square(), GridSpec.triangular(), GridSpec.parse("1,2;2,1")]),
+    st.data(),
+)
+def test_lattice_neighbors_match_independent_count(spec, data):
+    a = data.draw(st.integers(1, 12))
+    d = data.draw(st.integers(1, 12 // a))
+    b = data.draw(st.integers(0, d - 1))
+    basis = [(a, b), (0, d)]
+    assert _lattice_neighbors(spec, basis) == lattice_neighbor_counts(spec.offsets, basis)
+
+
 def test_lattice_basis_shapes():
     assert _lattice_basis([]) == []
     assert _lattice_basis([(2, 2), (3, 3)]) == [(1, 1)]
@@ -371,7 +447,31 @@ def test_torus_search_single_vertex():
 
 def test_torus_search_budget():
     with pytest.raises(BudgetExceededError):
-        torus_search(GridSpec.square(), (5, 5), (1, 1), budget=2**20)
+        torus_search(GridSpec.square(), (5, 5), (1, 1), node_budget=24)
+    # 25 cells fit a budget of 25 nodes, so the search runs until the budget ends it
+    outcome = torus_search(GridSpec.square(), (5, 5), (1, 1), node_budget=25)
+    assert outcome.status is SearchStatus.INCONCLUSIVE and not outcome.stats.complete
+    assert torus_search(GridSpec.square(), (5, 5), (1, 1)).stats.complete
+
+
+def test_torus_search_refuses_before_building(monkeypatch):
+    def no_lists(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(periodic, "_lattice_neighbors", no_lists)
+    with pytest.raises(BudgetExceededError):
+        torus_search(GridSpec.square(), (4000, 4000), (1, 1))
+    with pytest.raises(BudgetExceededError):
+        torus_search(GridSpec.square(), (300, 300), (1, 1), node_budget=89999)
+
+
+def test_torus_search_square_41_on_5x5():
+    # the perfect code x + 2y = 0 mod 5, found in 47 nodes among 2^25 colorings
+    outcome = torus_search(GridSpec.square(), (5, 5), (4, 1))
+    assert outcome.status is SearchStatus.WITNESS
+    assert outcome.stats.complete
+    for w in outcome.witnesses:
+        assert grid_params_by_patch_count(GridSpec.square(), (5, 5), w) == params(4, 1, 4).matrix()
 
 
 def test_torus_search_checkerboard():
@@ -549,6 +649,21 @@ def test_grid_reject_incomplete_quotient_search_proves_nothing():
     report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=1)
     assert report.verdict.status.value == "inconclusive"
     assert "node budget" in report.note
+
+
+def test_grid_reject_quotient_over_node_budget(monkeypatch):
+    # (4,3) on the square grid forces an index-2 quotient
+    report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=2)
+    assert report.verdict.status.value == "inconclusive"
+    assert report.note == "the search of the index-2 quotient ran out of its node budget"
+
+    def no_lists(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(periodic, "_lattice_neighbors", no_lists)
+    report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=1)
+    assert report.verdict.status.value == "inconclusive"
+    assert report.note == "monochromatic directions give an index-2 quotient, over the node budget of 1"
 
 
 def test_grid_reject_valency_check():
