@@ -397,11 +397,20 @@ def _outcome_text(outcome) -> str:
 
 def _cmd_repro(args) -> int:
     items = repro.run_suite(max_patch_side=args.patch_max)
-    width = max(len(i.name) for i in items)
-    lines = [f"[{'PASS' if i.passed else 'FAIL'}] {i.name.ljust(width)}  {i.detail}" for i in items]
-    lines.append(f"{sum(i.passed for i in items)}/{len(items)} checks passed")
-    obj = [{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items]
-    _emit(obj, args, "\n".join(lines))
+    if args.format == "json":
+        print(
+            json.dumps(
+                [{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items],
+                indent=2,
+            )
+        )
+    else:
+        width = max(len(i.name) for i in items)
+        for item in items:
+            mark = "PASS" if item.passed else "FAIL"
+            print(f"[{mark}] {item.name.ljust(width)}  {item.detail}")
+        total = sum(i.passed for i in items)
+        print(f"{total}/{len(items)} checks passed")
     return EXIT_OK if all(i.passed for i in items) else EXIT_REJECTED
 
 
@@ -416,9 +425,9 @@ def _add_common(sub: argparse.ArgumentParser, node_budget: bool = False) -> None
             "--node-budget",
             type=int,
             default=DEFAULT_NODE_BUDGET,
-            help="node cap for the search: one node per color tried at a cell or "
-            "census position. A torus or grid reject quotient with more vertices, or "
-            "a circulant quotient with more than N entries, is refused before it is built",
+            help="node cap: one per color tried at a cell or census position and per position "
+            "a census canonical check compares. A longer census period, a torus or grid reject "
+            "quotient with more vertices, or a circulant quotient of over N entries is refused",
         )
 
 

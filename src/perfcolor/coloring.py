@@ -85,16 +85,15 @@ def _sparse_rows(m: RationalMatrix) -> tuple[Neighbors, int]:
 def _class_sums(
     nbrs: Neighbors, dm: int, colors: Sequence[int], k: int, s: RationalMatrix | None = None
 ) -> tuple[list[list[int] | None], tuple[int, list[int]] | None, int]:
-    """Color-wise weight sums of each vertex, walked vertex by vertex in index order.
+    """Color-wise weight sums of each vertex, walked in index order.
 
-    ``nbrs[v]`` lists (w, a) for every vertex w that v sees with weight a/dm,
-    a an integer.  ``colors[v]`` is the color, 1..k, of vertex v.  The sums
-    of each vertex are compared with the row of its own color: row
-    ``colors[v]`` of s when s is given, otherwise the sums of that color's
-    lowest vertex.  Everything is counted in integers over one common
-    denominator D.  Returns those rows (None for a color whose row is not
-    known), the first vertex whose sums differ from its row, with those sums
-    (None when every vertex matches), and D.
+    ``nbrs[v]`` lists (w, a) for each vertex w that v sees with weight a/dm,
+    a an integer; ``colors[v]``, 1..k, is the color of v.  Each vertex's sums
+    are compared with the row of its color: row ``colors[v]`` of s when s is
+    given, else the sums of that color's lowest vertex, all in integers over
+    one denominator D.  Returns those rows (None for a color whose row is not
+    known), the first vertex whose sums differ, with its sums (None when
+    every vertex matches), and D.
     """
     if len(colors) != len(nbrs):
         raise ValueError("coloring length must equal the number of vertices")

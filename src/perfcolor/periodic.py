@@ -186,23 +186,25 @@ def circulant_quotient(spec: CirculantSpec, period: int) -> Graph:
     )
 
 
-def _cyclic_canonical(assignment: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least member of the orbit under rotation and color renaming."""
-    n = len(assignment)
-    doubled = assignment + assignment
-    best: tuple[int, ...] | None = None
-    for s in range(n):
+def _cyclic_canonical(t: tuple[int, ...], limit: int) -> tuple[bool, int]:
+    """Whether t, a restricted-growth string, is least in its orbit under rotation and
+    color renaming, and the positions compared, giving up past ``limit``.  Once a
+    rotation renames to t itself, each later one renames as an earlier one did.
+    """
+    n = len(t)
+    steps = 0
+    for s in range(1, n):
         relabel: dict[int, int] = {}
-        out = []
-        for c in doubled[s : s + n]:
-            if c not in relabel:
-                relabel[c] = len(relabel) + 1
-            out.append(relabel[c])
-        cand = tuple(out)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+        for i in range(n):
+            steps += 1
+            c = relabel.setdefault(t[(s + i) % n], len(relabel) + 1)
+            if c < t[i] or steps > limit:
+                return False, steps
+            if c > t[i]:
+                break
+        else:
+            return True, steps
+    return True, steps
 
 
 @dataclass(frozen=True)
@@ -218,25 +220,24 @@ def circulant_enumerate(
 
     A coloring of Z_period is perfect on the quotient multigraph exactly
     when its periodic extension is perfect on the infinite circulant, so
-    this enumeration is a complete census at the given period.  Results are
-    deduplicated up to rotation of Z_period and renaming of colors; the
-    stored representative is the lexicographically least orbit member, so
-    output is stable across runs.
-
-    Every such representative is a restricted-growth string: position 0
-    has color 1 and each later position at most one more than the highest
-    color before it.  Positions are colored 0..period-1 in that form,
-    smallest color first, so representatives come out in lexicographic
-    order.  A vertex is checked once it and all its neighbors are colored:
-    its color-wise neighbor counts must equal those of the first checked
-    vertex of its color, or the branch ends.  Each complete string is kept
-    when it is its own canonical form and its class sums give its S.  Each
-    color tried at a position is one node; past ``node_budget`` of them the
-    census raises ``BudgetExceededError`` rather than return part of its
-    entries.
+    this is a complete census at that period, up to rotation of Z_period and
+    renaming of colors.  Each orbit is stored as its lexicographically least
+    member, a restricted-growth string (position 0 has color 1, each later
+    one at most one more than the highest before it), and positions are
+    colored in that form, smallest color first, so entries come out in
+    order.  A vertex is checked once it and its neighbors are colored: its
+    color-wise neighbor counts must equal those of the first checked vertex
+    of its color.  A complete string is kept when it is its own canonical
+    form and its class sums give its S.  Each color tried at a position is
+    one node, and so is each position the canonical check compares; past
+    ``node_budget`` of them the census raises ``BudgetExceededError``, never
+    returning part of its entries.  Coloring every position 1 takes
+    ``period`` nodes, so a longer period is refused before anything is built.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if period > node_budget:
+        raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
     neighbors = _circulant_neighbors(spec, period)
     ready: list[list[int]] = [[] for _ in range(period)]  # vertices complete at a position
     for x in range(period):
@@ -250,17 +251,19 @@ def circulant_enumerate(
     nodes = 0
     p = 0
     while True:
+        if nodes > node_budget:
+            raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
         if p == period:
             t = tuple(color)
-            if _cyclic_canonical(t) == t:
+            canonical, steps = _cyclic_canonical(t, node_budget - nodes)
+            nodes += steps
+            if canonical:
                 rows, mismatch, _ = _class_sums(neighbors, 1, t, top[period])  # exact re-check
                 if mismatch is None:
                     found.append(EnumeratedColoring(Coloring(t, top[period]), RationalMatrix(rows)))
             p -= 1
         elif next_color[p] <= min(k, top[p] + 1):
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
             c = next_color[p]
             next_color[p] += 1
             color[p] = c
@@ -394,22 +397,19 @@ def _lattice_basis(vectors: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return basis
 
 
-def _vertex_of(x: int, y: int, basis: list[tuple[int, int]]) -> int:
-    """Vertex of (x, y) in the quotient by [(a, b), (0, d)]: its residue (x', y') as x'*d + y'."""
-    (a, b), (_, d) = basis
-    q = x // a
-    return (x - q * a) * d + (y - q * b) % d
-
-
 def _lattice_neighbors(spec: GridSpec, basis: list[tuple[int, int]]) -> Neighbors:
-    """Neighbor lists of the grid's quotient by a full-rank sublattice in Hermite form.
+    """Neighbor lists of the grid's quotient by a sublattice with Hermite basis [(a, b), (0, d)].
 
-    For the basis [(a, b), (0, d)] the residue (x, y), 0 <= x < a and
-    0 <= y < d, is vertex x*d + y; it lists (w, offsets taking it to w), by w.
+    Residue (x, y), 0 <= x < a and 0 <= y < d, is vertex x*d + y; it lists (w, offsets to w), by w.
     """
-    (a, _), (_, d) = basis
+    (a, b), (_, d) = basis
+
+    def vertex(x: int, y: int) -> int:
+        q = x // a
+        return (x - q * a) * d + (y - q * b) % d
+
     return [
-        sorted(Counter(_vertex_of(x + ox, y + oy, basis) for ox, oy in spec.offsets).items())
+        sorted(Counter(vertex(x + ox, y + oy) for ox, oy in spec.offsets).items())
         for x in range(a)
         for y in range(d)
     ]
@@ -488,10 +488,9 @@ def _backtrack(
     once the unused colors outnumber the cells left.  Complete colorings
     that pass ``accept`` are collected, only the first unless ``find_all``.
     Each color tried at a cell is one node; the search stops after
-    ``node_budget`` of them.  Weights are integers; they and the rows of S
-    are scaled by the common denominator of S, and one "next choice" index
-    per cell stands in for recursion, so no window is too deep for the
-    interpreter stack.
+    ``node_budget`` of them.  Integer weights and the rows of S are scaled by
+    the denominator of S, and one "next choice" index per cell stands in
+    for recursion, so no window is too deep for the interpreter stack.
 
     Returns (colorings, nodes expanded, search completed).
     """
@@ -559,11 +558,7 @@ def _backtrack(
 def _quotient_colorings(
     nbrs: Neighbors, s: RationalMatrix, *, find_all: bool, node_budget: int
 ) -> tuple[list[Coloring], int, bool]:
-    """Colorings of a quotient using all k colors, each vertex meeting its row.
-
-    A quotient is symmetric, so the neighbor list of u also lists the
-    vertices that see u, as ``_backtrack`` wants.
-    """
+    """Colorings of a symmetric quotient (u's list is who sees u) in all k colors meeting S."""
     n, k = len(nbrs), s.rows
 
     def accept(colors: tuple[int, ...]) -> bool:
@@ -603,9 +598,8 @@ def torus_search(
 
     WITNESS carries quotient colorings that re-verify; no witness is only
     INCONCLUSIVE for the infinite grid, since other periods might work.
-    ``node_budget`` caps the nodes the search expands.  A witness takes a
-    node per cell, so a torus with more cells than that is refused with
-    ``BudgetExceededError`` before its quotient is built.
+    ``node_budget`` caps the nodes the search expands; a witness takes one
+    per cell, so a torus with more cells is refused before it is built.
     """
     p, q = periods
     if p < 1 or q < 1:
@@ -695,10 +689,8 @@ def grid_reject_2color(
 
     INFEASIBLE verdicts here are proofs; FEASIBLE only means no bound in
     the window fired, and INCONCLUSIVE means directions fired without a
-    contradiction within the budget.  ``node_budget`` caps the quotient
-    searches of both orientations together; a quotient with more vertices
-    than that is not built, and a search that runs out of it proves
-    nothing.  Both give INCONCLUSIVE.
+    contradiction within ``node_budget``.  That caps the quotient searches
+    of both orientations together; a quotient with more vertices is not built.
     """
     if params.r != spec.valency:
         raise ValueError(f"parameter valency {params.r} != |offsets| = {spec.valency}")

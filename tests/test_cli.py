@@ -299,6 +299,16 @@ def test_circulant_budget_caps_period_squared(capsys):
     assert json.loads(out)["adjacency"]["rows"] == 100
 
 
+def test_circulant_enumerate_refuses_huge_period_before_building(capsys, monkeypatch):
+    def no_lists(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(periodic, "_circulant_neighbors", no_lists)
+    code = main(["circulant", "enumerate", "--d", "1", "--T", "100000000", "--k", "1"])
+    assert code == 66
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_circulant_enumerate_runs_past_the_old_gates(capsys):
     code, out = run(capsys, ["circulant", "enumerate", "--d", "1", "--T", "2000", "--k", "1", "--format", "json"])
     assert code == 0

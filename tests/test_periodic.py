@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from perfcolor.periodic import (
     GridSpec,
     SearchStatus,
     _backtrack,
+    _cyclic_canonical,
     _lattice_basis,
     _lattice_neighbors,
     circulant_enumerate,
@@ -211,12 +212,37 @@ def test_enumerate_node_budget_never_returns_part(ds, period, k):
 
 
 def test_enumerate_node_budget_caps_long_periods():
-    # one color takes a node per position, and T = 2000 builds no T x T quotient
+    # one color takes a node per position, and its canonical check compares
+    # the first rotation at every position and stops there: 2T nodes, with
+    # no T x T quotient and no T^2 leaf check
     spec = CirculantSpec((1,))
+    for period in (2000, 10**5):
+        with pytest.raises(BudgetExceededError):
+            circulant_enumerate(spec, period, 1, node_budget=2 * period - 1)
+        for budget in (2 * period, periodic.DEFAULT_NODE_BUDGET):
+            found = circulant_enumerate(spec, period, 1, node_budget=budget)
+            assert [(e.coloring.colors, e.s) for e in found] == [((1,) * period, RationalMatrix([[2]]))]
+
+
+def test_enumerate_refuses_period_over_budget_before_building(monkeypatch):
+    def no_lists(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(periodic, "_circulant_neighbors", no_lists)
     with pytest.raises(BudgetExceededError):
-        circulant_enumerate(spec, 2000, 1, node_budget=1999)
-    for found in (circulant_enumerate(spec, 2000, 1, node_budget=2000), circulant_enumerate(spec, 2000, 1)):
-        assert [(e.coloring.colors, e.s) for e in found] == [((1,) * 2000, RationalMatrix([[2]]))]
+        circulant_enumerate(CirculantSpec((1,)), 10**8, 1)
+    with pytest.raises(BudgetExceededError):
+        circulant_enumerate(CirculantSpec((1, 2, 4)), 101, 2, node_budget=100)
+
+
+def test_cyclic_canonical_matches_least_orbit_member():
+    for n in range(1, 9):
+        for t in {normalized_coloring(c).colors for c in product(range(1, 4), repeat=n)}:
+            canonical, steps = _cyclic_canonical(t, n * n)
+            assert canonical == (rotation_renaming_canonical(t) == t), t
+            # a limit below the positions compared gives up, never answers True
+            if steps:
+                assert _cyclic_canonical(t, steps - 1) == (False, steps)
 
 
 def test_enumerate_c124_period_32_at_default_budget():
