@@ -3,7 +3,7 @@
 Exit codes: 0 verified / feasible / witness found; 1 infeasible / rejected;
 2 inconclusive; 64 usage error; 65 malformed input; 66 budget exceeded: a
 census that needs more nodes than --node-budget, or a torus or circulant
-quotient too large for it, refused before it is built.
+quotient too large for it, refused before it is built, or out of memory.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import repro
 from .coloring import (
@@ -141,11 +142,35 @@ def _verdict_row(verdict, **extra) -> dict:
     return row
 
 
-def _finish_rows(rows: list[dict], args) -> int:
-    text = "\n".join(
-        " ".join(f"{k}={v}" for k, v in row.items() if v is not None) for row in rows
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """``json.dumps(rows, indent=2)``, written directly for non-empty rows of scalars.
+
+    With ``indent`` set the json module encodes in pure Python.  Anything
+    else, such as a nested dict, is left to ``json.dumps``.
+    """
+    scalars = (type(k) is str and type(v) in _JSON_SCALARS for row in rows for k, v in row.items())
+    if not (rows and all(rows) and all(scalars)):
+        return json.dumps(rows, indent=2)
+    objects = (
+        ",\n".join(f"    {encode_basestring_ascii(k)}: {_JSON_SCALARS[type(v)](v)}" for k, v in row.items())
+        for row in rows
     )
-    _emit(rows, args, text)
+    return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]"
+
+
+def _finish_rows(rows: list[dict], args) -> int:
+    if args.format == "json":
+        print(_json_rows(rows))
+    else:
+        print("\n".join(" ".join(f"{k}={v}" for k, v in row.items() if v is not None) for row in rows))
     if any(row["status"] == VerdictStatus.INFEASIBLE.value for row in rows):
         return EXIT_REJECTED
     if all(row["status"] == VerdictStatus.FEASIBLE.value for row in rows):
@@ -398,12 +423,7 @@ def _outcome_text(outcome) -> str:
 def _cmd_repro(args) -> int:
     items = repro.run_suite(max_patch_side=args.patch_max)
     if args.format == "json":
-        print(
-            json.dumps(
-                [{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items],
-                indent=2,
-            )
-        )
+        print(_json_rows([{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items]))
     else:
         width = max(len(i.name) for i in items)
         for item in items:
@@ -598,6 +618,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, IndexError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -132,7 +132,7 @@ def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
     rows, mismatch, d = _class_sums(*_sparse_rows(g.adjacency), f.colors, f.k)
     if mismatch is not None:
         return None
-    return RationalMatrix([[Fraction(x, d) for x in row] for row in rows])  # type: ignore[union-attr]
+    return RationalMatrix(rows).scaled(Fraction(1, d))  # type: ignore[arg-type]
 
 
 def imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int] | None:
@@ -164,9 +164,9 @@ class PerfectColoringTriple:
             raise ValueError("S must be square")
         if self.p.rows != self.m.rows or self.p.cols != self.s.rows:
             raise ValueError("P must be n-by-k for M of order n and S of order k")
-        for v in range(self.p.rows):
-            row = self.p.row(v)
-            if sum(row) != 1 or any(x not in (Fraction(0), Fraction(1)) for x in row):
+        ints, d = self.p.integer_form()
+        for v, row in enumerate(ints):
+            if row.count(d) != 1 or row.count(0) != len(row) - 1:
                 raise ValueError(f"row {v} of P must contain exactly one 1 and zeroes")
 
     @property
@@ -178,10 +178,13 @@ class PerfectColoringTriple:
         return self.s.rows
 
     def coloring(self) -> Coloring:
-        colors = tuple(
-            next(j + 1 for j in range(self.k) if self.p[v, j] == 1) for v in range(self.n)
-        )
-        return Coloring(colors, self.k)
+        return Coloring(_partition_colors(self.p), self.k)
+
+
+def _partition_colors(p: RationalMatrix) -> tuple[int, ...]:
+    """The color of each vertex: the column of the 1 in its row of the partition matrix p."""
+    ints, d = p.integer_form()
+    return tuple(row.index(d) + 1 for row in ints)
 
 
 def make_triple(g: Graph | RationalMatrix, f: Coloring, s: RationalMatrix | None = None) -> PerfectColoringTriple:
@@ -212,7 +215,7 @@ def verify_perfect(triple: PerfectColoringTriple) -> VerifyResult:
     The witness is chosen at the lowest vertex index, then lowest color, so
     the result does not depend on evaluation order.
     """
-    colors = tuple(triple.p.row(v).index(1) + 1 for v in range(triple.n))
+    colors = _partition_colors(triple.p)
     rows, mismatch, _ = _class_sums(*_sparse_rows(triple.m), colors, triple.k, triple.s)
     if mismatch is None:
         return VerifyResult(True, None)

@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,14 @@ class Graph:
 
 def _simple_defect(m: RationalMatrix) -> str | None:
     """Why the square matrix m is not the adjacency of a simple graph, or None if it is."""
-    for i in range(m.rows):
-        if m[i, i] != 0:
+    ints, d = m.integer_form()
+    for i, row in enumerate(ints):
+        if row[i] != 0:
             return "simple graph must have a zero diagonal"
-        for j in range(i + 1, m.cols):
-            if m[i, j] != m[j, i]:
+        for j in range(i + 1, len(row)):
+            if row[j] != ints[j][i]:
                 return "simple graph must be symmetric"
-            if m[i, j] not in (ZERO, ONE):
+            if row[j] != 0 and row[j] != d:
                 return "simple graph entries must be 0 or 1"
     return None
 
@@ -110,10 +110,10 @@ def from_edges(n, edges, simple=True, labels=None) -> Graph:
     When ``simple`` the symmetric closure is applied and weights must stay
     0/1; otherwise entries accumulate, so repeated edges make multigraphs.
     """
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    grid = [[0] * n for _ in range(n)]
     for edge in edges:
         u, v = edge[0], edge[1]
-        w = rat(edge[2]) if len(edge) > 2 else ONE
+        w = rat(edge[2]) if len(edge) > 2 else 1
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {edge} out of range for n={n}")
         if simple:
@@ -170,14 +170,17 @@ def common_neighbor_count(g: Graph, u: int, v: int) -> int:
     return sum(1 for w in range(g.n) if g.adjacency[u, w] == 1 and g.adjacency[v, w] == 1)
 
 
-def _bfs_distances(g: Graph) -> list[list[int]]:
-    """All-pairs BFS distances; -1 marks unreachable pairs."""
-    nbrs = [
-        [w for w in range(g.n) if g.adjacency[u, w] == 1] for u in range(g.n)
-    ]
+def _unit_neighbors(g: Graph) -> list[list[int]]:
+    """For each vertex u, the vertices w with adjacency[u, w] == 1, in order."""
+    ints, d = g.adjacency.integer_form()
+    return [[w for w, a in enumerate(row) if a == d] for row in ints]
+
+
+def _bfs_distances(nbrs: list[list[int]]) -> list[list[int]]:
+    """All-pairs BFS distances over neighbor lists; -1 marks unreachable pairs."""
     out = []
-    for s in range(g.n):
-        dist = [-1] * g.n
+    for s in range(len(nbrs)):
+        dist = [-1] * len(nbrs)
         dist[s] = 0
         queue = deque([s])
         while queue:
@@ -193,7 +196,7 @@ def _bfs_distances(g: Graph) -> list[list[int]]:
 def distance_matrices(g: Graph) -> tuple[RationalMatrix, ...]:
     """0/1 matrices A_0..A_d with A_r[u,v] = 1 iff dist(u,v) = r."""
     _require_simple(g, "distance_matrices")
-    dist = _bfs_distances(g)
+    dist = _bfs_distances(_unit_neighbors(g))
     d = max(max(row) for row in dist)
     if any(x < 0 for row in dist for x in row):
         raise ValueError("distance matrices require a connected graph")
@@ -254,13 +257,13 @@ def intersection_array(g: Graph) -> IntersectionArray | None:
     """
     if not g.simple or regularity(g) is None:
         return None
-    dist = _bfs_distances(g)
+    nbrs = _unit_neighbors(g)
+    dist = _bfs_distances(nbrs)
     if any(x < 0 for row in dist for x in row):
         return None
     d = max(max(row) for row in dist)
     if d == 0:
         return None
-    nbrs = [[w for w in range(g.n) if g.adjacency[u, w] == 1] for u in range(g.n)]
     b: list[Fraction | None] = [None] * d
     c: list[Fraction | None] = [None] * d
     b[0] = Fraction(len(nbrs[0]))

@@ -497,14 +497,15 @@ def _backtrack(
     n, k = len(allowed), s.rows
     ints, denom = s.integer_form()
     rows = [[0] * (k + 1)] + [[0, *row] for row in ints]
-    affected = [[(w, wt * denom) for w, wt in column] for column in affected]
     total = [0] * n  # total[w]: weight w sees on all cells
     for column in affected:
         for w, wt in column:
-            total[w] += wt
+            total[w] += wt * denom
     row_sums = {sum(row) for row in rows[1:]}
     if any(constrained[w] and {total[w]} != row_sums for w in range(n)):
         raise ValueError("every constrained cell must see a total weight equal to each row sum of S")
+    # only a constrained cell's seen row is ever read
+    affected = [[(w, wt * denom) for w, wt in column if constrained[w]] for column in affected]
     color = [0] * n
     seen = [[0] * (k + 1) for _ in range(n)]  # seen[w][j]: weight w sees on color j
     used = [0] * (k + 1)
@@ -536,7 +537,7 @@ def _backtrack(
             ok = True
             for w, wt in affected[u]:
                 seen[w][c] += wt
-                if ok and color[w] and constrained[w] and seen[w][c] > rows[color[w]][c]:
+                if ok and color[w] and seen[w][c] > rows[color[w]][c]:
                     ok = False
             if ok and constrained[u]:
                 ok = all(map(le, seen[u], rows[c]))

@@ -1,7 +1,8 @@
 """Exact rational matrices and dense polynomials.
 
-Everything downstream computes over ``fractions.Fraction``, so every check
-in this package is an exact equality; no floating point appears anywhere.
+A matrix is integer rows over one denominator and computes over integers;
+entries leave it, and polynomial coefficients live, as ``fractions.Fraction``.
+So every check here is an exact equality, with no floating point anywhere.
 Matrices and polynomials are immutable and hashable, and every operation
 returns a fresh value, which makes them safe to share between threads.
 
@@ -12,7 +13,8 @@ entry is an integer or a ``"p/q"`` string.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Union
 
@@ -52,65 +54,55 @@ def rat_to_json(x: Fraction) -> int | str:
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 class RationalMatrix:
     """Immutable dense matrix with exact rational entries.
 
-    The integer form and the hash are computed on first use and kept, so a
-    matrix shared by many products or row distances pays for them once.
-    Both are functions of the entries, so threads that race to fill them
-    store equal values.
+    The one stored form is integer rows over a denominator d > 0 with
+    gcd(d, *entries) == 1.  It is unique, so ``==`` and the hash (kept after
+    first use) read it directly, and every operation reduces once per result.
+    Fractions are built only by ``row``, indexing, ``row_sums`` and
+    ``l1_row_distance``; ``to_json`` and ``repr`` write a/d directly.
     """
 
-    __slots__ = ("_rows", "_ints", "_hash")
+    __slots__ = ("_ints", "_d", "_hash")
 
     def __init__(self, data: Iterable[Iterable[RatLike]]) -> None:
-        rows = tuple(tuple(rat(x) for x in row) for row in data)
+        rows = tuple(tuple(x if type(x) is int else rat(x) for x in row) for row in data)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must all have the same length")
-        self._rows = rows
-        self._ints = None
-        self._hash = None
+        denominators = [x.denominator for row in rows for x in row if type(x) is not int]
+        d = lcm(*denominators)
+        if denominators:
+            rows = tuple(
+                tuple(x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row)
+                for row in rows
+            )
+        # entries in lowest terms over their least common denominator share no factor with it
+        self._ints, self._d, self._hash = rows, d, None
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalMatrix":
-        """Wrap rows of Fractions, non-empty and of equal length, without checking them.
-
-        Only for rows this module built itself from checked matrices.
-        """
+    def _reduced(cls, ints: tuple[tuple[int, ...], ...], d: int) -> "RationalMatrix":
+        """Wrap integer rows over d > 0, non-empty and of equal length, dividing out gcd(d, *ints)."""
+        if d != 1:
+            g = gcd(d, *chain.from_iterable(ints))
+            if g != 1:
+                ints = tuple(tuple(x // g for x in row) for row in ints)
+                d //= g
         m = object.__new__(cls)
-        m._rows = rows
-        m._ints = None
-        m._hash = None
+        m._ints, m._d, m._hash = ints, d, None
         return m
 
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Integer rows and a denominator d with self[i, j] = rows[i][j] / d.
-
-        d is the least common denominator of the entries, so every entry
-        scales to an exact integer.
-        """
-        if self._ints is None:
-            d = lcm(*(x.denominator for row in self._rows for x in row))
-            self._ints = (
-                tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self._rows),
-                d,
-            )
-        return self._ints
+        """The stored integer rows and denominator d: self[i, j] = rows[i][j] / d, d the least common one."""
+        return self._ints, self._d
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         if n < 1:
             raise ValueError("matrix must have at least one row and one column")
-        return cls._from_rows(
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-        )
+        return cls._reduced(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -118,68 +110,67 @@ class RationalMatrix:
 
     @property
     def rows(self) -> int:
-        return len(self._rows)
+        return len(self._ints)
 
     @property
     def cols(self) -> int:
-        return len(self._rows[0])
+        return len(self._ints[0])
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        if not 0 <= i < self.rows:
+    def _check_row(self, i: int) -> None:
+        if not 0 <= i < len(self._ints):
             raise IndexError(f"row index {i} out of range for {self.rows}x{self.cols} matrix")
-        return self._rows[i]
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        self._check_row(i)
+        return tuple(Fraction(a, self._d) for a in self._ints[i])
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.row(i)[j]
+        self._check_row(i)
+        return Fraction(self._ints[i][j], self._d)
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(r) for r in self._rows)
+        return tuple(Fraction(sum(row), self._d) for row in self._ints)
+
+    def _combine(self, other: "RationalMatrix", op, what: str) -> "RationalMatrix":
+        """Entrywise op over the common denominator of self and other."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(f"shape mismatch in matrix {what}")
+        d = lcm(self._d, other._d)
+        fa, fb = d // self._d, d // other._d
+        rows = zip(self._ints, other._ints)
+        return RationalMatrix._reduced(tuple(tuple(op(x * fa, y * fb) for x, y in zip(*r)) for r in rows), d)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix addition")
-        return RationalMatrix._from_rows(
-            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
+        return self._combine(other, add, "addition")
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix subtraction")
-        return RationalMatrix._from_rows(
-            tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self._rows, other._rows))
-        )
+        return self._combine(other, sub, "subtraction")
 
     def scaled(self, factor: RatLike) -> "RationalMatrix":
         f = rat(factor)
-        return RationalMatrix._from_rows(tuple(tuple(f * x for x in row) for row in self._rows))
+        p = f.numerator
+        return RationalMatrix._reduced(tuple(tuple(x * p for x in row) for row in self._ints), self._d * f.denominator)
 
     def __rmul__(self, factor: RatLike) -> "RationalMatrix":
         return self.scaled(factor)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Exact product, computed over integers and divided once per entry.
-
-        With A = A'/da and B = B'/db for integer A', B', the product is
-        A'B' / (da db); each entry is one integer dot product and one
-        Fraction normalization.
-        """
+        """Exact product: with A = A'/da and B = B'/db, it is A'B' / (da db), reduced once."""
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, da = self.integer_form()
-        b, db = other.integer_form()
-        d = da * db
-        bt = tuple(zip(*b))  # columns of other
-        return RationalMatrix._from_rows(
-            tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in bt) for row in a)
+        bt = tuple(zip(*other._ints))  # columns of other
+        return RationalMatrix._reduced(
+            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self._ints),
+            self._d * other._d,
         )
 
     def __pow__(self, exponent: int) -> "RationalMatrix":
@@ -187,9 +178,7 @@ class RationalMatrix:
             raise ValueError("matrix power requires a square matrix")
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("matrix exponent must be a non-negative integer")
-        result = None
-        base = self
-        e = exponent
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
                 result = base if result is None else result * base
@@ -198,22 +187,23 @@ class RationalMatrix:
         return RationalMatrix.identity(self.rows) if result is None else result
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self._rows == other._rows
+        return isinstance(other, RationalMatrix) and (self._d, self._ints) == (other._d, other._ints)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._rows)
+            self._hash = hash((self._ints, self._d))
         return self._hash
 
     def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self._rows)
+        body = ", ".join("[" + ", ".join(str(_entry_json(a, self._d)) for a in row) + "]" for row in self._ints)
         return f"RationalMatrix([{body}])"
 
     def to_json(self) -> dict:
+        d = self._d
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "data": [[rat_to_json(x) for x in row] for row in self._rows],
+            "data": [list(row) if d == 1 else [_entry_json(a, d) for a in row] for row in self._ints],
         }
 
     @classmethod
@@ -224,6 +214,12 @@ class RationalMatrix:
         if "cols" in obj and obj["cols"] != m.cols:
             raise ValueError(f"declared cols {obj['cols']} != actual {m.cols}")
         return m
+
+
+def _entry_json(a: int, d: int) -> int | str:
+    """rat_to_json of a / d, without building the Fraction."""
+    g = gcd(a, d)
+    return a // g if g == d else f"{a // g}/{d // g}"
 
 
 def matrix_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -241,9 +237,8 @@ def l1_row_distance(a: RationalMatrix, u: int, v: int) -> Fraction:
 
     One integer sum over the integer form, divided once.
     """
-    a.row(u), a.row(v)  # IndexError outside 0..rows-1
-    ints, d = a.integer_form()
-    return Fraction(sum(map(abs, map(sub, ints[u], ints[v]))), d)
+    a._check_row(u), a._check_row(v)
+    return Fraction(sum(map(abs, map(sub, a._ints[u], a._ints[v]))), a._d)
 
 
 class Polynomial:
@@ -341,9 +336,14 @@ def _add_diagonal(a: RationalMatrix, c: Fraction) -> RationalMatrix:
     """a + c I for a square matrix a."""
     if not c:
         return a
-    return RationalMatrix._from_rows(
-        tuple(row[:i] + (row[i] + c,) + row[i + 1 :] for i, row in enumerate(a._rows))
-    )
+    d = lcm(a._d, c.denominator)
+    f, diagonal = d // a._d, c.numerator * (d // c.denominator)
+    rows = []
+    for i, row in enumerate(a._ints):
+        row = [x * f for x in row]
+        row[i] += diagonal
+        rows.append(tuple(row))
+    return RationalMatrix._reduced(tuple(rows), d)
 
 
 def eval_poly(p: Polynomial, a: RationalMatrix) -> RationalMatrix:

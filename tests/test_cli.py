@@ -250,6 +250,66 @@ def test_filter_two_color_forced_sets(capsys):
     assert row["forced"]["bound"] == "adjacent-lower"
 
 
+def text_rows(rows):
+    return "\n".join(" ".join(f"{k}={v}" for k, v in row.items() if v is not None) for row in rows) + "\n"
+
+
+def filter_commands(tmp_path):
+    """One argv per filter subcommand and kind of row: scans, single pairs, None sides, forced sets."""
+    c6 = cycle(6)
+    graph = write(tmp_path, "c6.json", c6.to_json())
+    m = write(tmp_path, "m.json", c6.adjacency.to_json())
+    s = write(tmp_path, "s.json", {"rows": 2, "cols": 2, "data": [[0, 2], [2, 0]]})
+    half = write(tmp_path, "half.json", {"rows": 2, "cols": 2, "data": [["1/2", "3/2"], [2, 0]]})
+    good = write(tmp_path, "good.json", {"k": 2, "colors": [1, 2, 1, 2, 1, 2]})
+    bad = write(tmp_path, "bad.json", {"k": 2, "colors": [1, 2, 2, 1, 2, 1]})
+    one = write(tmp_path, "one.json", {"rows": 1, "cols": 1, "data": [[0]]})
+    lone = write(tmp_path, "lone.json", {"k": 1, "colors": [1]})
+    return [
+        ["filter", "pair", "--m", m, "--s", s, "--coloring", good],
+        ["filter", "pair", "--m", m, "--s", half, "--coloring", bad],
+        ["filter", "pair", "--m", m, "--s", s, "--u", "0", "--v", "3", "--i", "1", "--j", "2"],
+        ["filter", "pair", "--m", one, "--s", one, "--coloring", lone],  # no pairs: []
+        ["filter", "power", "--m", m, "--s", half, "--l", "3", "--coloring", bad],
+        ["filter", "power", "--m", one, "--s", one, "--l", "2", "--coloring", lone],
+        ["filter", "drg", "--graph", graph, "--s", s, "--radius", "2", "--coloring", bad],
+        ["filter", "simple", "--s", half, "--r", "2", "--h", "0", "--i", "1", "--j", "2"],
+        ["filter", "simple", "--s", s, "--r", "2", "--h", "1", "--i", "1", "--j", "2"],
+        ["filter", "two-color", "--r", "4", "--h", "2", "--b", "4", "--c", "3"],
+        ["filter", "two-color", "--r", "6", "--h", "2", "--adjacent", "--b", "3", "--c", "1"],
+        ["filter", "two-color", "--r", "6", "--h", "2", "--b", "5", "--c", "5"],
+        ["filter", "two-color", "--r", "6", "--h", "2", "--b", "7/2", "--c", "1/3"],
+    ]
+
+
+def test_filter_output_is_byte_identical_to_json_dumps(tmp_path, capsys):
+    seen = set()
+    for argv in filter_commands(tmp_path):
+        code, out = run(capsys, [*argv, "--format", "json"])
+        rows = json.loads(out)
+        assert out == json_rows(rows), argv
+        text_code, text = run(capsys, [*argv, "--format", "text"])
+        assert (text_code, text) == (code, text_rows(rows)), argv
+        seen.update(type(v).__name__ for row in rows for v in row.values())
+        seen.add(len(rows))
+    assert {"NoneType", "bool", "dict", "int", "str", 0} <= seen
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [{"u": 0, "v": 1, "status": "feasible", "lhs": None, "rhs": None, "violated": None}],
+        [{"status": "infeasible", "lhs": "7/2", "rhs": "-3", "violated": 'd("S") = 7/2 > 3 \\ \u00e9\u2264\U0001d4ae\n\t'}],
+        [{"b": "3", "adjacent": True, "h": -2, "forced": {"only_u_color": 1, "excludes_endpoints": False}}],
+        [{"x": 10**30, "y": False}, {}, {"z": [1, 2]}],
+        [{1: "int key"}],
+    ],
+)
+def test_json_row_writer_matches_json_dumps(rows):
+    assert cli._json_rows(rows) == json.dumps(rows, indent=2)
+
+
 def test_circulant_h(capsys):
     code, out = run(capsys, ["circulant", "h", "--d", "1,2,4", "--t", "3", "--format", "json"])
     assert code == 0
@@ -307,6 +367,24 @@ def test_circulant_enumerate_refuses_huge_period_before_building(capsys, monkeyp
     code = main(["circulant", "enumerate", "--d", "1", "--T", "100000000", "--k", "1"])
     assert code == 66
     assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (["circulant", "quotient", "--d", "1", "--T", "3000"], "circulant_quotient"),
+        (["circulant", "enumerate", "--d", "1", "--T", "3000000", "--k", "1"], "circulant_enumerate"),
+    ],
+)
+def test_out_of_memory_exits_66_not_rejected(argv, handler, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, handler, exhausted)
+    assert main(argv) == 66
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("out of memory: ")
 
 
 def test_circulant_enumerate_runs_past_the_old_gates(capsys):

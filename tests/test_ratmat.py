@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,6 +245,77 @@ def test_equal_matrices_have_equal_cached_hashes():
     b = RationalMatrix([["1/2", "-3"], [0, "7/4"]])
     c = a * RationalMatrix.identity(2)
     assert a == b == c and a is not c
-    assert hash(a) == hash(b) == hash(c) == hash(a._rows)
-    assert a._hash == b._hash == c._hash == hash(a._rows)
+    assert hash(a) == hash(b) == hash(c) == hash(a.integer_form())
+    assert a._hash == b._hash == c._hash == hash(a.integer_form())
     assert {a: 1}[c] == 1
+
+
+# --- the integer-backed form -----------------------------------------------------
+
+
+def fraction_rows(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def naive_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def assert_canonical(m):
+    ints, d = m.integer_form()
+    assert isinstance(d, int) and d > 0
+    assert all(type(x) is int for row in ints for x in row)
+    assert gcd(d, *(x for row in ints for x in row)) == 1
+
+
+@given(small_matrices(), small_matrices(), fractions, st.integers(0, 4), small_polys)
+def test_every_operation_keeps_the_reduced_integer_form(a, b, f, e, p):
+    for m in (a, b, a + b, a - b, a - a, a.scaled(f), a.scaled(0), a * b, a**e, p(a),
+              RationalMatrix.identity(3), RationalMatrix.zeros(2, 3)):
+        assert_canonical(m)
+
+
+@given(small_matrices(), small_matrices(), fractions, st.integers(0, 4), small_polys)
+def test_operations_match_a_fraction_reference(a, b, f, e, p):
+    fa, fb = fraction_rows(a), fraction_rows(b)
+    assert fraction_rows(a + b) == [[x + y for x, y in zip(r, s)] for r, s in zip(fa, fb)]
+    assert fraction_rows(a - b) == [[x - y for x, y in zip(r, s)] for r, s in zip(fa, fb)]
+    assert fraction_rows(a.scaled(f)) == [[f * x for x in r] for r in fa]
+    assert fraction_rows(a * b) == naive_product(fa, fb)
+    power = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    for _ in range(e):
+        power = naive_product(power, fa)
+    assert fraction_rows(a**e) == power
+    value = [[Fraction(0)] * 3 for _ in range(3)]
+    x_to_the_i = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    for c in p.coeffs:
+        value = [[v + c * x for v, x in zip(r, s)] for r, s in zip(value, x_to_the_i)]
+        x_to_the_i = naive_product(x_to_the_i, fa)
+    assert fraction_rows(p(a)) == value
+
+
+@given(st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=3), st.data())
+def test_int_fraction_and_string_inputs_build_one_matrix(entries, data):
+    def spelled(x):
+        form = data.draw(st.sampled_from(("fraction", "string", "int")))
+        if form == "int" and x.denominator == 1:
+            return x.numerator
+        return str(x) if form == "string" else x
+
+    a = RationalMatrix(entries)
+    b = RationalMatrix([[spelled(x) for x in row] for row in entries])
+    c = RationalMatrix([[str(x) for x in row] for row in entries])
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert a.integer_form() == b.integer_form() == c.integer_form()
+    assert repr(a) == repr(b) and a.to_json() == b.to_json()
+
+
+@given(st.lists(st.lists(fractions, min_size=2, max_size=2), min_size=1, max_size=3), st.data())
+def test_a_float_anywhere_is_rejected(entries, data):
+    i = data.draw(st.integers(0, len(entries) - 1))
+    j = data.draw(st.integers(0, 1))
+    entries[i][j] = float(entries[i][j])
+    with pytest.raises(TypeError):
+        RationalMatrix(entries)
+
