@@ -438,12 +438,23 @@ def _cmd_repro(args) -> int:
 # parser wiring
 
 
+def _node_budget(text: str) -> int:
+    """A --node-budget value: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, node_budget: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="text")
     if node_budget:
         sub.add_argument(
             "--node-budget",
-            type=int,
+            type=_node_budget,
             default=DEFAULT_NODE_BUDGET,
             help="node cap: one per color tried at a cell or census position and per position "
             "a census canonical check compares. A longer census period, a torus or grid reject "

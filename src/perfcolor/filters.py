@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .coloring import TwoColorParams
 from .graphs import Graph, distance_matrices, distance_polynomials, intersection_array
@@ -235,14 +236,21 @@ def distance_power_check(
     return pair_color_feasible(m**l, s**l, u, v, i, j)
 
 
+# (S, radius) images one DistanceRegularData keeps; the oldest is dropped past this
+_IMAGES_KEPT = 32
+# drg_check keeps the prepared data of graphs up to this many vertices between calls
+_KEPT_GRAPH_VERTICES = 256
+
+
 class DistanceRegularData:
     """Graph-level data of a distance-regular graph, prepared once for many queries.
 
     Holds the intersection array, the distance matrices A_0..A_d and the
     sphere and ball polynomials.  The ball indicator of each radius, and the
-    images ball[r](S) and sphere[r](S) of each (S, radius), are built on
-    first use and kept, so one query builds only what its radius needs and
-    an all-pairs scan does O(n) row distances per pair.
+    images ball[r](S) and sphere[r](S) of the latest ``_IMAGES_KEPT``
+    (S, radius) pairs, are built on first use and kept, so one query builds
+    only what its radius needs and an all-pairs scan does O(n) row distances
+    per pair.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -278,6 +286,8 @@ class DistanceRegularData:
         key = (s, radius)
         if key not in self._images:
             self._require_radius(radius)
+            if len(self._images) >= _IMAGES_KEPT:
+                del self._images[next(iter(self._images))]
             self._images[key] = (
                 self.polynomials.ball[radius](s),
                 self.polynomials.sphere[radius](s),
@@ -315,7 +325,15 @@ def drg_check(
 
     |B_r(u) symdiff B_r(v)| must dominate the distance between rows i, j of
     the ball polynomial image of S, and likewise for spheres.  Returns the
-    (ball, sphere) verdicts.  For many queries on one graph, prepare a
-    ``DistanceRegularData`` once and call its ``check``.
+    (ball, sphere) verdicts.  The ``DistanceRegularData`` of a graph with
+    at most ``_KEPT_GRAPH_VERTICES`` vertices is prepared on the first query
+    and kept for the few graphs asked about last, so repeated queries on one
+    graph prepare it once; a larger graph is prepared for each call.
     """
-    return DistanceRegularData(g).check(s, radius, u, v, i, j)
+    data = _distance_regular_data(g) if g.n <= _KEPT_GRAPH_VERTICES else DistanceRegularData(g)
+    return data.check(s, radius, u, v, i, j)
+
+
+@lru_cache(maxsize=8)
+def _distance_regular_data(g: Graph) -> DistanceRegularData:
+    return DistanceRegularData(g)

@@ -79,6 +79,11 @@ class BudgetExceededError(RuntimeError):
     """Raised when a search or enumeration would exceed its node budget."""
 
 
+def _check_node_budget(node_budget: int) -> None:
+    if node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, not {node_budget}")
+
+
 def _dense_graph(nbrs: Neighbors, labels: tuple[str, ...]) -> Graph:
     """The multigraph of neighbor lists as a dense Graph, simple when it has no loop or repeat."""
     simple = all(w != v and a == 1 for v, row in enumerate(nbrs) for w, a in row)
@@ -236,6 +241,7 @@ def circulant_enumerate(
     """
     if k < 1:
         raise ValueError("k must be positive")
+    _check_node_budget(node_budget)
     if period > node_budget:
         raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
     neighbors = _circulant_neighbors(spec, period)
@@ -415,6 +421,36 @@ def _lattice_neighbors(spec: GridSpec, basis: list[tuple[int, int]]) -> Neighbor
     ]
 
 
+def _window(
+    spec: GridSpec, width: int, height: int
+) -> tuple[list[bool], list[int], Neighbors, frozenset[int]]:
+    """A width x height window prepared for ``_backtrack``.
+
+    Returns the constrained flag of each cell, the constrained (interior)
+    cells in index order, for each cell u the pairs (w, 1) of the
+    constrained cells w that see u, by w, and the set of total weights the
+    constrained cells see.  Built by index arithmetic: cell (x, y) is
+    u = y*width + x, and offset (ox, oy) leads to u + oy*width + ox.  A cell
+    is constrained when it lies at least the offsets' x and y reach from
+    each side, and then every cell it sees is inside.
+    """
+    reach_x = max(abs(ox) for ox, _ in spec.offsets)
+    reach_y = max(abs(oy) for _, oy in spec.offsets)
+    inner = [reach_x <= x < width - reach_x for x in range(width)]
+    outer = [False] * width
+    constrained = [
+        flag for y in range(height) for flag in (inner if reach_y <= y < height - reach_y else outer)
+    ]
+    interior = [u for u, inside in enumerate(constrained) if inside]
+    steps = [oy * width + ox for ox, oy in spec.offsets]
+    affected: list[list[tuple[int, int]]] = [[] for _ in constrained]
+    for w in interior:  # w sees w + step, so coloring w + step moves w's counts
+        entry = (w, 1)
+        for step in steps:
+            affected[w + step].append(entry)
+    return constrained, interior, affected, frozenset({spec.valency} if interior else ())
+
+
 def torus_quotient(spec: GridSpec, periods: tuple[int, int]) -> Graph:
     """Quotient of the grid on Z_p x Z_q; vertex (x, y) sits at index x*q + y."""
     p, q = periods
@@ -469,6 +505,7 @@ def _backtrack(
     s: RationalMatrix,
     affected: Neighbors,
     constrained: list[bool],
+    totals: frozenset[int],
     allowed: list[tuple[int, ...]],
     accept: Callable[[tuple[int, ...]], bool],
     *,
@@ -478,34 +515,32 @@ def _backtrack(
 ) -> tuple[list[tuple[int, ...]], int, bool]:
     """Color cells 0..n-1 in index order so that every constrained cell meets its row of S.
 
-    ``affected[u]`` lists (w, weight) for each cell w that sees cell u.  A
-    constrained cell of color i must see exactly s[i-1, j-1] weight of color
-    j; a colored one ends the branch when it sees too much of some color.
-    Every constrained cell must see a total weight equal to each row sum of
-    S; then a complete coloring with no color over its target meets every
-    row exactly, so colors short of their target need no cut.  Cell u tries
-    the colors ``allowed[u]`` in order.  With ``all_colors`` a branch ends
-    once the unused colors outnumber the cells left.  Complete colorings
-    that pass ``accept`` are collected, only the first unless ``find_all``.
-    Each color tried at a cell is one node; the search stops after
-    ``node_budget`` of them.  Integer weights and the rows of S are scaled by
-    the denominator of S, and one "next choice" index per cell stands in
-    for recursion, so no window is too deep for the interpreter stack.
+    ``affected[u]`` lists (w, weight) for each constrained cell w that sees
+    cell u, and ``totals`` holds the total weights the constrained cells see.
+    The engine reads this geometry as given and never changes it, so one
+    prepared shape serves several searches.  A constrained cell of color i
+    must see exactly s[i-1, j-1] weight of color j; a colored one ends the
+    branch when it sees too much of some color.  Every total must equal each
+    row sum of S; then a complete coloring with no color over its target
+    meets every row exactly, so colors short of their target need no cut.
+    Cell u tries the colors ``allowed[u]`` in order.  With ``all_colors`` a
+    branch ends once the unused colors outnumber the cells left.  Complete
+    colorings that pass ``accept`` are collected, only the first unless
+    ``find_all``.  Each color tried at a cell is one node; the search stops
+    after ``node_budget`` of them.  The rows of S are scaled to integers by
+    its denominator, and the weights with them when it is not 1; one "next
+    choice" index per cell stands in for recursion, so no window is too deep
+    for the interpreter stack.
 
     Returns (colorings, nodes expanded, search completed).
     """
     n, k = len(allowed), s.rows
     ints, denom = s.integer_form()
     rows = [[0] * (k + 1)] + [[0, *row] for row in ints]
-    total = [0] * n  # total[w]: weight w sees on all cells
-    for column in affected:
-        for w, wt in column:
-            total[w] += wt * denom
-    row_sums = {sum(row) for row in rows[1:]}
-    if any(constrained[w] and {total[w]} != row_sums for w in range(n)):
+    if totals and len({total * denom for total in totals} | {sum(row) for row in ints}) != 1:
         raise ValueError("every constrained cell must see a total weight equal to each row sum of S")
-    # only a constrained cell's seen row is ever read
-    affected = [[(w, wt * denom) for w, wt in column if constrained[w]] for column in affected]
+    if denom != 1:
+        affected = [[(w, wt * denom) for w, wt in column] for column in affected]
     color = [0] * n
     seen = [[0] * (k + 1) for _ in range(n)]  # seen[w][j]: weight w sees on color j
     used = [0] * (k + 1)
@@ -561,12 +596,13 @@ def _quotient_colorings(
 ) -> tuple[list[Coloring], int, bool]:
     """Colorings of a symmetric quotient (u's list is who sees u) in all k colors meeting S."""
     n, k = len(nbrs), s.rows
+    totals = frozenset(sum(a for _, a in row) for row in nbrs)
 
     def accept(colors: tuple[int, ...]) -> bool:
         return _class_sums(nbrs, 1, colors, k, s)[1] is None  # defensive re-check
 
     found, nodes, complete = _backtrack(
-        s, nbrs, [True] * n, [tuple(range(1, k + 1))] * n, accept,
+        s, nbrs, [True] * n, totals, [tuple(range(1, k + 1))] * n, accept,
         all_colors=True, find_all=find_all, node_budget=node_budget,
     )
     return [Coloring(colors, k) for colors in found], nodes, complete
@@ -605,6 +641,7 @@ def torus_search(
     p, q = periods
     if p < 1 or q < 1:
         raise ValueError("periods must be positive")
+    _check_node_budget(node_budget)
     s = _target_matrix(target, spec.valency)
     if p * q > node_budget:
         raise BudgetExceededError(
@@ -667,6 +704,28 @@ def _subset_sums(sizes: list[int]) -> set[int]:
     return sums
 
 
+_DeltaTable = tuple[tuple[tuple[int, int], int, bool, PairContext], ...]
+
+
+@lru_cache(maxsize=8)
+def _delta_table(spec: GridSpec, window: int) -> _DeltaTable:
+    """(delta, h, adjacent, pair context) for one delta of each +-pair within the window.
+
+    Every (b, c) asked about on one grid and window reads the same table of
+    2*window*(window + 1) rows, so the tables of the last eight grids and
+    windows are kept.
+    """
+    r = Fraction(spec.valency)
+    table = []
+    for dx in range(0, window + 1):
+        for dy in range(-window, window + 1):
+            if dx == 0 and dy <= 0:
+                continue  # one representative per +-delta pair
+            h, adjacent = grid_h(spec, (dx, dy))
+            table.append(((dx, dy), h, adjacent, PairContext(r, h, adjacent)))
+    return tuple(table)
+
+
 def grid_reject_2color(
     spec: GridSpec,
     params: TwoColorParams,
@@ -692,22 +751,20 @@ def grid_reject_2color(
     the window fired, and INCONCLUSIVE means directions fired without a
     contradiction within ``node_budget``.  That caps the quotient searches
     of both orientations together; a quotient with more vertices is not built.
+    The tables of differences of the last eight grids and windows asked
+    about are kept, so the calls for every (b, c) on one grid read one table.
     """
     if params.r != spec.valency:
         raise ValueError(f"parameter valency {params.r} != |offsets| = {spec.valency}")
-    w = window if window is not None else 2 * spec.radius
+    _check_node_budget(node_budget)
     per_delta = []
     mono = []
-    for dx in range(0, w + 1):
-        for dy in range(-w, w + 1):
-            if dx == 0 and dy <= 0:
-                continue  # one representative per +-delta pair
-            delta = (dx, dy)
-            h, adjacent = grid_h(spec, delta)
-            verdict = two_color_check(PairContext(Fraction(spec.valency), h, adjacent), params)
-            per_delta.append(DeltaVerdict(delta, h, adjacent, verdict))
-            if verdict.infeasible:
-                mono.append(delta)
+    table = _delta_table(spec, window if window is not None else 2 * spec.radius)
+    for delta, h, adjacent, ctx in table:
+        verdict = two_color_check(ctx, params)
+        per_delta.append(DeltaVerdict(delta, h, adjacent, verdict))
+        if verdict.infeasible:
+            mono.append(delta)
 
     def report(verdict: FilterVerdict, note: str | None = None) -> GridRejectReport:
         return GridRejectReport(verdict, tuple(per_delta), tuple(mono), note)
@@ -812,10 +869,8 @@ def patch_search(
     width, height = size
     if width < 1 or height < 1:
         raise ValueError("patch dimensions must be positive")
-    cells = [(x, y) for y in range(height) for x in range(width)]
-    index = {cell: i for i, cell in enumerate(cells)}
-    constrained = [all((x + ox, y + oy) in index for ox, oy in spec.offsets) for x, y in cells]
-    interior = [u for u, inside in enumerate(constrained) if inside]
+    _check_node_budget(node_budget)
+    constrained, interior, affected, totals = _window(spec, width, height)
     if not interior:
         raise ValueError("patch too small: no cell has its whole neighborhood inside")
 
@@ -828,21 +883,16 @@ def patch_search(
         if b != c:
             runs.append((two_color_matrix(c, b, spec.valency), True))
 
-    affected = [
-        [(index[(x + ox, y + oy)], 1) for ox, oy in spec.offsets if (x + ox, y + oy) in index]
-        for (x, y) in cells
-    ]
-
     def accept(colors: tuple[int, ...]) -> bool:
         return not require_two_interior_colors or len({colors[u] for u in interior}) > 1
 
     total_nodes = 0
     for s, pin_first in runs:
-        allowed = [tuple(range(1, s.rows + 1))] * len(cells)
+        allowed = [tuple(range(1, s.rows + 1))] * width * height
         if pin_first:
             allowed[interior[0]] = (1,)
         found, nodes, complete = _backtrack(
-            s, affected, constrained, allowed, accept,
+            s, affected, constrained, totals, allowed, accept,
             all_colors=False, find_all=False, node_budget=node_budget - total_nodes,
         )
         total_nodes += nodes

@@ -140,6 +140,29 @@ def brute_force_window_colorable(offsets, size, rows, two_interior_colors=False)
     )
 
 
+def window_by_coordinates(offsets, width, height):
+    """Constrained flags, interior cells and constrained targets of a width x height window.
+
+    Cells are found through a dict from coordinates to indices: cell (x, y) is
+    y*width + x, and it is constrained when every offset keeps it inside.  Cell
+    u's targets are (w, 1) for each constrained cell w that u sees, in offset
+    order; with offsets closed under negation those are the cells that see u.
+    """
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    index = {cell: u for u, cell in enumerate(cells)}
+    constrained = [all((x + ox, y + oy) in index for ox, oy in offsets) for x, y in cells]
+    interior = [u for u, inside in enumerate(constrained) if inside]
+    targets = [
+        [
+            (index[(x + ox, y + oy)], 1)
+            for ox, oy in offsets
+            if (x + ox, y + oy) in index and constrained[index[(x + ox, y + oy)]]
+        ]
+        for x, y in cells
+    ]
+    return constrained, interior, targets
+
+
 def circulant_class_rows(ds, colors) -> list[list[int]] | None:
     """Color-wise neighbor counts per color on Z_T, or None if a class disagrees.
 

@@ -451,6 +451,30 @@ def test_grid_node_budget_reaches_every_search(capsys):
     assert json.loads(out)["certificate"]["complete"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, code_at_zero",
+    [
+        (["grid", "patch-search", "--grid", "square", "--b", "1", "--c", "1",
+          "--width", "4", "--height", "4"], 2),
+        (["grid", "torus-search", "--grid", "square", "--p", "2", "--q", "2",
+          "--b", "1", "--c", "1"], 66),
+        (["grid", "reject", "--grid", "square", "--b", "4", "--c", "3"], 2),
+        (["circulant", "enumerate", "--d", "1", "--T", "4", "--k", "2"], 66),
+        (["circulant", "quotient", "--d", "1", "--T", "4"], 66),
+    ],
+    ids=["patch-search", "torus-search", "reject", "enumerate", "quotient"],
+)
+def test_negative_node_budget_is_a_usage_error(capsys, argv, code_at_zero):
+    for budget in ("-5", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--node-budget", budget])
+        assert exc.value.code == 64
+        assert f"--node-budget: must be non-negative, not {budget}" in capsys.readouterr().err
+    # a budget of 0 is accepted and then spent or refused like any other
+    code, _ = run(capsys, [*argv, "--node-budget", "0"])
+    assert code == code_at_zero
+
+
 def test_grid_torus_search_refuses_huge_torus_before_building(capsys, monkeypatch):
     def no_lists(*args):
         raise AssertionError("quotient built")

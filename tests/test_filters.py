@@ -12,6 +12,7 @@ from perfcolor.coloring import (
     two_color_matrix,
     two_color_params,
 )
+from perfcolor import filters
 from perfcolor.filters import (
     DistanceRegularData,
     PairContext,
@@ -388,3 +389,33 @@ def test_distance_regular_data_balls_and_images(g):
             assert data.check(s, radius, 0, u, 1, 3) == drg_check(g, s, radius, 0, u, 1, 3)
     with pytest.raises(ValueError, match="radius"):
         data.check(s, data.diameter + 1, 0, 1, 1, 1)
+
+
+def test_drg_check_prepares_each_graph_once(monkeypatch):
+    filters._distance_regular_data.cache_clear()
+    s = RationalMatrix([[0, 2], [1, 1]])
+    graphs = [cycle(6), petersen(), cycle(6)]  # equal graphs share one preparation
+    expected = [[DistanceRegularData(g).check(s, 2, 0, u, 1, 2) for u in range(g.n)] for g in graphs]
+    prepared = []
+    real = filters.intersection_array
+    monkeypatch.setattr(filters, "intersection_array", lambda g: prepared.append(g) or real(g))
+    for g, verdicts in zip(graphs, expected):
+        assert [drg_check(g, s, 2, 0, u, 1, 2) for u in range(g.n)] == verdicts
+    assert prepared == [cycle(6), petersen()]
+    # a graph over the vertex cap is prepared for each call and not kept
+    monkeypatch.setattr(filters, "_KEPT_GRAPH_VERTICES", 5)
+    for _ in range(2):
+        assert drg_check(cycle(6), s, 2, 0, 3, 1, 2) == expected[0][3]
+    assert prepared == [cycle(6), petersen(), cycle(6), cycle(6)]
+
+
+def test_distance_regular_data_keeps_a_bounded_number_of_images():
+    data = DistanceRegularData(cycle(5))
+    matrices = [RationalMatrix([[t, 2 - t], [1, 1]]) for t in range(filters._IMAGES_KEPT + 5)]
+    for s in matrices:
+        data.images(s, 1)
+    assert len(data._images) == filters._IMAGES_KEPT
+    assert (matrices[0], 1) not in data._images
+    assert (matrices[-1], 1) in data._images
+    # a dropped image is rebuilt unchanged
+    assert data.images(matrices[0], 1) == DistanceRegularData(cycle(5)).images(matrices[0], 1)

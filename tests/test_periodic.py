@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ from helpers import (
     lattice_neighbor_counts,
     normalized_coloring,
     rotation_renaming_canonical,
+    window_by_coordinates,
 )
 from perfcolor import periodic
 from perfcolor.coloring import Coloring, TwoColorParams, induced_parameters
@@ -25,8 +27,10 @@ from perfcolor.periodic import (
     SearchStatus,
     _backtrack,
     _cyclic_canonical,
+    _delta_table,
     _lattice_basis,
     _lattice_neighbors,
+    _window,
     circulant_enumerate,
     circulant_h,
     circulant_period_filter,
@@ -576,8 +580,15 @@ def test_backtrack_requires_cell_weight_equal_to_row_sums():
     # yet the engine only cuts colors over target, so it refuses such input
     with pytest.raises(ValueError, match="row sum"):
         _backtrack(
-            RationalMatrix([[2]]), [[(0, 1)]], [True], [(1,)], lambda colors: True,
+            RationalMatrix([[2]]), [[(0, 1)]], [True], frozenset({1}), [(1,)], lambda colors: True,
             all_colors=False, find_all=False, node_budget=10,
+        )
+    # cells seeing totals 1 and 2 against rows summing to 1 and 2: not one common total
+    affected = [[(0, 1), (1, 1)], [(1, 1)]]
+    with pytest.raises(ValueError, match="row sum"):
+        _backtrack(
+            RationalMatrix([[1, 0], [0, 2]]), affected, [True, True], frozenset({1, 2}),
+            [(1, 2), (1, 2)], lambda colors: True, all_colors=False, find_all=False, node_budget=10,
         )
 
 
@@ -695,6 +706,49 @@ def test_grid_reject_quotient_over_node_budget(monkeypatch):
 def test_grid_reject_valency_check():
     with pytest.raises(ValueError):
         grid_reject_2color(GridSpec.square(), params(1, 1, 6))
+
+
+def test_negative_node_budget_raises():
+    searches = [
+        lambda budget: patch_search(GridSpec.square(), (1, 1), (4, 4), node_budget=budget),
+        lambda budget: torus_search(GridSpec.square(), (2, 2), (1, 1), node_budget=budget),
+        lambda budget: grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=budget),
+        lambda budget: circulant_enumerate(CirculantSpec((1,)), 4, 2, node_budget=budget),
+    ]
+    for search in searches:
+        for budget in (-1, -5):
+            with pytest.raises(ValueError, match="non-negative"):
+                search(budget)
+
+
+# --- prepared geometry --------------------------------------------------------------------------
+
+GEOMETRY_SPECS = [GridSpec.square(), GridSpec.triangular(), GridSpec.parse("1,0;0,1;1,2")]
+GEOMETRY_IDS = ["square", "triangular", "radius-2"]
+
+
+@pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
+def test_window_matches_coordinate_oracle(spec):
+    for width in range(1, 10):
+        for height in range(1, 10):
+            constrained, interior, affected, totals = _window(spec, width, height)
+            flags, cells, targets = window_by_coordinates(spec.offsets, width, height)
+            assert (list(constrained), list(interior)) == (flags, cells)
+            assert list(map(Counter, affected)) == list(map(Counter, targets))
+            seen = Counter(w for column in targets for w, _ in column)
+            assert totals == frozenset(seen[w] for w in cells)
+
+
+def test_grid_reject_reads_one_delta_table_per_grid_and_window():
+    spec = GridSpec.triangular()
+    _delta_table.cache_clear()
+    deltas = [(dx, dy) for dx in range(4) for dy in range(-3, 4) if dx > 0 or dy > 0]
+    for b, c in product(range(1, 7), repeat=2):
+        report = grid_reject_2color(spec, params(b, c, 6), window=3)
+        assert [(d.delta, d.h, d.adjacent) for d in report.per_delta] == [
+            (delta, *grid_h(spec, delta)) for delta in deltas
+        ]
+    assert (_delta_table.cache_info().misses, _delta_table.cache_info().hits) == (1, 35)
 
 
 # --- symmetries and canonical forms ---------------------------------------------------------------
