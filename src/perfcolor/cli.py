@@ -22,7 +22,6 @@ from .coloring import (
     imperfection_witness,
     induced_parameters,
     make_triple,
-    two_color_matrix,
     verify_perfect,
 )
 from .filters import (
@@ -79,33 +78,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, what: str, cls):
+    """``cls.from_json`` of the JSON in ``path``; ``what`` names the kind in errors."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return cls.from_json(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliDataError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> RationalMatrix:
-    try:
-        return RationalMatrix.from_json(_load_json(path))
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliDataError(f"bad matrix in {path}: {exc}") from exc
-
-
-def _load_graph(path: str) -> Graph:
-    try:
-        return Graph.from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliDataError(f"bad graph in {path}: {exc}") from exc
-
-
-def _load_coloring(path: str) -> Coloring:
-    try:
-        return Coloring.from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliDataError(f"bad coloring in {path}: {exc}") from exc
+        raise CliDataError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _grid_spec(args) -> GridSpec:
@@ -130,10 +111,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _emit(obj, args, text: str | None = None) -> None:
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        print(text if text is not None else json.dumps(obj, indent=2))
+    """Print ``obj`` as JSON, or ``text`` in text format when there is one."""
+    print(text if args.format == "text" and text is not None else _json_rows(obj))
 
 
 def _verdict_row(verdict, **extra) -> dict:
@@ -150,15 +129,16 @@ _JSON_SCALARS = {
 }
 
 
-def _json_rows(rows: list[dict]) -> str:
-    """``json.dumps(rows, indent=2)``, written directly for non-empty rows of scalars.
+def _json_rows(obj) -> str:
+    """``json.dumps(obj, indent=2)``, written directly for a non-empty list of rows of scalars.
 
     With ``indent`` set the json module encodes in pure Python.  Anything
-    else, such as a nested dict, is left to ``json.dumps``.
+    else, such as a dict or a row holding a dict, is left to ``json.dumps``.
     """
+    rows = obj if type(obj) is list else []
     scalars = (type(k) is str and type(v) in _JSON_SCALARS for row in rows for k, v in row.items())
-    if not (rows and all(rows) and all(scalars)):
-        return json.dumps(rows, indent=2)
+    if not (rows and all(type(row) is dict and row for row in rows) and all(scalars)):
+        return json.dumps(obj, indent=2)
     objects = (
         ",\n".join(f"    {encode_basestring_ascii(k)}: {_JSON_SCALARS[type(v)](v)}" for k, v in row.items())
         for row in rows
@@ -167,37 +147,29 @@ def _json_rows(rows: list[dict]) -> str:
 
 
 def _finish_rows(rows: list[dict], args) -> int:
-    if args.format == "json":
-        print(_json_rows(rows))
-    else:
-        print("\n".join(" ".join(f"{k}={v}" for k, v in row.items() if v is not None) for row in rows))
-    if any(row["status"] == VerdictStatus.INFEASIBLE.value for row in rows):
-        return EXIT_REJECTED
-    if all(row["status"] == VerdictStatus.FEASIBLE.value for row in rows):
-        return EXIT_OK
-    return EXIT_INCONCLUSIVE
+    """Print verdict rows; exit with the code of the worst status, 0 for no rows."""
+    text = None
+    if args.format == "text":
+        text = "\n".join(" ".join(f"{k}={v}" for k, v in row.items() if v is not None) for row in rows)
+    _emit(rows, args, text)
+    codes = {_STATUS_EXITS[VerdictStatus(status)] for status in {row["status"] for row in rows}}
+    return EXIT_REJECTED if EXIT_REJECTED in codes else max(codes, default=EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers, one per leaf of the parser
 
 
-def _cmd_graph(args) -> int:
-    if args.which == "cycle":
-        g = cycle(args.n)
-    elif args.which == "complete":
-        g = complete(args.n)
-    else:
-        g = petersen()
+def _show_graph(g: Graph, args) -> int:
     _emit(g.to_json(), args)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    f = _load_coloring(args.coloring)
+    g = _load(args.graph, "graph", Graph)
+    f = _load(args.coloring, "coloring", Coloring)
     if args.s:
-        s = _load_matrix(args.s)
+        s = _load(args.s, "matrix", RationalMatrix)
         triple = make_triple(g, f, s)
         result = verify_perfect(triple)
         obj = {
@@ -228,7 +200,7 @@ def _cmd_verify(args) -> int:
 def _requested_pairs(args, n: int) -> list[tuple[int, int, int, int]]:
     """(u, v, i, j) for every vertex pair u < v of --coloring, or the one pair given by flags."""
     if args.coloring:
-        f = _load_coloring(args.coloring)
+        f = _load(args.coloring, "coloring", Coloring)
         if f.n != n:
             raise CliDataError(f"coloring has {f.n} entries but the graph has {n} vertices")
         return [(u, v, f.colors[u], f.colors[v]) for u in range(n) for v in range(u + 1, n)]
@@ -237,15 +209,16 @@ def _requested_pairs(args, n: int) -> list[tuple[int, int, int, int]]:
     return [(args.u, args.v, args.i, args.j)]
 
 
-def _pair_scan(args, l: int | None) -> int:
-    """Row-distance bound on M^l against S^l for each requested pair; M against S when l is None.
+def _pair_scan(args) -> int:
+    """Row-distance bound on M^l against S^l for each requested pair; M against S without --l.
 
     The powers are taken once, before the scan.
     """
-    m = _load_matrix(args.m)
-    s = _load_matrix(args.s)
+    m = _load(args.m, "matrix", RationalMatrix)
+    s = _load(args.s, "matrix", RationalMatrix)
     pairs = _requested_pairs(args, m.rows)
     extra = {}
+    l = getattr(args, "l", None)  # only `filter power` declares --l
     if l is not None:
         if l < 1:
             raise ValueError("power must be a positive integer")
@@ -258,12 +231,8 @@ def _pair_scan(args, l: int | None) -> int:
     return _finish_rows(rows, args)
 
 
-def _cmd_filter_pair(args) -> int:
-    return _pair_scan(args, None)
-
-
 def _cmd_filter_simple(args) -> int:
-    s = _load_matrix(args.s)
+    s = _load(args.s, "matrix", RationalMatrix)
     ctx = PairContext(rat(args.r), args.h, args.adjacent)
     rows = [
         _verdict_row(simple_pair_bound(ctx, s, args.i, args.j), i=args.i, j=args.j, h=args.h)
@@ -287,13 +256,9 @@ def _cmd_filter_two_color(args) -> int:
     return _finish_rows([row], args)
 
 
-def _cmd_filter_power(args) -> int:
-    return _pair_scan(args, args.l)
-
-
 def _cmd_filter_drg(args) -> int:
-    g = _load_graph(args.graph)
-    s = _load_matrix(args.s)
+    g = _load(args.graph, "graph", Graph)
+    s = _load(args.s, "matrix", RationalMatrix)
     pairs = _requested_pairs(args, g.n)
     data = DistanceRegularData(g)
     rows = []
@@ -304,31 +269,39 @@ def _cmd_filter_drg(args) -> int:
     return _finish_rows(rows, args)
 
 
-def _cmd_circulant(args) -> int:
+def _cmd_circulant_h(args) -> int:
     spec = CirculantSpec.parse(args.d)
-    if args.which == "h":
-        h = circulant_h(spec, args.t)
-        _emit({"h": h, "t": args.t, "d": list(spec.ds)}, args, f"h = {h}")
-        return EXIT_OK
-    if args.which == "period-filter":
-        params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
-        constraint = circulant_period_filter(spec, params, args.t_max)
-        obj = {"fired": list(constraint.fired), "period_divides": constraint.divides}
-        text = (
-            f"period divides {constraint.divides} (fired at t = {list(constraint.fired)})"
-            if constraint.divides
-            else "no period constraint in range"
+    h = circulant_h(spec, args.t)
+    _emit({"h": h, "t": args.t, "d": list(spec.ds)}, args, f"h = {h}")
+    return EXIT_OK
+
+
+def _cmd_circulant_period_filter(args) -> int:
+    spec = CirculantSpec.parse(args.d)
+    params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
+    constraint = circulant_period_filter(spec, params, args.t_max)
+    obj = {"fired": list(constraint.fired), "period_divides": constraint.divides}
+    text = (
+        f"period divides {constraint.divides} (fired at t = {list(constraint.fired)})"
+        if constraint.divides
+        else "no period constraint in range"
+    )
+    _emit(obj, args, text)
+    return EXIT_OK
+
+
+def _cmd_circulant_quotient(args) -> int:
+    spec = CirculantSpec.parse(args.d)
+    if args.T > 0 and args.T**2 > args.node_budget:
+        raise BudgetExceededError(
+            f"{args.T}^2 quotient entries exceed the node budget of {args.node_budget}"
         )
-        _emit(obj, args, text)
-        return EXIT_OK
-    if args.which == "quotient":
-        if args.T > 0 and args.T**2 > args.node_budget:
-            raise BudgetExceededError(
-                f"{args.T}^2 quotient entries exceed the node budget of {args.node_budget}"
-            )
-        _emit(circulant_quotient(spec, args.T).to_json(), args)
-        return EXIT_OK
-    # enumerate
+    _emit(circulant_quotient(spec, args.T).to_json(), args)
+    return EXIT_OK
+
+
+def _cmd_circulant_enumerate(args) -> int:
+    spec = CirculantSpec.parse(args.d)
     found = circulant_enumerate(spec, args.T, args.k, node_budget=args.node_budget)
     obj = []
     for entry in found:
@@ -345,92 +318,87 @@ def _cmd_circulant(args) -> int:
     return EXIT_OK
 
 
-def _cmd_grid(args) -> int:
+def _cmd_grid_h(args) -> int:
     spec = _grid_spec(args)
-    if args.which == "h":
-        delta = _parse_pair(args.delta)
-        h, adjacent = grid_h(spec, delta)
-        _emit(
-            {"delta": list(delta), "h": h, "adjacent": adjacent},
-            args,
-            f"delta {delta}: h = {h}, adjacent = {adjacent}",
-        )
-        return EXIT_OK
-    if args.which == "reject":
-        params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
-        report = grid_reject_2color(
-            spec, params, window=args.window, node_budget=args.node_budget
-        )
-        obj = {
-            "status": report.verdict.status.value,
-            "violated": report.verdict.violated,
-            "note": report.note,
-            "monochromatic": [list(d) for d in report.monochromatic],
-            "deltas": [
-                dict(delta=list(d.delta), h=d.h, adjacent=d.adjacent, **d.verdict.to_json())
-                for d in report.per_delta
-            ],
-        }
-        lines = [f"overall: {report.verdict.status.value}"]
-        if report.verdict.violated:
-            lines.append(report.verdict.violated)
-        if report.note:
-            lines.append(report.note)
-        for d in report.per_delta:
-            if d.verdict.infeasible:
-                lines.append(
-                    f"delta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
-                )
-        _emit(obj, args, "\n".join(lines))
-        return _STATUS_EXITS[report.verdict.status]
-    if args.which == "torus-search":
-        target = _target_from_args(args, spec)
-        outcome = torus_search(
-            spec, (args.p, args.q), target,
-            node_budget=args.node_budget, find_all=args.all,
-        )
-        _emit(outcome.to_json(), args, _outcome_text(outcome))
-        return _STATUS_EXITS[outcome.status]
-    # patch-search
-    target = _target_from_args(args, spec)
-    outcome = patch_search(
-        spec,
-        target,
-        (args.width, args.height),
-        node_budget=args.node_budget,
-        require_two_interior_colors=args.require_two_colors,
+    delta = _parse_pair(args.delta)
+    h, adjacent = grid_h(spec, delta)
+    _emit(
+        {"delta": list(delta), "h": h, "adjacent": adjacent},
+        args,
+        f"delta {delta}: h = {h}, adjacent = {adjacent}",
     )
-    _emit(outcome.to_json(), args, _outcome_text(outcome))
-    return _STATUS_EXITS[outcome.status]
+    return EXIT_OK
 
 
-def _target_from_args(args, spec: GridSpec):
+def _cmd_grid_reject(args) -> int:
+    spec = _grid_spec(args)
+    params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
+    report = grid_reject_2color(spec, params, window=args.window, node_budget=args.node_budget)
+    obj = {
+        "status": report.verdict.status.value,
+        "violated": report.verdict.violated,
+        "note": report.note,
+        "monochromatic": [list(d) for d in report.monochromatic],
+        "deltas": [
+            dict(delta=list(d.delta), h=d.h, adjacent=d.adjacent, **d.verdict.to_json())
+            for d in report.per_delta
+        ],
+    }
+    lines = [f"overall: {report.verdict.status.value}"]
+    if report.verdict.violated:
+        lines.append(report.verdict.violated)
+    if report.note:
+        lines.append(report.note)
+    for d in report.per_delta:
+        if d.verdict.infeasible:
+            lines.append(
+                f"delta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
+            )
+    _emit(obj, args, "\n".join(lines))
+    return _STATUS_EXITS[report.verdict.status]
+
+
+def _cmd_torus_search(args) -> int:
+    spec = _grid_spec(args)
+    outcome = torus_search(
+        spec, (args.p, args.q), _target_from_args(args),
+        node_budget=args.node_budget, find_all=args.all,
+    )
+    return _finish_search(outcome, args)
+
+
+def _cmd_patch_search(args) -> int:
+    spec = _grid_spec(args)
+    outcome = patch_search(
+        spec, _target_from_args(args), (args.width, args.height), node_budget=args.node_budget
+    )
+    return _finish_search(outcome, args)
+
+
+def _target_from_args(args):
+    """The --s matrix, or (b, c), which the searches turn into a matrix themselves."""
     if args.s:
-        return _load_matrix(args.s)
+        return _load(args.s, "matrix", RationalMatrix)
     if args.b is None or args.c is None:
         raise CliDataError("give --b and --c, or --s with a parameter matrix")
-    return two_color_matrix(rat(args.b), rat(args.c), Fraction(spec.valency))
+    return (rat(args.b), rat(args.c))
 
 
-def _outcome_text(outcome) -> str:
+def _finish_search(outcome, args) -> int:
     lines = [f"{outcome.status.value}: {outcome.stats.detail}"]
     for w in outcome.witnesses:
         lines.append(f"witness colors {list(w.colors)}")
     lines.append(f"nodes expanded: {outcome.stats.nodes}")
-    return "\n".join(lines)
+    _emit(outcome.to_json(), args, "\n".join(lines))
+    return _STATUS_EXITS[outcome.status]
 
 
 def _cmd_repro(args) -> int:
     items = repro.run_suite(max_patch_side=args.patch_max)
-    if args.format == "json":
-        print(_json_rows([{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items]))
-    else:
-        width = max(len(i.name) for i in items)
-        for item in items:
-            mark = "PASS" if item.passed else "FAIL"
-            print(f"[{mark}] {item.name.ljust(width)}  {item.detail}")
-        total = sum(i.passed for i in items)
-        print(f"{total}/{len(items)} checks passed")
+    width = max(len(i.name) for i in items)
+    lines = [f"[{'PASS' if i.passed else 'FAIL'}] {i.name.ljust(width)}  {i.detail}" for i in items]
+    lines.append(f"{sum(i.passed for i in items)}/{len(items)} checks passed")
+    _emit([{"name": i.name, "passed": i.passed, "detail": i.detail} for i in items], args, "\n".join(lines))
     return EXIT_OK if all(i.passed for i in items) else EXIT_REJECTED
 
 
@@ -438,18 +406,27 @@ def _cmd_repro(args) -> int:
 # parser wiring
 
 
-def _node_budget(text: str) -> int:
-    """A --node-budget value: a non-negative integer, else a usage error."""
+def _int_at_least(text: str, least: int, bound: str) -> int:
+    """An int option value of at least ``least``, else a usage error saying it must be ``bound``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be {bound}, not {value}")
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, node_budget: bool = False) -> None:
+def _node_budget(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
+
+
+def _window(text: str) -> int:
+    return _int_at_least(text, 1, "at least 1")
+
+
+def _add_common(sub: argparse.ArgumentParser, run, node_budget: bool = False) -> None:
+    """Close a leaf's declaration: its --format, its --node-budget if it searches, and its handler."""
     sub.add_argument("--format", choices=("json", "text"), default="text")
     if node_budget:
         sub.add_argument(
@@ -460,6 +437,7 @@ def _add_common(sub: argparse.ArgumentParser, node_budget: bool = False) -> None
             "a census canonical check compares. A longer census period, a torus or grid reject "
             "quotient with more vertices, or a circulant quotient of over N entries is refused",
         )
+    sub.set_defaults(run=run)
 
 
 def build_parser() -> _Parser:
@@ -468,28 +446,31 @@ def build_parser() -> _Parser:
 
     p_graph = top.add_parser("graph", help="emit a named graph as JSON")
     graph_sub = p_graph.add_subparsers(dest="which", required=True)
-    for name in ("cycle", "complete"):
+    for name, build in (("cycle", cycle), ("complete", complete)):
         sp = graph_sub.add_parser(name)
         sp.add_argument("--n", type=int, required=True)
-        _add_common(sp)
-    _add_common(graph_sub.add_parser("petersen"))
+        _add_common(sp, lambda args, build=build: _show_graph(build(args.n), args))
+    _add_common(graph_sub.add_parser("petersen"), lambda args: _show_graph(petersen(), args))
 
     p_verify = top.add_parser("verify", help="check that a coloring is perfect")
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("--coloring", required=True)
     p_verify.add_argument("--s", help="parameter matrix; induced from the coloring if omitted")
-    _add_common(p_verify)
+    _add_common(p_verify, _cmd_verify)
 
     p_filter = top.add_parser("filter", help="run a rejection filter")
     filter_sub = p_filter.add_subparsers(dest="which", required=True)
 
+    def add_pairs(sp, coloring_help=None):
+        for flag in ("--u", "--v", "--i", "--j"):
+            sp.add_argument(flag, type=int)
+        sp.add_argument("--coloring", help=coloring_help)
+
     fp = filter_sub.add_parser("pair", help="row-distance bound d(M_u,M_v) >= d(S_i,S_j)")
     fp.add_argument("--m", required=True)
     fp.add_argument("--s", required=True)
-    for flag in ("--u", "--v", "--i", "--j"):
-        fp.add_argument(flag, type=int)
-    fp.add_argument("--coloring", help="scan all vertex pairs of this coloring")
-    _add_common(fp)
+    add_pairs(fp, "scan all vertex pairs of this coloring")
+    _add_common(fp, _pair_scan)
 
     fs = filter_sub.add_parser("simple", help="simple-graph bound d(S_i,S_j) <= 2(r-h)")
     fs.add_argument("--s", required=True)
@@ -498,7 +479,7 @@ def build_parser() -> _Parser:
     fs.add_argument("--adjacent", action="store_true")
     fs.add_argument("--i", type=int, required=True)
     fs.add_argument("--j", type=int, required=True)
-    _add_common(fs)
+    _add_common(fs, _cmd_filter_simple)
 
     ft = filter_sub.add_parser("two-color", help="window h <= b+c <= 2r-h (h+2 if adjacent)")
     ft.add_argument("--r", required=True)
@@ -506,47 +487,43 @@ def build_parser() -> _Parser:
     ft.add_argument("--adjacent", action="store_true")
     ft.add_argument("--b", required=True)
     ft.add_argument("--c", required=True)
-    _add_common(ft)
+    _add_common(ft, _cmd_filter_two_color)
 
     fw = filter_sub.add_parser("power", help="row-distance bound on M^l against S^l")
     fw.add_argument("--m", required=True)
     fw.add_argument("--s", required=True)
     fw.add_argument("--l", type=int, required=True)
-    for flag in ("--u", "--v", "--i", "--j"):
-        fw.add_argument(flag, type=int)
-    fw.add_argument("--coloring")
-    _add_common(fw)
+    add_pairs(fw)
+    _add_common(fw, _pair_scan)
 
     fd = filter_sub.add_parser("drg", help="ball/sphere bounds in a distance-regular graph")
     fd.add_argument("--graph", required=True)
     fd.add_argument("--s", required=True)
     fd.add_argument("--radius", type=int, required=True)
-    for flag in ("--u", "--v", "--i", "--j"):
-        fd.add_argument(flag, type=int)
-    fd.add_argument("--coloring")
-    _add_common(fd)
+    add_pairs(fd)
+    _add_common(fd, _cmd_filter_drg)
 
     p_circ = top.add_parser("circulant", help="circulant graph tools")
     circ_sub = p_circ.add_subparsers(dest="which", required=True)
     ch = circ_sub.add_parser("h", help="common neighbors of x and x+t")
     ch.add_argument("--d", required=True, help="connection multiset, e.g. 1,2,4")
     ch.add_argument("--t", type=int, required=True)
-    _add_common(ch)
+    _add_common(ch, _cmd_circulant_h)
     cp = circ_sub.add_parser("period-filter", help="period divisibility constraints")
     cp.add_argument("--d", required=True)
     cp.add_argument("--b", required=True)
     cp.add_argument("--c", required=True)
     cp.add_argument("--t-max", type=int, required=True)
-    _add_common(cp)
+    _add_common(cp, _cmd_circulant_period_filter)
     cq = circ_sub.add_parser("quotient", help="quotient multigraph on Z_T")
     cq.add_argument("--d", required=True)
     cq.add_argument("--T", type=int, required=True)
-    _add_common(cq, node_budget=True)
+    _add_common(cq, _cmd_circulant_quotient, node_budget=True)
     ce = circ_sub.add_parser("enumerate", help="all perfect colorings of period T")
     ce.add_argument("--d", required=True)
     ce.add_argument("--T", type=int, required=True)
     ce.add_argument("--k", type=int, required=True)
-    _add_common(ce, node_budget=True)
+    _add_common(ce, _cmd_circulant_enumerate, node_budget=True)
 
     p_grid = top.add_parser("grid", help="plane grid tools")
     grid_sub = p_grid.add_subparsers(dest="which", required=True)
@@ -558,13 +535,13 @@ def build_parser() -> _Parser:
     gh = grid_sub.add_parser("h", help="common neighbors of x and x+delta")
     add_grid_spec(gh)
     gh.add_argument("--delta", required=True, help="difference, e.g. 1,1")
-    _add_common(gh)
+    _add_common(gh, _cmd_grid_h)
     gr = grid_sub.add_parser("reject", help="two-color window scan over differences")
     add_grid_spec(gr)
     gr.add_argument("--b", required=True)
     gr.add_argument("--c", required=True)
-    gr.add_argument("--window", type=int)
-    _add_common(gr, node_budget=True)
+    gr.add_argument("--window", type=_window)
+    _add_common(gr, _cmd_grid_reject, node_budget=True)
     gt = grid_sub.add_parser("torus-search", help="witness search at fixed periods")
     add_grid_spec(gt)
     gt.add_argument("--p", type=int, required=True)
@@ -573,7 +550,7 @@ def build_parser() -> _Parser:
     gt.add_argument("--c")
     gt.add_argument("--s", help="explicit parameter matrix JSON")
     gt.add_argument("--all", action="store_true", help="collect every witness")
-    _add_common(gt, node_budget=True)
+    _add_common(gt, _cmd_torus_search, node_budget=True)
     gp = grid_sub.add_parser("patch-search", help="exhaustive window nonexistence search")
     add_grid_spec(gp)
     gp.add_argument("--b")
@@ -581,32 +558,14 @@ def build_parser() -> _Parser:
     gp.add_argument("--s")
     gp.add_argument("--width", type=int, required=True)
     gp.add_argument("--height", type=int, required=True)
-    gp.add_argument("--require-two-colors", action="store_true")
-    _add_common(gp, node_budget=True)
+    _add_common(gp, _cmd_patch_search, node_budget=True)
 
     p_repro = top.add_parser("repro", help="re-derive the bundled grid and circulant results")
     p_repro.add_argument("suite", nargs="?", default="paper", choices=("paper",))
     p_repro.add_argument("--patch-max", type=int, default=8)
-    _add_common(p_repro)
+    _add_common(p_repro, _cmd_repro)
 
     return parser
-
-
-_HANDLERS = {
-    "graph": _cmd_graph,
-    "verify": _cmd_verify,
-    "circulant": _cmd_circulant,
-    "grid": _cmd_grid,
-    "repro": _cmd_repro,
-}
-
-_FILTER_HANDLERS = {
-    "pair": _cmd_filter_pair,
-    "simple": _cmd_filter_simple,
-    "two-color": _cmd_filter_two_color,
-    "power": _cmd_filter_power,
-    "drg": _cmd_filter_drg,
-}
 
 
 @cache
@@ -621,9 +580,7 @@ def _parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "filter":
-            return _FILTER_HANDLERS[args.which](args)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except CliDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

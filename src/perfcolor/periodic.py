@@ -33,7 +33,6 @@ search at fixed periods is only INCONCLUSIVE.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -507,7 +506,6 @@ def _backtrack(
     constrained: list[bool],
     totals: frozenset[int],
     allowed: list[tuple[int, ...]],
-    accept: Callable[[tuple[int, ...]], bool],
     *,
     all_colors: bool,
     find_all: bool,
@@ -525,12 +523,12 @@ def _backtrack(
     meets every row exactly, so colors short of their target need no cut.
     Cell u tries the colors ``allowed[u]`` in order.  With ``all_colors`` a
     branch ends once the unused colors outnumber the cells left.  Complete
-    colorings that pass ``accept`` are collected, only the first unless
-    ``find_all``.  Each color tried at a cell is one node; the search stops
-    after ``node_budget`` of them.  The rows of S are scaled to integers by
-    its denominator, and the weights with them when it is not 1; one "next
-    choice" index per cell stands in for recursion, so no window is too deep
-    for the interpreter stack.
+    colorings are collected, only the first unless ``find_all``.  Each color
+    tried at a cell is one node; the search stops after ``node_budget`` of
+    them.  The rows of S are scaled to integers by its denominator, and the
+    weights with them when it is not 1; one "next choice" index per cell
+    stands in for recursion, so no window is too deep for the interpreter
+    stack.
 
     Returns (colorings, nodes expanded, search completed).
     """
@@ -552,11 +550,9 @@ def _backtrack(
     u = 0
     while True:
         if u == n:
-            colors = tuple(color)
-            if accept(colors):
-                found.append(colors)
-                if not find_all:
-                    return found, nodes, True
+            found.append(tuple(color))
+            if not find_all:
+                return found, nodes, True
             u -= 1
         elif next_choice[u] < len(allowed[u]):
             c = allowed[u][next_choice[u]]
@@ -597,14 +593,13 @@ def _quotient_colorings(
     """Colorings of a symmetric quotient (u's list is who sees u) in all k colors meeting S."""
     n, k = len(nbrs), s.rows
     totals = frozenset(sum(a for _, a in row) for row in nbrs)
-
-    def accept(colors: tuple[int, ...]) -> bool:
-        return _class_sums(nbrs, 1, colors, k, s)[1] is None  # defensive re-check
-
     found, nodes, complete = _backtrack(
-        s, nbrs, [True] * n, totals, [tuple(range(1, k + 1))] * n, accept,
+        s, nbrs, [True] * n, totals, [tuple(range(1, k + 1))] * n,
         all_colors=True, find_all=find_all, node_budget=node_budget,
     )
+    for colors in found:  # the engine's colorings meet S; a mismatch here is a fault in it
+        if _class_sums(nbrs, 1, colors, k, s)[1] is not None:
+            raise AssertionError(f"search returned a coloring that misses S: {colors}")
     return [Coloring(colors, k) for colors in found], nodes, complete
 
 
@@ -751,15 +746,20 @@ def grid_reject_2color(
     the window fired, and INCONCLUSIVE means directions fired without a
     contradiction within ``node_budget``.  That caps the quotient searches
     of both orientations together; a quotient with more vertices is not built.
-    The tables of differences of the last eight grids and windows asked
-    about are kept, so the calls for every (b, c) on one grid read one table.
+    ``window`` (default twice the offsets' radius) must be at least 1.  The
+    tables of differences of the last eight grids and windows asked about
+    are kept, so the calls for every (b, c) on one grid read one table.
     """
     if params.r != spec.valency:
         raise ValueError(f"parameter valency {params.r} != |offsets| = {spec.valency}")
     _check_node_budget(node_budget)
+    if window is None:
+        window = 2 * spec.radius
+    if window < 1:
+        raise ValueError(f"the window must be at least 1, not {window}")
     per_delta = []
     mono = []
-    table = _delta_table(spec, window if window is not None else 2 * spec.radius)
+    table = _delta_table(spec, window)
     for delta, h, adjacent, ctx in table:
         verdict = two_color_check(ctx, params)
         per_delta.append(DeltaVerdict(delta, h, adjacent, verdict))
@@ -845,7 +845,6 @@ def patch_search(
     size: tuple[int, int],
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    require_two_interior_colors: bool = False,
 ) -> SearchOutcome:
     """Exhaust colorings of a finite window with exact constraints inside.
 
@@ -860,11 +859,6 @@ def patch_search(
     coloring whose restriction colors that cell 2 turns into a valid
     pinned coloring of the swapped orientation, so the pair of runs is
     still exhaustive.  Explicit matrix targets are searched unpinned.
-
-    ``require_two_interior_colors`` additionally demands two distinct
-    interior colors; only sound for callers that separately rule out
-    colorings whose interior is constant (e.g. when b >= 1 and the interior
-    is deep enough that a constant interior violates its own row).
     """
     width, height = size
     if width < 1 or height < 1:
@@ -883,16 +877,13 @@ def patch_search(
         if b != c:
             runs.append((two_color_matrix(c, b, spec.valency), True))
 
-    def accept(colors: tuple[int, ...]) -> bool:
-        return not require_two_interior_colors or len({colors[u] for u in interior}) > 1
-
     total_nodes = 0
     for s, pin_first in runs:
         allowed = [tuple(range(1, s.rows + 1))] * width * height
         if pin_first:
             allowed[interior[0]] = (1,)
         found, nodes, complete = _backtrack(
-            s, affected, constrained, totals, allowed, accept,
+            s, affected, constrained, totals, allowed,
             all_colors=False, find_all=False, node_budget=node_budget - total_nodes,
         )
         total_nodes += nodes

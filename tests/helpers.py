@@ -120,11 +120,11 @@ def brute_force_torus_colorings(offsets, periods, rows) -> set[tuple[int, ...]]:
     }
 
 
-def brute_force_window_colorable(offsets, size, rows, two_interior_colors=False) -> bool:
+def brute_force_window_colorable(offsets, size, rows) -> bool:
     """Whether some coloring of the window has every interior cell seeing its row.
 
     Interior cells are those whose neighbors all lie in the width x height
-    window; with ``two_interior_colors`` the interior must not be constant.
+    window.
     """
     width, height = size
     cells = [(x, y) for y in range(height) for x in range(width)]
@@ -134,10 +134,7 @@ def brute_force_window_colorable(offsets, size, rows, two_interior_colors=False)
         for x, y in cells
     ]
     interior = [u for u, nbrs in enumerate(neighbors) if len(nbrs) == len(offsets)]
-    return any(
-        not two_interior_colors or len({colors[u] for u in interior}) > 1
-        for colors in _brute_force_colorings(neighbors, interior, rows)
-    )
+    return next(_brute_force_colorings(neighbors, interior, rows), None) is not None
 
 
 def window_by_coordinates(offsets, width, height):

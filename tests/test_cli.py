@@ -288,6 +288,8 @@ def test_filter_output_is_byte_identical_to_json_dumps(tmp_path, capsys):
         code, out = run(capsys, [*argv, "--format", "json"])
         rows = json.loads(out)
         assert out == json_rows(rows), argv
+        statuses = {row["status"] for row in rows}  # the worst status decides; no rows exit 0
+        assert code == (1 if "infeasible" in statuses else 2 if statuses - {"feasible"} else 0), argv
         text_code, text = run(capsys, [*argv, "--format", "text"])
         assert (text_code, text) == (code, text_rows(rows)), argv
         seen.update(type(v).__name__ for row in rows for v in row.values())
@@ -304,6 +306,10 @@ def test_filter_output_is_byte_identical_to_json_dumps(tmp_path, capsys):
         [{"b": "3", "adjacent": True, "h": -2, "forced": {"only_u_color": 1, "excludes_endpoints": False}}],
         [{"x": 10**30, "y": False}, {}, {"z": [1, 2]}],
         [{1: "int key"}],
+        {"rows": 2, "cols": 2, "data": [[0, 2], [2, 0]]},
+        [1, "a", None],
+        [[{"u": 1}]],
+        "text",
     ],
 )
 def test_json_row_writer_matches_json_dumps(rows):
@@ -436,6 +442,43 @@ def test_grid_patch_search(capsys):
     )
     assert code == 1
     assert json.loads(out)["status"] == "rejected"
+
+
+@pytest.mark.parametrize(
+    "grid, b, c, side, nodes",
+    [("square", 4, 3, 8, 9588), ("triangular", 3, 1, 8, 26332), ("triangular", 5, 5, 6, 810),
+     ("square", 2, 2, 12, 13585)],
+)
+def test_grid_patch_search_counts_nodes_as_the_library(capsys, grid, b, c, side, nodes):
+    # --b --c reach patch_search as the pair (b, c), so the CLI pins a cell and
+    # searches the swapped orientation exactly as the library does
+    code, out = run(capsys, ["grid", "patch-search", "--grid", grid, "--b", str(b), "--c", str(c),
+                             "--width", str(side), "--height", str(side)])
+    spec = periodic.GridSpec.square() if grid == "square" else periodic.GridSpec.triangular()
+    outcome = periodic.patch_search(spec, (b, c), (side, side))
+    assert out.splitlines()[-1] == f"nodes expanded: {outcome.stats.nodes}"
+    assert (code, outcome.stats.nodes) == ({"rejected": 1, "inconclusive": 2}[outcome.status.value], nodes)
+
+
+def test_require_two_colors_is_gone(capsys):
+    # the knob rejected square (1,1) on a 3x3 patch, yet the 1x4 torus holds a witness
+    with pytest.raises(SystemExit) as err:
+        main(["grid", "patch-search", "--grid", "square", "--b", "1", "--c", "1",
+              "--width", "3", "--height", "3", "--require-two-colors"])
+    assert err.value.code == 64
+    assert "unrecognized arguments: --require-two-colors" in capsys.readouterr().err
+    code, out = run(capsys, ["grid", "torus-search", "--grid", "square", "--b", "1", "--c", "1",
+                             "--p", "1", "--q", "4", "--format", "json"])
+    assert (code, json.loads(out)["witness"]["colors"]) == (0, [1, 1, 2, 2])
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_grid_reject_window_below_one_is_a_usage_error(capsys, window):
+    # an empty scan of differences used to print "overall: feasible" for a rejected pair
+    with pytest.raises(SystemExit) as err:
+        main(["grid", "reject", "--grid", "square", "--b", "4", "--c", "3", "--window", window])
+    assert err.value.code == 64
+    assert f"--window: must be at least 1, not {window}" in capsys.readouterr().err
 
 
 def test_grid_node_budget_reaches_every_search(capsys):
@@ -600,10 +643,9 @@ def test_node_budget_only_where_read(tmp_path, capsys):
     assert set(leaves) == set(samples)  # a new subcommand needs a sample here
     for path, sub in leaves.items():
         args = parser.parse_args([*path, *samples[path]], namespace=_ReadRecorder())
-        handlers = cli._FILTER_HANDLERS if args.command == "filter" else cli._HANDLERS
-        handler = handlers[args.which if args.command == "filter" else args.command]
+        run_leaf = args.run
         args.reads.clear()
-        handler(args)
+        run_leaf(args)
         capsys.readouterr()
         declared = "--node-budget" in sub._option_string_actions
         assert declared == ("node_budget" in args.reads), path

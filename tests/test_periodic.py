@@ -516,6 +516,16 @@ def test_torus_search_node_budget():
     assert not outcome.stats.complete
 
 
+def test_torus_search_raises_when_a_witness_fails_its_recheck(monkeypatch):
+    # every coloring the engine returns meets S; a failed re-check is a fault, not a non-witness
+    def mismatch(nbrs, weight, colors, k, s):
+        return None, (0, 1), None
+
+    monkeypatch.setattr(periodic, "_class_sums", mismatch)
+    with pytest.raises(AssertionError, match="misses S"):
+        torus_search(GridSpec.square(), (2, 2), (4, 4))
+
+
 def test_torus_search_needs_every_color():
     # the classes of [[4,0],[0,4]] never meet, so on the connected 2x2 torus only
     # the one-color coloring meets both rows, and that is no 2-coloring
@@ -580,7 +590,7 @@ def test_backtrack_requires_cell_weight_equal_to_row_sums():
     # yet the engine only cuts colors over target, so it refuses such input
     with pytest.raises(ValueError, match="row sum"):
         _backtrack(
-            RationalMatrix([[2]]), [[(0, 1)]], [True], frozenset({1}), [(1,)], lambda colors: True,
+            RationalMatrix([[2]]), [[(0, 1)]], [True], frozenset({1}), [(1,)],
             all_colors=False, find_all=False, node_budget=10,
         )
     # cells seeing totals 1 and 2 against rows summing to 1 and 2: not one common total
@@ -588,7 +598,7 @@ def test_backtrack_requires_cell_weight_equal_to_row_sums():
     with pytest.raises(ValueError, match="row sum"):
         _backtrack(
             RationalMatrix([[1, 0], [0, 2]]), affected, [True, True], frozenset({1, 2}),
-            [(1, 2), (1, 2)], lambda colors: True, all_colors=False, find_all=False, node_budget=10,
+            [(1, 2), (1, 2)], all_colors=False, find_all=False, node_budget=10,
         )
 
 
@@ -615,10 +625,9 @@ def test_patch_search_deep_one_color_window(spec, side):
 @given(
     st.sampled_from([GridSpec.square(), GridSpec.triangular()]),
     st.sampled_from([(3, 3), (3, 4), (4, 3)]),
-    st.booleans(),
     st.data(),
 )
-def test_patch_search_matches_brute_force(spec, size, two_colors, data):
+def test_patch_search_matches_brute_force(spec, size, data):
     r = spec.valency
     if data.draw(st.booleans()):
         b, c = data.draw(st.integers(0, r)), data.draw(st.integers(0, r))
@@ -626,10 +635,10 @@ def test_patch_search_matches_brute_force(spec, size, two_colors, data):
     else:  # explicit matrix targets are searched unpinned, in one orientation
         rows = target_rows(data, data.draw(st.integers(1, 3 if size == (3, 3) else 2)), r)
         target = RationalMatrix(rows)
-    outcome = patch_search(spec, target, size, require_two_interior_colors=two_colors)
+    outcome = patch_search(spec, target, size)
     assert outcome.stats.complete
     assert (outcome.status is SearchStatus.REJECTED) == (
-        not brute_force_window_colorable(spec.offsets, size, rows, two_colors)
+        not brute_force_window_colorable(spec.offsets, size, rows)
     )
 
 
@@ -706,6 +715,13 @@ def test_grid_reject_quotient_over_node_budget(monkeypatch):
 def test_grid_reject_valency_check():
     with pytest.raises(ValueError):
         grid_reject_2color(GridSpec.square(), params(1, 1, 6))
+
+
+def test_grid_reject_window_below_one_raises():
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            grid_reject_2color(GridSpec.square(), params(4, 3, 4), window=window)
+    assert grid_reject_2color(GridSpec.square(), params(4, 3, 4), window=1).verdict.infeasible
 
 
 def test_negative_node_budget_raises():
