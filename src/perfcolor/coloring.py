@@ -12,6 +12,7 @@ are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -255,9 +256,14 @@ class TwoColorParams:
     def d(self) -> Fraction:
         return self.r - self.c
 
+    @cached_property
+    def b_plus_c(self) -> Fraction:
+        """b + c, formed once per parameter pair: window scans read it for every pair of vertices."""
+        return self.b + self.c
+
     @property
     def second_eigenvalue(self) -> Fraction:
-        return self.r - (self.b + self.c)
+        return self.r - self.b_plus_c
 
     def matrix(self) -> RationalMatrix:
         return RationalMatrix([[self.a, self.b], [self.c, self.d]])

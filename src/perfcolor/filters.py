@@ -25,7 +25,7 @@ Vertex indices are 0-based, color indices 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -89,11 +89,19 @@ class FilterVerdict:
 
 @dataclass(frozen=True)
 class PairContext:
-    """Valency r, common-neighbor count h, and adjacency of a vertex pair."""
+    """Valency r, common-neighbor count h, and adjacency of a vertex pair.
+
+    The bounds of the pair's two-color window on b+c are prepared with it:
+    ``low`` (h), ``low_adjacent`` (h+2, the lower bound of an adjacent pair)
+    and ``high`` (2r-h).
+    """
 
     r: Fraction
     h: int
     adjacent: bool
+    low: Fraction = field(init=False, repr=False, compare=False)
+    low_adjacent: Fraction = field(init=False, repr=False, compare=False)
+    high: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", rat(self.r))
@@ -101,6 +109,9 @@ class PairContext:
             raise ValueError("h must satisfy 0 <= h <= r")
         if self.adjacent and self.h > self.r - 1:
             raise ValueError("an adjacent pair has at most r - 1 common neighbors")
+        object.__setattr__(self, "low", Fraction(self.h))
+        object.__setattr__(self, "low_adjacent", Fraction(self.h + 2))
+        object.__setattr__(self, "high", 2 * self.r - self.h)
 
 
 def pair_color_feasible(
@@ -168,22 +179,25 @@ def two_color_check(ctx: PairContext, params: TwoColorParams) -> FilterVerdict:
 
     Applies to a pair of *differently colored* vertices; INFEASIBLE means
     such a pair cannot exist, i.e. the two endpoints are forced to share a
-    color in every perfect coloring with these parameters.
+    color in every perfect coloring with these parameters.  The bounds come
+    prepared with ``ctx`` and b+c with ``params``, and each comparison is
+    made on cross-multiplied integers.
     """
     if params.r != ctx.r:
         raise ValueError(f"parameter valency {params.r} differs from pair valency {ctx.r}")
-    bc = params.b + params.c
-    low = Fraction(ctx.h)
-    high = 2 * ctx.r - ctx.h
-    if bc < low:
+    bc = params.b_plus_c
+    p, q = bc.numerator, bc.denominator
+    if p < ctx.h * q:
         return FilterVerdict(
-            VerdictStatus.INFEASIBLE, bc, low, f"b+c = {bc} < {low} = h"
+            VerdictStatus.INFEASIBLE, bc, ctx.low, f"b+c = {bc} < {ctx.low} = h"
         )
-    if ctx.adjacent and bc < low + 2:
+    if ctx.adjacent and p < (ctx.h + 2) * q:
+        low = ctx.low_adjacent
         return FilterVerdict(
-            VerdictStatus.INFEASIBLE, bc, low + 2, f"b+c = {bc} < {low + 2} = h+2 (adjacent pair)"
+            VerdictStatus.INFEASIBLE, bc, low, f"b+c = {bc} < {low} = h+2 (adjacent pair)"
         )
-    if bc > high:
+    high = ctx.high
+    if p * high.denominator > high.numerator * q:
         return FilterVerdict(
             VerdictStatus.INFEASIBLE, bc, high, f"b+c = {bc} > {high} = 2r-h"
         )

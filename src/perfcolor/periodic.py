@@ -421,9 +421,9 @@ def _lattice_neighbors(spec: GridSpec, basis: list[tuple[int, int]]) -> Neighbor
 
 
 def _window(
-    spec: GridSpec, width: int, height: int
+    spec: GridSpec, width: int, height: int, cells: int
 ) -> tuple[list[bool], list[int], Neighbors, frozenset[int]]:
-    """A width x height window prepared for ``_backtrack``.
+    """A width x height window prepared for ``_backtrack``, for its first ``cells`` cells.
 
     Returns the constrained flag of each cell, the constrained (interior)
     cells in index order, for each cell u the pairs (w, 1) of the
@@ -431,23 +431,32 @@ def _window(
     constrained cells see.  Built by index arithmetic: cell (x, y) is
     u = y*width + x, and offset (ox, oy) leads to u + oy*width + ox.  A cell
     is constrained when it lies at least the offsets' x and y reach from
-    each side, and then every cell it sees is inside.
+    each side, and then every cell it sees is inside.  The lists cover only
+    cells 0..cells-1, and the flags only those and the constrained cells that
+    see them; the totals are those of the whole window.
     """
     reach_x = max(abs(ox) for ox, _ in spec.offsets)
     reach_y = max(abs(oy) for _, oy in spec.offsets)
+    size = width * height
+    cells = min(cells, size)
+    steps = [oy * width + ox for ox, oy in spec.offsets]
+    tracked = min(size, cells + max(steps))  # the last cell that sees one of the first cells, plus 1
     inner = [reach_x <= x < width - reach_x for x in range(width)]
     outer = [False] * width
     constrained = [
-        flag for y in range(height) for flag in (inner if reach_y <= y < height - reach_y else outer)
-    ]
+        flag
+        for y in range((tracked + width - 1) // width)
+        for flag in (inner if reach_y <= y < height - reach_y else outer)
+    ][:tracked]
     interior = [u for u, inside in enumerate(constrained) if inside]
-    steps = [oy * width + ox for ox, oy in spec.offsets]
-    affected: list[list[tuple[int, int]]] = [[] for _ in constrained]
+    affected: list[list[tuple[int, int]]] = [[] for _ in range(cells)]
     for w in interior:  # w sees w + step, so coloring w + step moves w's counts
         entry = (w, 1)
         for step in steps:
-            affected[w + step].append(entry)
-    return constrained, interior, affected, frozenset({spec.valency} if interior else ())
+            if w + step < cells:
+                affected[w + step].append(entry)
+    has_interior = width > 2 * reach_x and height > 2 * reach_y
+    return constrained, interior, affected, frozenset({spec.valency} if has_interior else ())
 
 
 def torus_quotient(spec: GridSpec, periods: tuple[int, int]) -> Graph:
@@ -514,77 +523,108 @@ def _backtrack(
     """Color cells 0..n-1 in index order so that every constrained cell meets its row of S.
 
     ``affected[u]`` lists (w, weight) for each constrained cell w that sees
-    cell u, and ``totals`` holds the total weights the constrained cells see.
-    The engine reads this geometry as given and never changes it, so one
-    prepared shape serves several searches.  A constrained cell of color i
-    must see exactly s[i-1, j-1] weight of color j; a colored one ends the
-    branch when it sees too much of some color.  Every total must equal each
-    row sum of S; then a complete coloring with no color over its target
-    meets every row exactly, so colors short of their target need no cut.
-    Cell u tries the colors ``allowed[u]`` in order.  With ``all_colors`` a
-    branch ends once the unused colors outnumber the cells left.  Complete
-    colorings are collected, only the first unless ``find_all``.  Each color
-    tried at a cell is one node; the search stops after ``node_budget`` of
-    them.  The rows of S are scaled to integers by its denominator, and the
-    weights with them when it is not 1; one "next choice" index per cell
-    stands in for recursion, so no window is too deep for the interpreter
-    stack.
+    cell u, one pair per w, and ``totals`` holds the total weights the
+    constrained cells see.  ``constrained`` flags every cell the lists name;
+    ``allowed`` gives the n cells to color, which may be a prefix of them
+    when not ``all_colors`` (a patch search whose budget cannot reach the
+    rest colors only that prefix).  The engine reads this geometry as given and never changes it,
+    so one prepared shape serves several searches.  A constrained cell of
+    color i must see exactly s[i-1, j-1] weight of color j; a colored one
+    ends the branch when it sees too much of some color.  Every total must
+    equal each row sum of S; then a complete coloring with no color over its
+    target meets every row exactly, so colors short of their target need no
+    cut.  Cell u tries the colors ``allowed[u]`` in order.  With
+    ``all_colors`` a branch ends once the unused colors outnumber the cells
+    left.  Complete colorings are collected, only the first unless
+    ``find_all``.  Each color tried at a cell is one node; the search stops
+    after ``node_budget`` of them.  The rows of S are scaled to integers by
+    its denominator, and the weights with them when it is not 1; one
+    iterator of untried colors per cell stands in for recursion, so no
+    window is too deep for the interpreter stack.
+
+    Each cell w holds a cap row: its row of S while it is colored, and an
+    uncapped row of the common total while it is not.  The invariant is that
+    no cell sees more of any color than its cap; an uncolored cell meets it
+    for free, since no cell sees more than the total.  So "a colored
+    constrained cell sees too much" is the one compare
+    ``seen[w][c] > cap[w][c]``.  Coloring u with c raises its cap and the
+    color-c entries of the cells that see u, and nothing else: u's own row
+    and the unused-color cut are checked before the color is committed, then
+    the updates stop at the first cell over its cap, and only the updates
+    already applied are undone.
 
     Returns (colorings, nodes expanded, search completed).
     """
     n, k = len(allowed), s.rows
     ints, denom = s.integer_form()
-    rows = [[0] * (k + 1)] + [[0, *row] for row in ints]
+    rows = [[]] + [[0, *row] for row in ints]  # rows[c]: color c's row, indexed by color
     if totals and len({total * denom for total in totals} | {sum(row) for row in ints}) != 1:
         raise ValueError("every constrained cell must see a total weight equal to each row sum of S")
     if denom != 1:
         affected = [[(w, wt * denom) for w, wt in column] for column in affected]
+    uncapped = [max(totals, default=0) * denom] * (k + 1)
     color = [0] * n
-    seen = [[0] * (k + 1) for _ in range(n)]  # seen[w][j]: weight w sees on color j
+    seen = [[0] * (k + 1) for _ in constrained]  # seen[w][j]: weight w sees on color j
+    cap = [uncapped] * len(constrained)
     used = [0] * (k + 1)
-    next_choice = [0] * n
+    unused = k  # colors with used[c] == 0
     found: list[tuple[int, ...]] = []
     nodes = 0
     if all_colors and k > n:
         return found, nodes, True
+    tries = [iter(())] * n  # tries[u]: the colors cell u has still to try
+    tries[0] = iter(allowed[0])
+    last = n - 1
     u = 0
     while True:
-        if u == n:
-            found.append(tuple(color))
-            if not find_all:
-                return found, nodes, True
-            u -= 1
-        elif next_choice[u] < len(allowed[u]):
-            c = allowed[u][next_choice[u]]
-            next_choice[u] += 1
+        c = next(tries[u], 0)
+        if c:
             nodes += 1
             if nodes > node_budget:
                 return found, nodes, False
-            color[u] = c
-            used[c] += 1
-            # no colored constrained cell was over its row before u was colored,
-            # and coloring u raises only a neighbor's color-c entry, so only
-            # that entry can go wrong
-            ok = True
-            for w, wt in affected[u]:
-                seen[w][c] += wt
-                if ok and color[w] and seen[w][c] > rows[color[w]][c]:
-                    ok = False
-            if ok and constrained[u]:
-                ok = all(map(le, seen[u], rows[c]))
-            if ok and not (all_colors and used[1:].count(0) > n - u - 1):
-                u += 1
+            row = rows[c]
+            if constrained[u] and not all(map(le, seen[u], row)):
                 continue
-        else:
-            next_choice[u] = 0
-            u -= 1
-            if u < 0:
-                return found, nodes, True
+            if all_colors and unused - (not used[c]) > last - u:
+                continue
+            cap[u] = row
+            updates = affected[u]
+            for w, wt in updates:
+                seen_w = seen[w]
+                x = seen_w[c] + wt
+                seen_w[c] = x
+                if x > cap[w][c]:
+                    break
+            else:
+                color[u] = c
+                if u < last:
+                    if all_colors:
+                        if not used[c]:
+                            unused -= 1
+                        used[c] += 1
+                    u += 1
+                    tries[u] = iter(allowed[u])
+                    continue
+                found.append(tuple(color))
+                if not find_all:
+                    return found, nodes, True
+            for v, wt in updates:  # undo the updates applied, the last one at w
+                seen[v][c] -= wt
+                if v == w:
+                    break
+            cap[u] = uncapped
+            continue
+        u -= 1
+        if u < 0:
+            return found, nodes, True
         c = color[u]  # uncolor cell u before its next choice
         for w, wt in affected[u]:
             seen[w][c] -= wt
-        used[c] -= 1
-        color[u] = 0
+        if all_colors:
+            used[c] -= 1
+            if not used[c]:
+                unused += 1
+        cap[u] = uncapped
 
 
 def _quotient_colorings(
@@ -615,6 +655,12 @@ def _target_matrix(
         s = two_color_matrix(b, c, valency)
     if any(total != valency for total in s.row_sums()):
         raise ValueError(f"target rows must sum to the valency {valency}")
+    for i in range(s.rows):  # rows summing to the valency and no entry below 0: all in 0..valency
+        for j in range(s.cols):
+            if s[i, j] < 0:
+                raise ValueError(
+                    f"target entry {s[i, j]} in row {i + 1}, column {j + 1} is negative"
+                )
     return s
 
 
@@ -864,8 +910,10 @@ def patch_search(
     if width < 1 or height < 1:
         raise ValueError("patch dimensions must be positive")
     _check_node_budget(node_budget)
-    constrained, interior, affected, totals = _window(spec, width, height)
-    if not interior:
+    # a search reaches cell u only after a node at each of cells 0..u, so the
+    # budget reaches cells 0..node_budget and the window is prepared for those
+    constrained, interior, affected, totals = _window(spec, width, height, node_budget + 1)
+    if not totals:
         raise ValueError("patch too small: no cell has its whole neighborhood inside")
 
     s = _target_matrix(target, spec.valency)
@@ -879,8 +927,8 @@ def patch_search(
 
     total_nodes = 0
     for s, pin_first in runs:
-        allowed = [tuple(range(1, s.rows + 1))] * width * height
-        if pin_first:
+        allowed = [tuple(range(1, s.rows + 1))] * len(affected)
+        if pin_first and interior and interior[0] < len(allowed):
             allowed[interior[0]] = (1,)
         found, nodes, complete = _backtrack(
             s, affected, constrained, totals, allowed,

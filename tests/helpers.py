@@ -248,3 +248,79 @@ def lattice_neighbor_counts(offsets, basis) -> list[list[tuple[int, int]]]:
             counts[hits[0]] += 1
         out.append(sorted(counts.items()))
     return out
+
+
+def reference_backtrack(rows, affected, constrained, allowed, *, all_colors, find_all, node_budget):
+    """(colorings, nodes, complete) of a plain recursive search by the engine's stated rule.
+
+    ``rows`` are the rows of S (any exact numbers), ``affected[u]`` lists
+    (w, weight) for each constrained cell w that sees cell u, and cells
+    0..len(allowed)-1 are colored in index order, cell u trying the colors
+    ``allowed[u]`` in order.  Each color tried is one node; past
+    ``node_budget`` nodes the search stops, incomplete.  A branch ends when
+    some colored constrained cell sees more weight of a color than its row
+    allows, recounted from scratch over every colored cell, or, with
+    ``all_colors``, when the colors not yet used outnumber the cells left.
+    Complete colorings are collected in order, only the first unless
+    ``find_all``.
+    """
+    n, k = len(allowed), len(rows)
+    sees = [[] for _ in constrained]  # sees[w]: (u, weight) for the cells u that w sees
+    for u, column in enumerate(affected):
+        for w, weight in column:
+            sees[w].append((u, weight))
+    colors = [0] * n
+    found = []
+    nodes = 0
+
+    class OutOfBudget(Exception):
+        pass
+
+    def over(w):
+        counts = [0] * (k + 1)
+        for u, weight in sees[w]:
+            if colors[u]:
+                counts[colors[u]] += weight
+        return any(counts[j] > rows[colors[w] - 1][j - 1] for j in range(1, k + 1))
+
+    def extend(u):
+        """Color cells u.. in turn; True once a first coloring ends the search."""
+        nonlocal nodes
+        if all_colors and len(set(range(1, k + 1)) - set(colors[:u])) > n - u:
+            return False
+        if u == n:
+            found.append(tuple(colors))
+            return not find_all
+        for c in allowed[u]:
+            nodes += 1
+            if nodes > node_budget:
+                raise OutOfBudget
+            colors[u] = c
+            if not any(constrained[w] and colors[w] and over(w) for w in range(n)):
+                if extend(u + 1):
+                    return True
+            colors[u] = 0
+        return False
+
+    try:
+        extend(0)
+    except OutOfBudget:
+        return found, nodes, False
+    return found, nodes, True
+
+
+def grid_h_by_counting(offsets, delta) -> tuple[int, bool]:
+    """Common neighbors of (0, 0) and delta, counted over the cells around both, and adjacency.
+
+    A cell z is a neighbor of x when z - x is one of the offsets.
+    """
+    reach = max(max(abs(x), abs(y)) for x, y in offsets)
+    dx, dy = delta
+    box = product(
+        range(min(0, dx) - reach, max(0, dx) + reach + 1),
+        range(min(0, dy) - reach, max(0, dy) + reach + 1),
+    )
+    common = sum(
+        (zx, zy) in offsets and (zx - dx, zy - dy) in offsets for zx, zy in box
+    )
+    return common, (dx, dy) in offsets

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -458,6 +459,37 @@ def test_grid_patch_search_counts_nodes_as_the_library(capsys, grid, b, c, side,
     outcome = periodic.patch_search(spec, (b, c), (side, side))
     assert out.splitlines()[-1] == f"nodes expanded: {outcome.stats.nodes}"
     assert (code, outcome.stats.nodes) == ({"rejected": 1, "inconclusive": 2}[outcome.status.value], nodes)
+
+
+def test_grid_patch_search_negative_target_entry_is_malformed(capsys):
+    # (1, 7) sums to the square grid's valency only as [[3, 1], [7, -3]]
+    code = main(["grid", "patch-search", "--grid", "square", "--b", "1", "--c", "7",
+                 "--width", "4", "--height", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (65, "")
+    assert "target entry -3 in row 2, column 2 is negative" in captured.err
+
+
+def test_grid_torus_search_negative_target_entry_is_malformed(capsys):
+    code = main(["grid", "torus-search", "--grid", "square", "--b", "1", "--c", "7",
+                 "--p", "2", "--q", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (65, "")
+    assert "target entry -3 in row 2, column 2 is negative" in captured.err
+
+
+def test_grid_patch_search_budget_bounds_the_window_it_builds(capsys):
+    # the 600x600 window has 360,000 cells; a budget of 100 nodes reaches 101 of them,
+    # and only those (and the cells that see them) are prepared
+    start = time.perf_counter()
+    code, out = run(capsys, ["grid", "patch-search", "--grid", "square", "--b", "1", "--c", "1",
+                             "--width", "600", "--height", "600", "--node-budget", "100",
+                             "--format", "json"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(out)
+    assert (code, payload["status"], payload["certificate"]["nodes"]) == (2, "inconclusive", 101)
+    assert payload["certificate"]["complete"] is False
+    assert elapsed < 0.2
 
 
 def test_require_two_colors_is_gone(capsys):

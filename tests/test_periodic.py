@@ -12,9 +12,11 @@ from helpers import (
     circulant_class_rows,
     circulant_h_by_counting,
     circulant_params_by_segment_count,
+    grid_h_by_counting,
     grid_params_by_patch_count,
     lattice_neighbor_counts,
     normalized_coloring,
+    reference_backtrack,
     rotation_renaming_canonical,
     window_by_coordinates,
 )
@@ -642,6 +644,79 @@ def test_patch_search_matches_brute_force(spec, size, data):
     )
 
 
+def test_patch_search_target_with_negative_entry_is_malformed():
+    # (1, 7) on the square grid sums to the valency only as [[3, 1], [7, -3]]
+    for search in (
+        lambda: patch_search(GridSpec.square(), (1, 7), (4, 4)),
+        lambda: torus_search(GridSpec.square(), (2, 2), (1, 7)),
+        lambda: patch_search(GridSpec.square(), RationalMatrix([[5, -1], [2, 2]]), (4, 4)),
+    ):
+        with pytest.raises(ValueError, match="negative"):
+            search()
+
+
+@pytest.mark.parametrize(
+    "spec, target, side",
+    [(GridSpec.square(), (4, 3), 6), (GridSpec.triangular(), (3, 1), 5), (GridSpec.square(), (2, 2), 6)],
+)
+def test_patch_search_budget_stops_the_same_search(spec, target, side):
+    # a window prepared only for the cells the budget reaches runs the same search
+    full = patch_search(spec, target, (side, side))
+    last = full.stats.nodes
+    for budget in sorted({*range(40), *range(0, last, 23), last - 1, last, last + 1}):
+        outcome = patch_search(spec, target, (side, side), node_budget=budget)
+        assert outcome.stats.nodes == min(budget + 1, full.stats.nodes)
+        assert outcome.stats.complete == (budget >= full.stats.nodes)
+        if outcome.stats.complete:
+            assert outcome == full
+
+
+# --- the engine against a plain recursive search ----------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([GridSpec.square(), GridSpec.triangular()]), st.data())
+def test_backtrack_matches_reference_search(spec, data):
+    r = spec.valency
+    k = data.draw(st.integers(1, 3), label="k")
+    if data.draw(st.booleans(), label="halved"):  # rows of S with a denominator
+        rows = [[Fraction(x, 2) for x in row] for row in target_rows(data, k, 2 * r)]
+    else:
+        rows = target_rows(data, k, r)
+    budget = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 1500)), label="budget")
+    all_colors = data.draw(st.booleans(), label="all_colors")
+    find_all = data.draw(st.booleans(), label="find_all")
+    colors = tuple(range(1, k + 1))
+    if data.draw(st.booleans(), label="window"):
+        width = data.draw(st.integers(1, 5), label="width")
+        height = data.draw(st.integers(1, 20 // width), label="height")
+        flags, interior, targets = window_by_coordinates(spec.offsets, width, height)
+        allowed = [colors] * (width * height)
+        if interior and data.draw(st.booleans(), label="pin"):
+            allowed[interior[0]] = (1,)
+        # the engine gets the window prepared for the cells its budget reaches,
+        # or all of them when the unused-color cut counts the cells left
+        cells = width * height if all_colors else budget + 1
+        constrained, _, affected, totals = _window(spec, width, height, cells)
+    else:
+        a = data.draw(st.integers(1, 3), label="a")
+        d = data.draw(st.integers(1, 6 // a), label="d")
+        basis = [(a, data.draw(st.integers(0, d - 1), label="b")), (0, d)]
+        targets = lattice_neighbor_counts(spec.offsets, basis)
+        flags = [True] * len(targets)
+        allowed = [colors] * len(targets)
+        affected = _lattice_neighbors(spec, basis)
+        constrained, totals = [True] * len(affected), frozenset({r})
+    expected = reference_backtrack(
+        rows, targets, flags, allowed, all_colors=all_colors, find_all=find_all, node_budget=budget
+    )
+    got = _backtrack(
+        RationalMatrix(rows), affected, constrained, totals, allowed[: len(affected)],
+        all_colors=all_colors, find_all=find_all, node_budget=budget,
+    )
+    assert got == expected
+
+
 # --- grid rejection report ----------------------------------------------------------------------
 
 
@@ -745,14 +820,55 @@ GEOMETRY_IDS = ["square", "triangular", "radius-2"]
 
 @pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
 def test_window_matches_coordinate_oracle(spec):
+    # a window prepared for its first cells (all of them, or the cells a budget
+    # reaches) is the prefix of the whole window that those cells read
     for width in range(1, 10):
         for height in range(1, 10):
-            constrained, interior, affected, totals = _window(spec, width, height)
             flags, cells, targets = window_by_coordinates(spec.offsets, width, height)
-            assert (list(constrained), list(interior)) == (flags, cells)
-            assert list(map(Counter, affected)) == list(map(Counter, targets))
             seen = Counter(w for column in targets for w, _ in column)
-            assert totals == frozenset(seen[w] for w in cells)
+            for prefix in range(1, width * height + 2):
+                constrained, interior, affected, totals = _window(spec, width, height, prefix)
+                tracked = len(constrained)
+                assert (list(constrained), list(interior)) == (
+                    flags[:tracked], [u for u in cells if u < tracked]
+                )
+                assert list(map(Counter, affected)) == list(map(Counter, targets[:prefix]))
+                assert all(w < tracked for column in affected for w, _ in column)
+                assert totals == frozenset(seen[w] for w in cells)
+
+
+@pytest.mark.parametrize("spec", [GridSpec.square(), GridSpec.triangular()], ids=["square", "triangular"])
+def test_grid_reject_window_verdicts_follow_the_rule(spec):
+    r = Fraction(spec.valency)
+    values = [Fraction(n, 2) for n in range(4 * spec.valency + 1)]  # 0, 1/2, 1, ..., 2r
+    for window in (1, 2, 3):
+        deltas = [(dx, dy) for dx in range(window + 1) for dy in range(-window, window + 1)
+                  if dx > 0 or dy > 0]
+        pairs = [grid_h_by_counting(spec.offsets, delta) for delta in deltas]
+        for b, c in product(values, repeat=2):
+            report = grid_reject_2color(spec, TwoColorParams(b, c, r), window=window, node_budget=0)
+            expected = []
+            for h, adjacent in pairs:
+                bc, low, high = b + c, Fraction(h), 2 * r - h
+                if bc < low:
+                    expected.append(("infeasible", bc, low, f"b+c = {bc} < {low} = h"))
+                elif adjacent and bc < low + 2:
+                    expected.append(
+                        ("infeasible", bc, low + 2, f"b+c = {bc} < {low + 2} = h+2 (adjacent pair)")
+                    )
+                elif bc > high:
+                    expected.append(("infeasible", bc, high, f"b+c = {bc} > {high} = 2r-h"))
+                else:
+                    expected.append(("feasible", bc, high, None))
+            got = [
+                (d.verdict.status.value, d.verdict.lhs, d.verdict.rhs, d.verdict.violated)
+                for d in report.per_delta
+            ]
+            assert [(d.delta, d.h, d.adjacent) for d in report.per_delta] == [
+                (delta, *pair) for delta, pair in zip(deltas, pairs)
+            ]
+            assert got == expected
+            assert all(type(x) is Fraction for _, lhs, rhs, _ in got for x in (lhs, rhs))
 
 
 def test_grid_reject_reads_one_delta_table_per_grid_and_window():
