@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -111,8 +112,13 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _emit(obj, args, text: str | None = None) -> None:
-    """Print ``obj`` as JSON, or ``text`` in text format when there is one."""
-    print(text if args.format == "text" and text is not None else _json_rows(obj))
+    """Print ``obj`` as JSON, or ``text`` in text format; a closed stdout just ends the output."""
+    try:
+        print(text if args.format == "text" and text is not None else _json_rows(obj), flush=True)
+    except BrokenPipeError:  # fd 1 to the null device, so the exit flush stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _verdict_row(verdict, **extra) -> dict:

@@ -157,11 +157,13 @@ def circulant_period_filter(
     b+c > 4m - h, or b+c < h, or b+c < h+2 when t is itself a connection
     length.  Any of these contradicts a differently colored pair at
     distance t, so the coloring's period must divide every fired t, hence
-    their gcd.
+    their gcd.  As in the searches (``_target_matrix``), r is 2m and b, c lie in 0..r.
     """
-    if params.r != spec.valency:
-        raise ValueError(f"parameter valency {params.r} != 2m = {spec.valency}")
-    bc = params.b + params.c
+    b, c, r = params.b, params.c, spec.valency
+    # 0 <= b, c <= r, compared as integers as two_color_check compares: every scan runs this
+    if params.r != r or not (0 <= b.numerator <= r * b.denominator and 0 <= c.numerator <= r * c.denominator):
+        _target_matrix(params, r)
+    bc = b + c
     fired = []
     for t in range(1, t_max + 1):
         h = circulant_h(spec, t)
@@ -718,24 +720,14 @@ class GridRejectReport:
 
 
 def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> list[int]:
-    """Sizes of offset classes modulo the rank-1 lattice Z*g."""
-    gx, gy = g
-    remaining = list(offsets)
-    sizes = []
-    while remaining:
-        o = remaining.pop()
-        cls = [o]
-        rest = []
-        for other in remaining:
-            dx, dy = o[0] - other[0], o[1] - other[1]
-            if gx:
-                multiple = dx % gx == 0 and dy == (dx // gx) * gy
-            else:
-                multiple = dx == 0 and dy % gy == 0
-            (cls if multiple else rest).append(other)
-        remaining = rest
-        sizes.append(len(cls))
-    return sizes
+    """Sizes of offset classes modulo the rank-1 lattice Z*g, g = (a, b), by least residue:
+    (x mod a, y - (x // a)*b) as in ``_lattice_neighbors``, or (x, y mod b) when a = 0."""
+    a, b = g
+    if a:
+        residues = ((x % a, y - x // a * b) for x, y in offsets)
+    else:
+        residues = ((x, y % b) for x, y in offsets)
+    return list(Counter(residues).values())
 
 
 def _subset_sums(sizes: list[int]) -> set[int]:
@@ -782,22 +774,26 @@ def grid_reject_2color(
     delta.  Consequences drawn from the invariant directions:
 
     * full-rank direction lattice: the coloring factors through the finite
-      quotient, which is searched outright for the parameters (in both
-      orientations); an empty search is a proof of nonexistence;
+      quotient, which is searched outright, unpinned, for the parameters;
+      renaming colors maps (c, b)-colorings onto (b, c)-colorings, so an
+      empty search is a proof of nonexistence in both orientations;
     * rank one: neighbors of a vertex fall into classes that are forced
       monochromatic, so b and c must each be a subset sum of the class
       sizes; otherwise nonexistence again.
 
     INFEASIBLE verdicts here are proofs; FEASIBLE only means no bound in
     the window fired, and INCONCLUSIVE means directions fired without a
-    contradiction within ``node_budget``.  That caps the quotient searches
-    of both orientations together; a quotient with more vertices is not built.
+    contradiction within ``node_budget``, which caps the quotient search;
+    a quotient with more vertices is not built.  As in the searches
+    (``_target_matrix``), r is the valency and b, c lie in 0..r.
     ``window`` (default twice the offsets' radius) must be at least 1.  The
     tables of differences of the last eight grids and windows asked about
     are kept, so the calls for every (b, c) on one grid read one table.
     """
-    if params.r != spec.valency:
-        raise ValueError(f"parameter valency {params.r} != |offsets| = {spec.valency}")
+    b, c, r = params.b, params.c, spec.valency
+    # 0 <= b, c <= r, compared as integers as two_color_check compares: every scan runs this
+    if params.r != r or not (0 <= b.numerator <= r * b.denominator and 0 <= c.numerator <= r * c.denominator):
+        _target_matrix(params, r)
     _check_node_budget(node_budget)
     if window is None:
         window = 2 * spec.radius
@@ -828,34 +824,27 @@ def grid_reject_2color(
                 f"monochromatic directions give an index-{index} quotient, "
                 f"over the node budget of {node_budget}",
             )
-        quotient = _lattice_neighbors(spec, basis)
-        targets = [params.matrix()]
-        if params.b != params.c:
-            targets.append(TwoColorParams(params.c, params.b, params.r).matrix())
-        nodes = 0
-        for s in targets:
-            witnesses, spent, complete = _quotient_colorings(
-                quotient, s, find_all=False, node_budget=node_budget - nodes
+        witnesses, _, complete = _quotient_colorings(
+            _lattice_neighbors(spec, basis), params.matrix(), find_all=False, node_budget=node_budget
+        )
+        if witnesses:
+            return report(
+                FilterVerdict(VerdictStatus.FEASIBLE),
+                f"forced directions [{directions}] admit a periodic witness "
+                f"on the index-{index} quotient",
             )
-            nodes += spent
-            if witnesses:
-                return report(
-                    FilterVerdict(VerdictStatus.FEASIBLE),
-                    f"forced directions [{directions}] admit a periodic witness "
-                    f"on the index-{index} quotient",
-                )
-            if not complete:
-                return report(
-                    FilterVerdict(VerdictStatus.INCONCLUSIVE),
-                    f"the search of the index-{index} quotient ran out of its node budget",
-                )
+        if not complete:
+            return report(
+                FilterVerdict(VerdictStatus.INCONCLUSIVE),
+                f"the search of the index-{index} quotient ran out of its node budget",
+            )
         return report(
             FilterVerdict(
                 VerdictStatus.INFEASIBLE,
                 violated=(
                     f"directions [{directions}] are forced monochromatic, so any "
                     f"coloring factors through the index-{index} quotient, which "
-                    f"admits no ({params.b},{params.c})-coloring in either orientation"
+                    f"admits no ({b},{c})-coloring in either orientation"
                 ),
             )
         )
@@ -864,7 +853,7 @@ def grid_reject_2color(
     g = basis[0]
     sizes = _coset_sizes(spec.offsets, g)
     sums = _subset_sums(sizes)
-    for name, value in (("b", params.b), ("c", params.c)):
+    for name, value in (("b", b), ("c", c)):
         if value.denominator != 1 or int(value) not in sums:
             return report(
                 FilterVerdict(

@@ -324,3 +324,28 @@ def grid_h_by_counting(offsets, delta) -> tuple[int, bool]:
         (zx, zy) in offsets and (zx - dx, zy - dy) in offsets for zx, zy in box
     )
     return common, (dx, dy) in offsets
+
+
+def coset_sizes_pairwise(offsets, g) -> list[int]:
+    """Sizes of offset classes modulo the rank-1 lattice Z*g, grouped pair by pair.
+
+    Two offsets share a class when their difference is an integer multiple
+    of g, tested directly on the difference.
+    """
+    gx, gy = g
+    remaining = list(offsets)
+    sizes = []
+    while remaining:
+        o = remaining.pop()
+        cls = [o]
+        rest = []
+        for other in remaining:
+            dx, dy = o[0] - other[0], o[1] - other[1]
+            if gx:
+                multiple = dx % gx == 0 and dy == (dx // gx) * gy
+            else:
+                multiple = dx == 0 and dy % gy == 0
+            (cls if multiple else rest).append(other)
+        remaining = rest
+        sizes.append(len(cls))
+    return sizes

@@ -478,6 +478,23 @@ def test_grid_torus_search_negative_target_entry_is_malformed(capsys):
     assert "target entry -3 in row 2, column 2 is negative" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # (5, 0) sums to the square grid's valency only as [[-1, 5], [0, 4]]
+        (["grid", "reject", "--grid", "square", "--b", "5", "--c", "0"],
+         "target entry -1 in row 1, column 1 is negative"),
+        (["circulant", "period-filter", "--d", "1,2,4", "--b", "9", "--c", "0", "--t-max", "8"],
+         "target entry -3 in row 1, column 1 is negative"),
+    ],
+)
+def test_window_scan_target_outside_0_to_r_is_malformed(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (65, "")
+    assert message in captured.err
+
+
 def test_grid_patch_search_budget_bounds_the_window_it_builds(capsys):
     # the 600x600 window has 360,000 cells; a budget of 100 nodes reaches 101 of them,
     # and only those (and the cells that see them) are prepared
@@ -748,3 +765,23 @@ def test_python_m_perfcolor_runs_the_cli(argv, capsys):
         [sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "reject", "--grid", "square", "--b", "4", "--c", "3"],
+        ["grid", "reject", "--grid", "square", "--b", "4", "--c", "3", "--format", "json"],
+        ["grid", "reject", "--grid", "square", "--b", "2", "--c", "2"],
+    ],
+)
+def test_closed_stdout_keeps_the_verdict_exit_code(argv, capsys):
+    # a reader that closes the pipe before the command writes ends the output, not the verdict
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "perfcolor", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (outcome(capsys, argv)[0], b"")

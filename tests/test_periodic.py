@@ -12,6 +12,7 @@ from helpers import (
     circulant_class_rows,
     circulant_h_by_counting,
     circulant_params_by_segment_count,
+    coset_sizes_pairwise,
     grid_h_by_counting,
     grid_params_by_patch_count,
     lattice_neighbor_counts,
@@ -28,6 +29,7 @@ from perfcolor.periodic import (
     GridSpec,
     SearchStatus,
     _backtrack,
+    _coset_sizes,
     _cyclic_canonical,
     _delta_table,
     _lattice_basis,
@@ -756,12 +758,16 @@ def test_grid_reject_finds_quotient_witness():
 
 def test_grid_reject_rank_one_contradiction():
     # degenerate one-dimensional grid: +-1 along the x axis (an embedded path);
-    # b+c = 4 > 3 = 2r - h at delta (2,0) forces period 2, so each vertex's two
-    # neighbors form one monochromatic class of size 2 and odd b is impossible
+    # b+c = 1 < 2 = h+2 at the adjacent delta (1,0) forces direction (1,0), so
+    # each vertex's two neighbors form one monochromatic class of size 2 and
+    # odd b is impossible
     line = GridSpec(frozenset({(1, 0), (-1, 0)}))
-    report = grid_reject_2color(line, params(1, 3, 2))
+    report = grid_reject_2color(line, params(1, 0, 2))
     assert report.verdict.infeasible
-    assert "class sizes" in report.verdict.violated
+    assert report.verdict.violated == (
+        "direction (1, 0) is forced monochromatic; neighbor classes have sizes [2], "
+        "and b = 1 is not a sum of class sizes"
+    )
     inconclusive = grid_reject_2color(line, params(2, 2, 2))
     assert inconclusive.verdict.status.value == "inconclusive"
 
@@ -790,6 +796,87 @@ def test_grid_reject_quotient_over_node_budget(monkeypatch):
 def test_grid_reject_valency_check():
     with pytest.raises(ValueError):
         grid_reject_2color(GridSpec.square(), params(1, 1, 6))
+
+
+@pytest.mark.parametrize(
+    "b, c, r, message",
+    [
+        (5, 0, 4, "target entry -1 in row 1, column 1 is negative"),
+        (-1, 3, 4, "target entry -1 in row 1, column 2 is negative"),
+        (1, Fraction(9, 2), 4, "target entry -1/2 in row 2, column 2 is negative"),
+        (0, -2, 4, "target entry -2 in row 2, column 1 is negative"),
+        (1, 1, 6, "target rows must sum to the valency 4"),
+    ],
+)
+def test_grid_reject_refuses_targets_the_searches_refuse(b, c, r, message):
+    # the rule of patch_search and torus_search: rows sum to the valency, entries in 0..r
+    with pytest.raises(ValueError, match=message):
+        grid_reject_2color(GridSpec.square(), params(b, c, r))
+    with pytest.raises(ValueError, match=message):
+        patch_search(GridSpec.square(), params(b, c, r), (4, 4))
+
+
+@pytest.mark.parametrize(
+    "b, c, r, message",
+    [
+        (9, 0, 6, "target entry -3 in row 1, column 1 is negative"),
+        (-1, 3, 6, "target entry -1 in row 1, column 2 is negative"),
+        (2, 7, 6, "target entry -1 in row 2, column 2 is negative"),
+        (1, 1, 4, "target rows must sum to the valency 6"),
+    ],
+)
+def test_period_filter_refuses_targets_outside_0_to_r(b, c, r, message):
+    with pytest.raises(ValueError, match=message):
+        circulant_period_filter(CirculantSpec((1, 2, 4)), params(b, c, r), t_max=8)
+
+
+def test_grid_reject_searches_the_forced_quotient_once(monkeypatch):
+    # (4,3) on the square grid forces the index-2 quotient; the unpinned search of
+    # (4,3) also covers (3,4), so a budget that covers it alone is a proof
+    proof = grid_reject_2color(GridSpec.square(), params(4, 3, 4)).verdict
+    assert proof.infeasible and proof.violated.endswith("admits no (4,3)-coloring in either orientation")
+    for budget in range(6, 12):
+        report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=budget)
+        assert report.verdict == proof
+    for budget in range(2, 6):
+        report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=budget)
+        assert report.verdict.status.value == "inconclusive"
+        assert report.note == "the search of the index-2 quotient ran out of its node budget"
+
+    calls = []
+    search = periodic._quotient_colorings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "_quotient_colorings", counted)
+    rank_two_verdicts = 0
+    for spec in (GridSpec.square(), GridSpec.triangular()):
+        values = range(spec.valency + 1)
+        for b, c in product(values, repeat=2):
+            calls.clear()
+            report = grid_reject_2color(spec, params(b, c, spec.valency))
+            text = f"{report.verdict.violated} {report.note}"
+            rank_two = "quotient" in text and "over the node budget" not in text
+            assert len(calls) == rank_two
+            rank_two_verdicts += rank_two
+    assert rank_two_verdicts > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offsets=st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=12),
+    vector=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
+    multiples=st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+)
+def test_coset_sizes_match_pairwise_oracle(offsets, vector, multiples):
+    # rank-1 generators as _lattice_basis normalizes them, non-primitive ones included
+    (g,) = _lattice_basis([(k * vector[0], k * vector[1]) for k in multiples])
+    for gen in (g, (2, 0), (0, 3), (2, -4)):
+        assert sorted(_coset_sizes(frozenset(offsets), gen)) == sorted(
+            coset_sizes_pairwise(offsets, gen)
+        )
 
 
 def test_grid_reject_window_below_one_raises():
@@ -840,7 +927,11 @@ def test_window_matches_coordinate_oracle(spec):
 @pytest.mark.parametrize("spec", [GridSpec.square(), GridSpec.triangular()], ids=["square", "triangular"])
 def test_grid_reject_window_verdicts_follow_the_rule(spec):
     r = Fraction(spec.valency)
-    values = [Fraction(n, 2) for n in range(4 * spec.valency + 1)]  # 0, 1/2, 1, ..., 2r
+    values = [Fraction(n, 2) for n in range(2 * spec.valency + 1)]  # 0, 1/2, 1, ..., r
+    above = [Fraction(n, 2) for n in range(2 * spec.valency + 1, 4 * spec.valency + 1)]  # up to 2r
+    for b, c in [(b, c) for b in above for c in values + above] + [(b, c) for b in values for c in above]:
+        with pytest.raises(ValueError, match="is negative"):
+            grid_reject_2color(spec, TwoColorParams(b, c, r), node_budget=0)
     for window in (1, 2, 3):
         deltas = [(dx, dy) for dx in range(window + 1) for dy in range(-window, window + 1)
                   if dx > 0 or dy > 0]
