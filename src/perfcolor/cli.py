@@ -41,6 +41,7 @@ from .periodic import (
     DEFAULT_NODE_BUDGET,
     GridSpec,
     SearchStatus,
+    _target_matrix,
     circulant_enumerate,
     circulant_h,
     circulant_period_filter,
@@ -248,7 +249,8 @@ def _cmd_filter_simple(args) -> int:
 
 def _cmd_filter_two_color(args) -> int:
     params = TwoColorParams(rat(args.b), rat(args.c), rat(args.r))
-    ctx = PairContext(rat(args.r), args.h, args.adjacent)
+    _target_matrix(params, params.r)  # b, c in 0..r, as grid reject and the searches ask
+    ctx = PairContext(params.r, args.h, args.adjacent)
     verdict = two_color_check(ctx, params)
     forced = two_color_forced_sets(ctx, params)
     row = _verdict_row(verdict, b=str(params.b), c=str(params.c), h=args.h, adjacent=args.adjacent)
@@ -427,7 +429,7 @@ def _node_budget(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
-def _window(text: str) -> int:
+def _positive(text: str) -> int:
     return _int_at_least(text, 1, "at least 1")
 
 
@@ -519,7 +521,7 @@ def build_parser() -> _Parser:
     cp.add_argument("--d", required=True)
     cp.add_argument("--b", required=True)
     cp.add_argument("--c", required=True)
-    cp.add_argument("--t-max", type=int, required=True)
+    cp.add_argument("--t-max", type=_positive, required=True)
     _add_common(cp, _cmd_circulant_period_filter)
     cq = circ_sub.add_parser("quotient", help="quotient multigraph on Z_T")
     cq.add_argument("--d", required=True)
@@ -546,7 +548,7 @@ def build_parser() -> _Parser:
     add_grid_spec(gr)
     gr.add_argument("--b", required=True)
     gr.add_argument("--c", required=True)
-    gr.add_argument("--window", type=_window)
+    gr.add_argument("--window", type=_positive)
     _add_common(gr, _cmd_grid_reject, node_budget=True)
     gt = grid_sub.add_parser("torus-search", help="witness search at fixed periods")
     add_grid_spec(gt)

@@ -157,8 +157,11 @@ def circulant_period_filter(
     b+c > 4m - h, or b+c < h, or b+c < h+2 when t is itself a connection
     length.  Any of these contradicts a differently colored pair at
     distance t, so the coloring's period must divide every fired t, hence
-    their gcd.  As in the searches (``_target_matrix``), r is 2m and b, c lie in 0..r.
+    their gcd.  As in the searches (``_target_matrix``), r is 2m and b, c lie in
+    0..r; t_max is at least 1.
     """
+    if t_max < 1:
+        raise ValueError("t_max must be a positive integer")
     b, c, r = params.b, params.c, spec.valency
     # 0 <= b, c <= r, compared as integers as two_color_check compares: every scan runs this
     if params.r != r or not (0 <= b.numerator <= r * b.denominator and 0 <= c.numerator <= r * c.denominator):
@@ -233,15 +236,25 @@ def circulant_enumerate(
     colored in that form, smallest color first, so entries come out in
     order.  A vertex is checked once it and its neighbors are colored: its
     color-wise neighbor counts must equal those of the first checked vertex
-    of its color.  A complete string is kept when it is its own canonical
-    form and its class sums give its S.  Each color tried at a position is
-    one node, and so is each position the canonical check compares; past
-    ``node_budget`` of them the census raises ``BudgetExceededError``, never
-    returning part of its entries.  Coloring every position 1 takes
-    ``period`` nodes, so a longer period is refused before anything is built.
+    of its color.  A prefix that passes is also compared with each rotation
+    s that starts at a run start (color[s-1] != color[s]) and has so far
+    renamed, by first appearance, to the prefix itself.  At p, rotation s
+    names color[p] as at its last position q in s..p-1 (color[q-s]) or,
+    if new, one above the colors before p-s; below color[p-s], every
+    completion has a smaller rotation and the branch is cut; above it, s
+    is dropped.  A rotation starting mid-run loses to the one a step
+    earlier, so the least rotation starts at a run start.  A complete
+    string is kept when it is its own canonical form and its class sums
+    give its S.  Each color tried at a position is one node, and so is each
+    rotation compared there and each position the canonical check
+    compares; past ``node_budget`` of them the census raises
+    ``BudgetExceededError``, never returning part of its entries.  Coloring
+    every position 1 takes ``period`` nodes, so a longer period is refused
+    before anything is built.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    k = min(k, period)  # period positions use at most period colors: the same census
     _check_node_budget(node_budget)
     if period > node_budget:
         raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
@@ -254,6 +267,9 @@ def circulant_enumerate(
     next_color = [1] * period
     row: list[list[int] | None] = [None] * (k + 1)  # counts of a color's first checked vertex
     recorded: list[list[int]] = [[] for _ in range(period)]  # colors whose row position p set
+    follow: list[tuple[int, ...]] = [()] * (period + 1)  # rotations s renaming s..p-1 as 0..p-s-1
+    last = [-1] * (k + 1)  # last[c]: the latest position of color c before p
+    before = [0] * period  # before[p]: last[color[p]] when position p was colored
     found = []
     nodes = 0
     p = 0
@@ -274,6 +290,7 @@ def circulant_enumerate(
             c = next_color[p]
             next_color[p] += 1
             color[p] = c
+            before[p] = seen = last[c]
             top[p + 1] = max(top[p], c)
             for x in ready[p]:
                 counts = [0] * (k + 1)
@@ -286,8 +303,21 @@ def circulant_enumerate(
                 elif row[cx] != counts:
                     break
             else:
-                p += 1
-                continue
+                kept = []
+                for s in follow[p]:  # rotation s names c as at its last position, or anew
+                    nodes += 1
+                    name = color[seen - s] if seen >= s else top[p - s] + 1
+                    if name < color[p - s]:
+                        break  # every completion has a smaller rotation
+                    if name == color[p - s]:
+                        kept.append(s)
+                else:
+                    if p and color[p - 1] != c:  # a run start: follow rotation p from here
+                        kept.append(p)
+                    follow[p + 1] = tuple(kept)
+                    last[c] = p
+                    p += 1
+                    continue
         else:
             next_color[p] = 1
             p -= 1
@@ -296,6 +326,7 @@ def circulant_enumerate(
         for c in recorded[p]:  # undo position p before its next color
             row[c] = None
         recorded[p].clear()
+        last[color[p]] = before[p]
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,73 @@ def brute_force_circulant_census(ds, period, k) -> list[tuple[tuple[int, ...], l
     return [(colors, circulant_class_rows(ds, colors)) for colors in sorted(canonical)]
 
 
+def reference_census(ds, period, k) -> tuple[list[tuple[tuple[int, ...], list[list[int]]]], int]:
+    """(entries, nodes) of a census of Z_period that breaks rotation only at its leaves.
+
+    Positions are colored in turn as a restricted-growth string, smallest
+    color first.  Vertex x sees x + d and x - d for each d in ``ds``; once x
+    and all it sees are colored, its color-wise counts must equal those of
+    the first vertex of its color so checked.  A complete string is kept when
+    no rotation, renamed by first appearance, is smaller; rotations are
+    compared in turn, position by position, until one is smaller or one
+    renames to the string itself.  Each color tried is one node, and so is
+    each position compared.  Entries are (colors, class rows) in the order
+    found.
+    """
+    sees = [Counter((x + o) % period for d in ds for o in (d, -d)) for x in range(period)]
+    ready = [[] for _ in range(period)]  # vertices whose last neighbor is colored at a position
+    for x in range(period):
+        ready[max(x, *sees[x])].append(x)
+    colors = [0] * period
+    row: list[list[int] | None] = [None] * (k + 1)
+    found = []
+    nodes = 0
+
+    def least(t):
+        nonlocal nodes
+        for s in range(1, period):
+            relabel: dict[int, int] = {}
+            for i in range(period):
+                nodes += 1
+                c = relabel.setdefault(t[(s + i) % period], len(relabel) + 1)
+                if c != t[i]:
+                    if c < t[i]:
+                        return False
+                    break
+            else:
+                return True
+        return True
+
+    def check(x, set_here):
+        counts = [0] * (k + 1)
+        for w, a in sees[x].items():
+            counts[colors[w]] += a
+        if row[colors[x]] is None:
+            row[colors[x]] = counts
+            set_here.append(colors[x])
+        return row[colors[x]] == counts
+
+    def extend(p, top):
+        nonlocal nodes
+        if p == period:
+            t = tuple(colors)
+            rows = circulant_class_rows(ds, t) if least(t) else None
+            if rows is not None:
+                found.append((t, rows))
+            return
+        for c in range(1, min(k, top + 1) + 1):
+            nodes += 1
+            colors[p] = c
+            set_here: list[int] = []
+            if all(check(x, set_here) for x in ready[p]):
+                extend(p + 1, max(top, c))
+            for j in set_here:
+                row[j] = None
+
+    extend(0, 0)
+    return found, nodes
+
+
 def product_witness(m, p, s) -> tuple[int, int] | None:
     """First (vertex, 1-based color) where M P and P S differ, by explicit Fraction products.
 

@@ -486,6 +486,12 @@ def test_grid_torus_search_negative_target_entry_is_malformed(capsys):
          "target entry -1 in row 1, column 1 is negative"),
         (["circulant", "period-filter", "--d", "1,2,4", "--b", "9", "--c", "0", "--t-max", "8"],
          "target entry -3 in row 1, column 1 is negative"),
+        # the single-pair window printed status=feasible for (5, 0) and exited 0, and
+        # infeasible for (-1, 0) and exited 1, the code of a rejection
+        (["filter", "two-color", "--r", "4", "--h", "1", "--b", "5", "--c", "0"],
+         "target entry -1 in row 1, column 1 is negative"),
+        (["filter", "two-color", "--r", "4", "--h", "1", "--b", "-1", "--c", "0"],
+         "target entry -1 in row 1, column 2 is negative"),
     ],
 )
 def test_window_scan_target_outside_0_to_r_is_malformed(capsys, argv, message):
@@ -528,6 +534,15 @@ def test_grid_reject_window_below_one_is_a_usage_error(capsys, window):
         main(["grid", "reject", "--grid", "square", "--b", "4", "--c", "3", "--window", window])
     assert err.value.code == 64
     assert f"--window: must be at least 1, not {window}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", ["0", "-3"])
+def test_period_filter_t_max_below_one_is_a_usage_error(capsys, t_max):
+    # an empty range of shifts printed "no period constraint in range" and exited 0
+    with pytest.raises(SystemExit) as err:
+        main(["circulant", "period-filter", "--d", "1,2,4", "--b", "1", "--c", "1", "--t-max", t_max])
+    assert err.value.code == 64
+    assert f"--t-max: must be at least 1, not {t_max}" in capsys.readouterr().err
 
 
 def test_grid_node_budget_reaches_every_search(capsys):

@@ -18,6 +18,7 @@ from helpers import (
     lattice_neighbor_counts,
     normalized_coloring,
     reference_backtrack,
+    reference_census,
     rotation_renaming_canonical,
     window_by_coordinates,
 )
@@ -230,6 +231,34 @@ def test_enumerate_node_budget_caps_long_periods():
         for budget in (2 * period, periodic.DEFAULT_NODE_BUDGET):
             found = circulant_enumerate(spec, period, 1, node_budget=budget)
             assert [(e.coloring.colors, e.s) for e in found] == [((1,) * period, RationalMatrix([[2]]))]
+
+
+@pytest.mark.parametrize(
+    "ds", [(1, 1), (2, 2, 3), (1, 2, 4), (1, 3, 5)], ids=lambda ds: ",".join(map(str, ds))
+)
+def test_enumerate_matches_reference_census(ds):
+    # the rotation cut drops only branches whose every completion has a smaller
+    # rotation: the same entries, in the same order, as cutting at the leaves alone
+    spec = CirculantSpec(ds)
+    for k, max_period in ((1, 20), (2, 20), (3, 10), (4, 8)):
+        for period in range(1, max_period + 1):
+            assert _census(spec, period, k) == reference_census(ds, period, k)[0], (period, k)
+
+
+@pytest.mark.parametrize(
+    "ds, period, nodes, leaf_cut_nodes", [((1, 3, 5), 12, 4616, 9286), ((1, 2, 4), 32, 3434, 6993)]
+)
+def test_enumerate_rotation_cut_saves_nodes(ds, period, nodes, leaf_cut_nodes):
+    assert reference_census(ds, period, 2)[1] == leaf_cut_nodes
+    assert _nodes_needed(CirculantSpec(ds), period, 2) == nodes < leaf_cut_nodes
+
+
+def test_enumerate_bounds_k_by_the_period():
+    # six positions use at most six colors; a row table of 10**12 + 1 entries
+    # would not fit in memory
+    spec = CirculantSpec((1,))
+    assert circulant_enumerate(spec, 6, 10**12) == circulant_enumerate(spec, 6, 6)
+    assert len(circulant_enumerate(spec, 6, 6)) == 7
 
 
 def test_enumerate_refuses_period_over_budget_before_building(monkeypatch):
@@ -828,6 +857,12 @@ def test_grid_reject_refuses_targets_the_searches_refuse(b, c, r, message):
 def test_period_filter_refuses_targets_outside_0_to_r(b, c, r, message):
     with pytest.raises(ValueError, match=message):
         circulant_period_filter(CirculantSpec((1, 2, 4)), params(b, c, r), t_max=8)
+
+
+@pytest.mark.parametrize("t_max", [0, -3])
+def test_period_filter_refuses_t_max_below_one(t_max):
+    with pytest.raises(ValueError, match="t_max must be a positive integer"):
+        circulant_period_filter(CirculantSpec((1, 2, 4)), params(1, 1, 6), t_max=t_max)
 
 
 def test_grid_reject_searches_the_forced_quotient_once(monkeypatch):
