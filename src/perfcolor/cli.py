@@ -41,7 +41,7 @@ from .periodic import (
     DEFAULT_NODE_BUDGET,
     GridSpec,
     SearchStatus,
-    _target_matrix,
+    _check_two_color_target,
     circulant_enumerate,
     circulant_h,
     circulant_period_filter,
@@ -249,7 +249,7 @@ def _cmd_filter_simple(args) -> int:
 
 def _cmd_filter_two_color(args) -> int:
     params = TwoColorParams(rat(args.b), rat(args.c), rat(args.r))
-    _target_matrix(params, params.r)  # b, c in 0..r, as grid reject and the searches ask
+    _check_two_color_target(params, params.r)  # b, c in 0..r, as grid reject and the searches ask
     ctx = PairContext(params.r, args.h, args.adjacent)
     verdict = two_color_check(ctx, params)
     forced = two_color_forced_sets(ctx, params)
@@ -441,8 +441,8 @@ def _add_common(sub: argparse.ArgumentParser, run, node_budget: bool = False) ->
             "--node-budget",
             type=_node_budget,
             default=DEFAULT_NODE_BUDGET,
-            help="node cap: one per color tried at a cell or census position and per position "
-            "a census canonical check compares. A longer census period, a torus or grid reject "
+            help="node cap: one per color tried at a cell or census position and per rotation a "
+            "census compares at a position. A longer census period, a torus or grid reject "
             "quotient with more vertices, or a circulant quotient of over N entries is refused",
         )
     sub.set_defaults(run=run)

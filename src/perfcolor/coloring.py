@@ -46,6 +46,8 @@ class Coloring:
             raise ValueError("coloring needs at least one vertex")
         if self.k < 1:
             raise ValueError("k must be positive")
+        if any(type(c) is not int for c in self.colors):
+            raise ValueError("colors must be integers")
         used = set(self.colors)
         if not used <= set(range(1, self.k + 1)):
             raise ValueError(f"colors must lie in 1..{self.k}")

@@ -162,11 +162,8 @@ def circulant_period_filter(
     """
     if t_max < 1:
         raise ValueError("t_max must be a positive integer")
-    b, c, r = params.b, params.c, spec.valency
-    # 0 <= b, c <= r, compared as integers as two_color_check compares: every scan runs this
-    if params.r != r or not (0 <= b.numerator <= r * b.denominator and 0 <= c.numerator <= r * c.denominator):
-        _target_matrix(params, r)
-    bc = b + c
+    _check_two_color_target(params, spec.valency)
+    bc = params.b + params.c
     fired = []
     for t in range(1, t_max + 1):
         h = circulant_h(spec, t)
@@ -195,27 +192,6 @@ def circulant_quotient(spec: CirculantSpec, period: int) -> Graph:
     )
 
 
-def _cyclic_canonical(t: tuple[int, ...], limit: int) -> tuple[bool, int]:
-    """Whether t, a restricted-growth string, is least in its orbit under rotation and
-    color renaming, and the positions compared, giving up past ``limit``.  Once a
-    rotation renames to t itself, each later one renames as an earlier one did.
-    """
-    n = len(t)
-    steps = 0
-    for s in range(1, n):
-        relabel: dict[int, int] = {}
-        for i in range(n):
-            steps += 1
-            c = relabel.setdefault(t[(s + i) % n], len(relabel) + 1)
-            if c < t[i] or steps > limit:
-                return False, steps
-            if c > t[i]:
-                break
-        else:
-            return True, steps
-    return True, steps
-
-
 @dataclass(frozen=True)
 class EnumeratedColoring:
     coloring: Coloring
@@ -242,12 +218,16 @@ def circulant_enumerate(
     names color[p] as at its last position q in s..p-1 (color[q-s]) or,
     if new, one above the colors before p-s; below color[p-s], every
     completion has a smaller rotation and the branch is cut; above it, s
-    is dropped.  A rotation starting mid-run loses to the one a step
-    earlier, so the least rotation starts at a run start.  A complete
-    string is kept when it is its own canonical form and its class sums
-    give its S.  Each color tried at a position is one node, and so is each
-    rotation compared there and each position the canonical check
-    compares; past ``node_budget`` of them the census raises
+    is dropped.  A complete string carries the rotations still followed,
+    least first, on through the wrap positions 0..s-1 by the same rule: one
+    naming below the string rejects it, and one renaming to the string
+    itself accepts it, since every later rotation repeats an earlier one.
+    A rotation starting mid-run loses to the one a step earlier, which has
+    the longer leading run, so the least rotation starts at a run start,
+    even when its run wraps past position 0, and is followed.  The class
+    sums of a kept string give its S.  Each color tried at a position is
+    one node, and so is each rotation compared at a position or across the
+    wrap; past ``node_budget`` of them the census raises
     ``BudgetExceededError``, never returning part of its entries.  Coloring
     every position 1 takes ``period`` nodes, so a longer period is refused
     before anything is built.
@@ -277,13 +257,24 @@ def circulant_enumerate(
         if nodes > node_budget:
             raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
         if p == period:
-            t = tuple(color)
-            canonical, steps = _cyclic_canonical(t, node_budget - nodes)
-            nodes += steps
-            if canonical:
-                rows, mismatch, _ = _class_sums(neighbors, 1, t, top[period])  # exact re-check
-                if mismatch is None:
-                    found.append(EnumeratedColoring(Coloring(t, top[period]), RationalMatrix(rows)))
+            name = c = 0  # the last name compared with the string's color c: none yet
+            for s in follow[p]:  # finish rotation s through the wrap, positions q = 0..s-1
+                for q in range(s):
+                    nodes += 1
+                    seen = p + before[q] if before[q] >= 0 else last[color[q]]
+                    name = color[seen - s] if seen >= s else top[p - s + q] + 1
+                    c = color[p - s + q]
+                    if name != c:
+                        break
+                else:
+                    break  # s renames to the string: every later rotation repeats an earlier one
+                if name < c:
+                    break
+            if name >= c:
+                rows, mismatch, _ = _class_sums(neighbors, 1, color, top[p])
+                if mismatch is not None:  # the vertex checks passed this string
+                    raise AssertionError(f"census kept a coloring with unequal class sums: {color}")
+                found.append(EnumeratedColoring(Coloring(color, top[p]), RationalMatrix(rows)))
             p -= 1
         elif next_color[p] <= min(k, top[p] + 1):
             nodes += 1
@@ -697,6 +688,13 @@ def _target_matrix(
     return s
 
 
+def _check_two_color_target(params: TwoColorParams, r: int | Fraction) -> None:
+    """Raise as ``_target_matrix`` does unless params.r == r and 0 <= b, c <= r; every scan runs this."""
+    b, c = params.b, params.c
+    if params.r != r or not (0 <= b.numerator <= r * b.denominator and 0 <= c.numerator <= r * c.denominator):
+        _target_matrix(params, r)
+
+
 def torus_search(
     spec: GridSpec,
     periods: tuple[int, int],
@@ -821,11 +819,9 @@ def grid_reject_2color(
     tables of differences of the last eight grids and windows asked about
     are kept, so the calls for every (b, c) on one grid read one table.
     """
-    b, c, r = params.b, params.c, spec.valency
-    # 0 <= b, c <= r, compared as integers as two_color_check compares: every scan runs this
-    if params.r != r or not (0 <= b.numerator <= r * b.denominator and 0 <= c.numerator <= r * c.denominator):
-        _target_matrix(params, r)
+    _check_two_color_target(params, spec.valency)
     _check_node_budget(node_budget)
+    b, c = params.b, params.c
     if window is None:
         window = 2 * spec.radius
     if window < 1:

@@ -35,17 +35,18 @@ __all__ = [
 
 
 def rat(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+    """Coerce an int, Fraction, or "p/q" string (q != 0) to an exact Fraction.
 
     Floats are rejected on purpose: accepting them would smuggle rounding
     into an otherwise exact pipeline.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -501,6 +501,59 @@ def test_window_scan_target_outside_0_to_r_is_malformed(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "simple", "--s", "S", "--r", "1/0", "--h", "1", "--i", "1", "--j", "2"],
+        ["filter", "two-color", "--r", "1/0", "--h", "1", "--b", "1", "--c", "1"],
+        ["filter", "two-color", "--r", "4", "--h", "1", "--b", "0/0", "--c", "1"],
+        ["filter", "two-color", "--r", "4", "--h", "1", "--b", "1", "--c", "2/0"],
+        ["circulant", "period-filter", "--d", "1,2,4", "--b", "1/0", "--c", "1", "--t-max", "8"],
+        ["circulant", "period-filter", "--d", "1,2,4", "--b", "1", "--c", "1/0", "--t-max", "8"],
+        ["grid", "reject", "--grid", "square", "--b", "1/0", "--c", "1"],
+        ["grid", "reject", "--grid", "square", "--b", "1", "--c", "0/0"],
+        ["grid", "torus-search", "--grid", "square", "--p", "2", "--q", "2", "--b", "1/0", "--c", "1"],
+        ["grid", "torus-search", "--grid", "square", "--p", "2", "--q", "2", "--b", "1", "--c", "1/0"],
+        ["grid", "patch-search", "--grid", "square", "--width", "3", "--height", "3",
+         "--b", "1/0", "--c", "1"],
+        ["grid", "patch-search", "--grid", "square", "--width", "3", "--height", "3",
+         "--b", "1", "--c", "1/0"],
+    ],
+)
+def test_zero_denominator_option_is_malformed(c4_files, capsys, argv):
+    # Fraction("1/0") raised ZeroDivisionError: a traceback and exit 1, the code of a rejection
+    argv = [c4_files[2] if a == "S" else a for a in argv]
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zero denominator in" in captured.err
+
+
+def test_zero_denominator_in_a_matrix_file_is_malformed(c4_files, tmp_path, capsys):
+    graph, alt, s = c4_files
+    bad = write(tmp_path, "bad.json", {"rows": 2, "cols": 2, "data": [[0, "2/0"], [2, 0]]})
+    for argv in (
+        ["verify", "--graph", graph, "--coloring", alt, "--s", bad],
+        ["filter", "pair", "--m", bad, "--s", s, "--u", "0", "--v", "1", "--i", "1", "--j", "2"],
+        ["filter", "drg", "--graph", graph, "--s", bad, "--radius", "1", "--coloring", alt],
+        ["grid", "torus-search", "--grid", "square", "--p", "2", "--q", "2", "--s", bad],
+    ):
+        assert main(argv) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad matrix in {bad}: zero denominator in '2/0'" in captured.err
+
+
+def test_verify_float_colors_are_malformed(c4_files, tmp_path, capsys):
+    # float colors passed Coloring's checks, and verify died indexing by one
+    graph, _, _ = c4_files
+    floats = write(tmp_path, "floats.json", {"k": 2, "colors": [1.0, 2.0, 1.0, 2.0]})
+    assert main(["verify", "--graph", graph, "--coloring", floats]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad coloring in {floats}: colors must be integers" in captured.err
+
+
 def test_grid_patch_search_budget_bounds_the_window_it_builds(capsys):
     # the 600x600 window has 360,000 cells; a budget of 100 nodes reaches 101 of them,
     # and only those (and the cells that see them) are prepared

@@ -19,6 +19,13 @@ from perfcolor.graphs import cycle
 from perfcolor.ratmat import Polynomial, RationalMatrix, l1_row_distance
 
 
+def test_coloring_colors_must_be_integers():
+    # 1.0 == 1, so float colors passed the range checks, and indexing by them failed later
+    for colors in ((1.0, 2.0, 1.0, 2.0), (1, 2, 1, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="colors must be integers"):
+            Coloring(colors, 2)
+
+
 def test_coloring_validation():
     with pytest.raises(ValueError):
         Coloring((1, 3), 3)  # color 2 unused

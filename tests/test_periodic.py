@@ -31,7 +31,6 @@ from perfcolor.periodic import (
     SearchStatus,
     _backtrack,
     _coset_sizes,
-    _cyclic_canonical,
     _delta_table,
     _lattice_basis,
     _lattice_neighbors,
@@ -221,14 +220,14 @@ def test_enumerate_node_budget_never_returns_part(ds, period, k):
 
 
 def test_enumerate_node_budget_caps_long_periods():
-    # one color takes a node per position, and its canonical check compares
-    # the first rotation at every position and stops there: 2T nodes, with
-    # no T x T quotient and no T^2 leaf check
+    # one color takes a node per position, and the all-one string follows no
+    # rotation, so nothing is compared at the leaf: T nodes, with no T x T
+    # quotient and no T^2 leaf check
     spec = CirculantSpec((1,))
     for period in (2000, 10**5):
         with pytest.raises(BudgetExceededError):
-            circulant_enumerate(spec, period, 1, node_budget=2 * period - 1)
-        for budget in (2 * period, periodic.DEFAULT_NODE_BUDGET):
+            circulant_enumerate(spec, period, 1, node_budget=period - 1)
+        for budget in (period, periodic.DEFAULT_NODE_BUDGET):
             found = circulant_enumerate(spec, period, 1, node_budget=budget)
             assert [(e.coloring.colors, e.s) for e in found] == [((1,) * period, RationalMatrix([[2]]))]
 
@@ -246,7 +245,7 @@ def test_enumerate_matches_reference_census(ds):
 
 
 @pytest.mark.parametrize(
-    "ds, period, nodes, leaf_cut_nodes", [((1, 3, 5), 12, 4616, 9286), ((1, 2, 4), 32, 3434, 6993)]
+    "ds, period, nodes, leaf_cut_nodes", [((1, 3, 5), 12, 2014, 9286), ((1, 2, 4), 32, 3339, 6993)]
 )
 def test_enumerate_rotation_cut_saves_nodes(ds, period, nodes, leaf_cut_nodes):
     assert reference_census(ds, period, 2)[1] == leaf_cut_nodes
@@ -272,14 +271,15 @@ def test_enumerate_refuses_period_over_budget_before_building(monkeypatch):
         circulant_enumerate(CirculantSpec((1, 2, 4)), 101, 2, node_budget=100)
 
 
-def test_cyclic_canonical_matches_least_orbit_member():
-    for n in range(1, 9):
-        for t in {normalized_coloring(c).colors for c in product(range(1, 4), repeat=n)}:
-            canonical, steps = _cyclic_canonical(t, n * n)
-            assert canonical == (rotation_renaming_canonical(t) == t), t
-            # a limit below the positions compared gives up, never answers True
-            if steps:
-                assert _cyclic_canonical(t, steps - 1) == (False, steps)
+def test_enumerate_raises_when_a_kept_string_misses_its_class_sums(monkeypatch):
+    # the vertex checks admit only strings whose class sums agree, so a leaf
+    # re-check that disagrees is a fault in the census, not a string to drop
+    def mismatch(nbrs, dm, colors, k, s=None):
+        return [None] * k, (0, [0] * k), 1
+
+    monkeypatch.setattr(periodic, "_class_sums", mismatch)
+    with pytest.raises(AssertionError, match="unequal class sums"):
+        circulant_enumerate(CirculantSpec((1, 2, 4)), 3, 2)
 
 
 def test_enumerate_c124_period_32_at_default_budget():

@@ -41,6 +41,12 @@ def test_rat_rejects_floats():
         rat(0.5)
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+def test_rat_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat(text)
+
+
 @given(fractions)
 def test_rational_json_round_trip(x):
     assert rat(rat_to_json(x)) == x
