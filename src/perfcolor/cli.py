@@ -570,7 +570,7 @@ def build_parser() -> _Parser:
 
     p_repro = top.add_parser("repro", help="re-derive the bundled grid and circulant results")
     p_repro.add_argument("suite", nargs="?", default="paper", choices=("paper",))
-    p_repro.add_argument("--patch-max", type=int, default=8)
+    p_repro.add_argument("--patch-max", type=_positive, default=8)
     _add_common(p_repro, _cmd_repro)
 
     return parser

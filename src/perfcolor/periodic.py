@@ -39,7 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from operator import le
 
 from .coloring import Coloring, Neighbors, TwoColorParams, _class_sums, two_color_matrix
 from .filters import FilterVerdict, PairContext, VerdictStatus, two_color_check
@@ -538,7 +537,7 @@ def _backtrack(
     affected: Neighbors,
     constrained: list[bool],
     totals: frozenset[int],
-    allowed: list[tuple[int, ...]],
+    limits: list[int],
     *,
     all_colors: bool,
     find_all: bool,
@@ -549,106 +548,125 @@ def _backtrack(
     ``affected[u]`` lists (w, weight) for each constrained cell w that sees
     cell u, one pair per w, and ``totals`` holds the total weights the
     constrained cells see.  ``constrained`` flags every cell the lists name;
-    ``allowed`` gives the n cells to color, which may be a prefix of them
-    when not ``all_colors`` (a patch search whose budget cannot reach the
+    ``limits`` gives the highest color of each of the n cells to color,
+    which may be a prefix of them when not ``all_colors`` (a patch search whose budget cannot reach the
     rest colors only that prefix).  The engine reads this geometry as given and never changes it,
     so one prepared shape serves several searches.  A constrained cell of
     color i must see exactly s[i-1, j-1] weight of color j; a colored one
     ends the branch when it sees too much of some color.  Every total must
     equal each row sum of S; then a complete coloring with no color over its
     target meets every row exactly, so colors short of their target need no
-    cut.  Cell u tries the colors ``allowed[u]`` in order.  With
+    cut.  Cell u tries the colors 1..limits[u] in order.  With
     ``all_colors`` a branch ends once the unused colors outnumber the cells
     left.  Complete colorings are collected, only the first unless
     ``find_all``.  Each color tried at a cell is one node; the search stops
     after ``node_budget`` of them.  The rows of S are scaled to integers by
-    its denominator, and the weights with them when it is not 1; one
-    iterator of untried colors per cell stands in for recursion, so no
-    window is too deep for the interpreter stack.
+    its denominator, and the weights with them when it is not 1; a color
+    counter per cell stands in for recursion, so no window is too deep for
+    the interpreter stack.
 
-    Each cell w holds a cap row: its row of S while it is colored, and an
-    uncapped row of the common total while it is not.  The invariant is that
-    no cell sees more of any color than its cap; an uncolored cell meets it
-    for free, since no cell sees more than the total.  So "a colored
-    constrained cell sees too much" is the one compare
-    ``seen[w][c] > cap[w][c]``.  Coloring u with c raises its cap and the
-    color-c entries of the cells that see u, and nothing else: u's own row
-    and the unused-color cut are checked before the color is committed, then
-    the updates stop at the first cell over its cap, and only the updates
-    already applied are undone.
+    Each cell w keeps its slack as one integer, ``slack[w]``, with one
+    field of ``width = top.bit_length() + 1`` bits per color, color j's from
+    bit (j-1)*width up; ``top`` is the total every constrained cell sees,
+    scaled with S.  Field j holds guard + cap - seen, where
+    guard = 2**(width-1) is the field's top bit, seen is the weight of color
+    j that w sees, and the cap is w's row of S while w is colored and
+    ``top`` while it is not.  No field borrows from the next: w sees at
+    most ``top`` in all and a cap lies in 0..top, so a field stays within
+    guard - top >= 1 and guard + top < 2*guard, even one step past its cap,
+    and packed sums and differences act field by field.  A guard bit is
+    clear exactly when w sees more of that color than its cap, so one mask
+    test asks whether w sees too much.  Coloring u with c subtracts
+    ``lower[c]`` (top minus c's row, field by field; 0 for an unconstrained
+    cell) from u's slack, and u's own row holds when every guard survives;
+    the unused-color cut comes next, and then color c's step is subtracted
+    from each cell that sees u, stopping at the first whose color-c guard
+    clears.  Undoing adds back only what was subtracted.
 
     Returns (colorings, nodes expanded, search completed).
     """
-    n, k = len(allowed), s.rows
+    n, k = len(limits), s.rows
     ints, denom = s.integer_form()
-    rows = [[]] + [[0, *row] for row in ints]  # rows[c]: color c's row, indexed by color
     if totals and len({total * denom for total in totals} | {sum(row) for row in ints}) != 1:
         raise ValueError("every constrained cell must see a total weight equal to each row sum of S")
-    if denom != 1:
-        affected = [[(w, wt * denom) for w, wt in column] for column in affected]
-    uncapped = [max(totals, default=0) * denom] * (k + 1)
-    color = [0] * n
-    seen = [[0] * (k + 1) for _ in constrained]  # seen[w][j]: weight w sees on color j
-    cap = [uncapped] * len(constrained)
+    if min(min(row) for row in ints) < 0:
+        raise ValueError("every entry of S must be non-negative")
+    top = max(totals, default=0) * denom
+    width = top.bit_length() + 1
+    guard = 1 << width - 1
+    shift = [0, *range(0, k * width, width)]  # color c's field starts at bit shift[c]
+    guards = sum(guard << at for at in shift[1:])
+    mark = [guard << at for at in shift]  # mark[c]: the guard bit of color c's field
+    zeros = [0] * (k + 1)
+    lower = [0] + [sum((top - x) << at for x, at in zip(row, shift[1:])) for row in ints]
+    lowers = [lower if flag else zeros for flag in constrained[:n]]
+    steps: list[Neighbors] = [[]]  # steps[c][u]: (w, u's weight on w's color-c field)
+    for c in range(1, k + 1):
+        scale = denom << shift[c]
+        if scale == 1:  # color 1 of an integer S: the lists as given
+            steps.append(affected)
+        else:  # one tuple per distinct (w, weight), shared by every list it is in
+            step = {pair: (pair[0], pair[1] * scale) for column in affected for pair in column}
+            steps.append([[step[pair] for pair in column] for column in affected])
+    slack = [sum((guard + top) << at for at in shift[1:])] * len(constrained)
+    color = [0] * n  # color[u]: the color cell u holds or tries last
     used = [0] * (k + 1)
     unused = k  # colors with used[c] == 0
     found: list[tuple[int, ...]] = []
     nodes = 0
     if all_colors and k > n:
         return found, nodes, True
-    tries = [iter(())] * n  # tries[u]: the colors cell u has still to try
-    tries[0] = iter(allowed[0])
     last = n - 1
     u = 0
     while True:
-        c = next(tries[u], 0)
-        if c:
+        c = color[u] + 1
+        if c <= limits[u]:
+            color[u] = c
             nodes += 1
             if nodes > node_budget:
                 return found, nodes, False
-            row = rows[c]
-            if constrained[u] and not all(map(le, seen[u], row)):
+            low = lowers[u][c]
+            own = slack[u] - low
+            if own & guards != guards:
                 continue
             if all_colors and unused - (not used[c]) > last - u:
                 continue
-            cap[u] = row
-            updates = affected[u]
-            for w, wt in updates:
-                seen_w = seen[w]
-                x = seen_w[c] + wt
-                seen_w[c] = x
-                if x > cap[w][c]:
+            slack[u] = own
+            updates, bit = steps[c][u], mark[c]
+            for w, step in updates:
+                x = slack[w] - step
+                slack[w] = x
+                if not x & bit:
                     break
             else:
-                color[u] = c
                 if u < last:
                     if all_colors:
                         if not used[c]:
                             unused -= 1
                         used[c] += 1
                     u += 1
-                    tries[u] = iter(allowed[u])
+                    color[u] = 0
                     continue
                 found.append(tuple(color))
                 if not find_all:
                     return found, nodes, True
-            for v, wt in updates:  # undo the updates applied, the last one at w
-                seen[v][c] -= wt
+            for v, step in updates:  # undo the updates applied, the last one at w
+                slack[v] += step
                 if v == w:
                     break
-            cap[u] = uncapped
+            slack[u] += low
             continue
         u -= 1
         if u < 0:
             return found, nodes, True
         c = color[u]  # uncolor cell u before its next choice
-        for w, wt in affected[u]:
-            seen[w][c] -= wt
+        for w, step in steps[c][u]:
+            slack[w] += step
+        slack[u] += lowers[u][c]
         if all_colors:
             used[c] -= 1
             if not used[c]:
                 unused += 1
-        cap[u] = uncapped
 
 
 def _quotient_colorings(
@@ -658,7 +676,7 @@ def _quotient_colorings(
     n, k = len(nbrs), s.rows
     totals = frozenset(sum(a for _, a in row) for row in nbrs)
     found, nodes, complete = _backtrack(
-        s, nbrs, [True] * n, totals, [tuple(range(1, k + 1))] * n,
+        s, nbrs, [True] * n, totals, [k] * n,
         all_colors=True, find_all=find_all, node_budget=node_budget,
     )
     for colors in found:  # the engine's colorings meet S; a mismatch here is a fault in it
@@ -943,11 +961,11 @@ def patch_search(
 
     total_nodes = 0
     for s, pin_first in runs:
-        allowed = [tuple(range(1, s.rows + 1))] * len(affected)
-        if pin_first and interior and interior[0] < len(allowed):
-            allowed[interior[0]] = (1,)
+        limits = [s.rows] * len(affected)
+        if pin_first and interior and interior[0] < len(limits):
+            limits[interior[0]] = 1
         found, nodes, complete = _backtrack(
-            s, affected, constrained, totals, allowed,
+            s, affected, constrained, totals, limits,
             all_colors=False, find_all=False, node_budget=node_budget - total_nodes,
         )
         total_nodes += nodes

@@ -589,6 +589,15 @@ def test_grid_reject_window_below_one_is_a_usage_error(capsys, window):
     assert f"--window: must be at least 1, not {window}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch_max", ["0", "-1"])
+def test_repro_patch_max_below_one_is_a_usage_error(capsys, patch_max):
+    # no patch at all printed FAIL rows and "8/10 checks passed", and exited 1 as a rejection
+    with pytest.raises(SystemExit) as err:
+        main(["repro", "--patch-max", patch_max])
+    assert err.value.code == 64
+    assert f"--patch-max: must be at least 1, not {patch_max}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("t_max", ["0", "-3"])
 def test_period_filter_t_max_below_one_is_a_usage_error(capsys, t_max):
     # an empty range of shifts printed "no period constraint in range" and exited 0

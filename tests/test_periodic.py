@@ -681,6 +681,10 @@ def test_patch_search_target_with_negative_entry_is_malformed():
         lambda: patch_search(GridSpec.square(), (1, 7), (4, 4)),
         lambda: torus_search(GridSpec.square(), (2, 2), (1, 7)),
         lambda: patch_search(GridSpec.square(), RationalMatrix([[5, -1], [2, 2]]), (4, 4)),
+        lambda: _backtrack(  # a negative entry would borrow across the engine's packed fields
+            RationalMatrix([[5, -1], [2, 2]]), [[]], [False], frozenset(), [2],
+            all_colors=False, find_all=False, node_budget=10,
+        ),
     ):
         with pytest.raises(ValueError, match="negative"):
             search()
@@ -705,26 +709,27 @@ def test_patch_search_budget_stops_the_same_search(spec, target, side):
 # --- the engine against a plain recursive search ----------------------------------------------
 
 
+KING = GridSpec(frozenset(product((-1, 0, 1), repeat=2)) - {(0, 0)})  # valency 8: a power of two
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([GridSpec.square(), GridSpec.triangular()]), st.data())
+@given(st.sampled_from([GridSpec.square(), GridSpec.triangular(), KING]), st.data())
 def test_backtrack_matches_reference_search(spec, data):
+    # the totals 4, 6 and 8 times denominators 1, 2 and 3 give slack fields of 4 to 6 bits
     r = spec.valency
-    k = data.draw(st.integers(1, 3), label="k")
-    if data.draw(st.booleans(), label="halved"):  # rows of S with a denominator
-        rows = [[Fraction(x, 2) for x in row] for row in target_rows(data, k, 2 * r)]
-    else:
-        rows = target_rows(data, k, r)
+    k = data.draw(st.integers(1, 4), label="k")
+    denom = data.draw(st.sampled_from([1, 2, 3]), label="denominator")
+    rows = [[Fraction(x, denom) for x in row] for row in target_rows(data, k, denom * r)]
     budget = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 1500)), label="budget")
     all_colors = data.draw(st.booleans(), label="all_colors")
     find_all = data.draw(st.booleans(), label="find_all")
-    colors = tuple(range(1, k + 1))
     if data.draw(st.booleans(), label="window"):
         width = data.draw(st.integers(1, 5), label="width")
         height = data.draw(st.integers(1, 20 // width), label="height")
         flags, interior, targets = window_by_coordinates(spec.offsets, width, height)
-        allowed = [colors] * (width * height)
+        limits = [k] * (width * height)
         if interior and data.draw(st.booleans(), label="pin"):
-            allowed[interior[0]] = (1,)
+            limits[interior[0]] = 1
         # the engine gets the window prepared for the cells its budget reaches,
         # or all of them when the unused-color cut counts the cells left
         cells = width * height if all_colors else budget + 1
@@ -735,17 +740,75 @@ def test_backtrack_matches_reference_search(spec, data):
         basis = [(a, data.draw(st.integers(0, d - 1), label="b")), (0, d)]
         targets = lattice_neighbor_counts(spec.offsets, basis)
         flags = [True] * len(targets)
-        allowed = [colors] * len(targets)
+        limits = [k] * len(targets)
         affected = _lattice_neighbors(spec, basis)
         constrained, totals = [True] * len(affected), frozenset({r})
+    allowed = [tuple(range(1, limit + 1)) for limit in limits]
     expected = reference_backtrack(
         rows, targets, flags, allowed, all_colors=all_colors, find_all=find_all, node_budget=budget
     )
     got = _backtrack(
-        RationalMatrix(rows), affected, constrained, totals, allowed[: len(affected)],
+        RationalMatrix(rows), affected, constrained, totals, limits[: len(affected)],
         all_colors=all_colors, find_all=find_all, node_budget=budget,
     )
     assert got == expected
+
+
+# --- search trees of the benchmark's grid corpus -------------------------------------------------
+#
+# The engine's node count is its tree: any change to pruning or to the order
+# colors are tried moves it.  (grid, (b, c), search, shape, status, nodes,
+# witnesses); tori run with find_all, every search is complete, and the
+# refutations expand the same tree in either orientation.
+
+
+def _refuted_patches(grid, bc, nodes_by_side):
+    return [(grid, bc, "patch", (side, side), "rejected", nodes, 0) for side, nodes in nodes_by_side.items()]
+
+
+def _exhausted_tori(grid, bc, nodes_44, nodes_45):
+    return [(grid, bc, "torus", (4, 4), "inconclusive", nodes_44, 0),
+            (grid, bc, "torus", (4, 5), "inconclusive", nodes_45, 0)]
+
+
+TRI_22_TORI = {  # (p, q): (nodes, witnesses)
+    (1, 1): (0, 0), (1, 2): (6, 0), (1, 3): (14, 0), (1, 4): (22, 4),
+    (2, 1): (6, 0), (2, 2): (18, 0), (2, 3): (38, 0), (2, 4): (98, 4),
+    (3, 1): (14, 0), (3, 2): (30, 0), (3, 3): (94, 0), (3, 4): (286, 4),
+    (4, 1): (22, 4), (4, 2): (54, 4), (4, 3): (138, 4), (4, 4): (494, 12),
+}
+
+GRID_CORPUS = [
+    *_refuted_patches("square", (4, 3), {6: 2708, 7: 5092, 8: 9588}),
+    *_refuted_patches("triangular", (3, 1), {5: 2260, 6: 5176, 7: 11516, 8: 26332}),
+    *_refuted_patches("triangular", (5, 5), {4: 218, 5: 418, 6: 810, 7: 1586, 8: 3130}),
+    *_refuted_patches("triangular", (6, 4), {5: 936, 6: 1880, 7: 3800, 8: 7652}),
+    *_exhausted_tori("square", (4, 3), 46, 70),
+    *_exhausted_tori("triangular", (3, 1), 108, 198),
+    *_exhausted_tori("triangular", (5, 5), 74, 118),
+    *_exhausted_tori("triangular", (6, 4), 64, 116),
+    *[("square", (2, 2), "patch", size, "inconclusive", nodes, 0)
+      for size, nodes in {(10, 10): 2810, (11, 10): 7164, (11, 11): 7181, (12, 12): 13585}.items()],
+    *[("triangular", (2, 2), "torus", periods, "witness" if count else "inconclusive", nodes, count)
+      for periods, (nodes, count) in TRI_22_TORI.items()],
+    ("triangular", (3, 3), "torus", (4, 5), "inconclusive", 3546, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "grid, bc, search, shape, status, nodes, witnesses",
+    GRID_CORPUS,
+    ids=[f"{search}-{grid}-{bc[0]},{bc[1]}-{shape[0]}x{shape[1]}" for grid, bc, search, shape, *_ in GRID_CORPUS],
+)
+def test_search_trees_of_the_grid_corpus(grid, bc, search, shape, status, nodes, witnesses):
+    spec = getattr(GridSpec, grid)()
+    for target in {bc, bc[::-1]}:
+        if search == "patch":
+            outcome = patch_search(spec, target, shape)
+        else:
+            outcome = torus_search(spec, shape, target, find_all=True)
+        got = (outcome.status.value, outcome.stats.nodes, outcome.stats.complete, len(outcome.witnesses))
+        assert got == (status, nodes, True, witnesses)
 
 
 # --- grid rejection report ----------------------------------------------------------------------
