@@ -227,8 +227,6 @@ def _pair_scan(args) -> int:
     extra = {}
     l = getattr(args, "l", None)  # only `filter power` declares --l
     if l is not None:
-        if l < 1:
-            raise ValueError("power must be a positive integer")
         m, s = m**l, s**l
         extra["l"] = l
     rows = [
@@ -500,7 +498,7 @@ def build_parser() -> _Parser:
     fw = filter_sub.add_parser("power", help="row-distance bound on M^l against S^l")
     fw.add_argument("--m", required=True)
     fw.add_argument("--s", required=True)
-    fw.add_argument("--l", type=int, required=True)
+    fw.add_argument("--l", type=_positive, required=True)
     add_pairs(fw)
     _add_common(fw, _pair_scan)
 

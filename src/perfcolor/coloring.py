@@ -44,6 +44,8 @@ class Coloring:
         object.__setattr__(self, "colors", tuple(self.colors))
         if not self.colors:
             raise ValueError("coloring needs at least one vertex")
+        if type(self.k) is not int:
+            raise ValueError(f"k must be an integer, not {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be positive")
         if any(type(c) is not int for c in self.colors):

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .coloring import TwoColorParams
 from .graphs import Graph, distance_matrices, distance_polynomials, intersection_array
@@ -250,21 +249,14 @@ def distance_power_check(
     return pair_color_feasible(m**l, s**l, u, v, i, j)
 
 
-# (S, radius) images one DistanceRegularData keeps; the oldest is dropped past this
-_IMAGES_KEPT = 32
-# drg_check keeps the prepared data of graphs up to this many vertices between calls
-_KEPT_GRAPH_VERTICES = 256
-
-
 class DistanceRegularData:
     """Graph-level data of a distance-regular graph, prepared once for many queries.
 
     Holds the intersection array, the distance matrices A_0..A_d and the
-    sphere and ball polynomials.  The ball indicator of each radius, and the
-    images ball[r](S) and sphere[r](S) of the latest ``_IMAGES_KEPT``
-    (S, radius) pairs, are built on first use and kept, so one query builds
-    only what its radius needs and an all-pairs scan does O(n) row distances
-    per pair.
+    sphere and ball polynomials.  The (S, radius) asked about last is kept
+    with its ball indicator and its images ball[r](S) and sphere[r](S), so
+    an all-pairs scan of one (S, radius) builds them once and then does two
+    row distances per pair; asking about another (S, radius) replaces it.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -274,45 +266,38 @@ class DistanceRegularData:
         self.intersection_array = ia
         self.spheres = distance_matrices(g)
         self.polynomials = distance_polynomials(ia)
-        self._balls: dict[int, RationalMatrix] = {}
-        self._images: dict[tuple[RationalMatrix, int], tuple[RationalMatrix, RationalMatrix]] = {}
+        self._last: tuple | None = None  # (S, radius, ball indicator, (ball image, sphere image))
 
     @property
     def diameter(self) -> int:
         return len(self.spheres) - 1
 
-    def _require_radius(self, radius: int) -> None:
-        if not 1 <= radius <= self.diameter:
-            raise ValueError(f"radius must be in 1..{self.diameter}")
-
     def ball(self, radius: int) -> RationalMatrix:
         """0/1 matrix of the pairs at distance at most ``radius``."""
-        if radius not in self._balls:
-            self._require_radius(radius)
-            indicator = self.spheres[0]
-            for t in range(1, radius + 1):
-                indicator = indicator + self.spheres[t]
-            self._balls[radius] = indicator
-        return self._balls[radius]
+        if not 1 <= radius <= self.diameter:
+            raise ValueError(f"radius must be in 1..{self.diameter}")
+        indicator = self.spheres[0]
+        for t in range(1, radius + 1):
+            indicator = indicator + self.spheres[t]
+        return indicator
+
+    def _prepare(self, s: RationalMatrix, radius: int) -> tuple:
+        last = self._last
+        if last is None or last[1] != radius or last[0] != s:
+            indicator = self.ball(radius)
+            images = (self.polynomials.ball[radius](s), self.polynomials.sphere[radius](s))
+            last = self._last = (s, radius, indicator, images)
+        return last
 
     def images(self, s: RationalMatrix, radius: int) -> tuple[RationalMatrix, RationalMatrix]:
         """The ball and sphere polynomial images (ball[radius](S), sphere[radius](S))."""
-        key = (s, radius)
-        if key not in self._images:
-            self._require_radius(radius)
-            if len(self._images) >= _IMAGES_KEPT:
-                del self._images[next(iter(self._images))]
-            self._images[key] = (
-                self.polynomials.ball[radius](s),
-                self.polynomials.sphere[radius](s),
-            )
-        return self._images[key]
+        return self._prepare(s, radius)[3]
 
     def check(
         self, s: RationalMatrix, radius: int, u: int, v: int, i: int, j: int
     ) -> tuple[FilterVerdict, FilterVerdict]:
         """The (ball, sphere) verdicts of ``drg_check`` for one query."""
-        ball_image, sphere_image = self.images(s, radius)
+        _, _, ball, (ball_image, sphere_image) = self._prepare(s, radius)
 
         def side(indicator: RationalMatrix, image: RationalMatrix, kind: str) -> FilterVerdict:
             lhs = l1_row_distance(indicator, u, v)
@@ -327,7 +312,7 @@ class DistanceRegularData:
             return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
 
         return (
-            side(self.ball(radius), ball_image, "B"),
+            side(ball, ball_image, "B"),
             side(self.spheres[radius], sphere_image, "W"),
         )
 
@@ -339,15 +324,8 @@ def drg_check(
 
     |B_r(u) symdiff B_r(v)| must dominate the distance between rows i, j of
     the ball polynomial image of S, and likewise for spheres.  Returns the
-    (ball, sphere) verdicts.  The ``DistanceRegularData`` of a graph with
-    at most ``_KEPT_GRAPH_VERTICES`` vertices is prepared on the first query
-    and kept for the few graphs asked about last, so repeated queries on one
-    graph prepare it once; a larger graph is prepared for each call.
+    (ball, sphere) verdicts.  Each call prepares the graph's
+    ``DistanceRegularData`` and keeps nothing, so a caller with many pairs
+    should prepare it once and call its ``check``.
     """
-    data = _distance_regular_data(g) if g.n <= _KEPT_GRAPH_VERTICES else DistanceRegularData(g)
-    return data.check(s, radius, u, v, i, j)
-
-
-@lru_cache(maxsize=8)
-def _distance_regular_data(g: Graph) -> DistanceRegularData:
-    return DistanceRegularData(g)
+    return DistanceRegularData(g).check(s, radius, u, v, i, j)

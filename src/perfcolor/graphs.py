@@ -56,6 +56,8 @@ class Graph:
         m = self.adjacency
         if not m.is_square:
             raise ValueError("adjacency matrix must be square")
+        if type(self.simple) is not bool:
+            raise ValueError(f"simple must be true or false, not {self.simple!r}")
         if self.labels is not None and len(self.labels) != m.rows:
             raise ValueError("label count must equal the number of vertices")
         if self.simple and (defect := _simple_defect(m)):

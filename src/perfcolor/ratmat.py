@@ -59,13 +59,13 @@ class RationalMatrix:
     """Immutable dense matrix with exact rational entries.
 
     The one stored form is integer rows over a denominator d > 0 with
-    gcd(d, *entries) == 1.  It is unique, so ``==`` and the hash (kept after
-    first use) read it directly, and every operation reduces once per result.
+    gcd(d, *entries) == 1.  It is unique, so ``==`` and the hash read it
+    directly, and every operation reduces once per result.
     Fractions are built only by ``row``, indexing, ``row_sums`` and
     ``l1_row_distance``; ``to_json`` and ``repr`` write a/d directly.
     """
 
-    __slots__ = ("_ints", "_d", "_hash")
+    __slots__ = ("_ints", "_d")
 
     def __init__(self, data: Iterable[Iterable[RatLike]]) -> None:
         rows = tuple(tuple(x if type(x) is int else rat(x) for x in row) for row in data)
@@ -81,7 +81,7 @@ class RationalMatrix:
                 for row in rows
             )
         # entries in lowest terms over their least common denominator share no factor with it
-        self._ints, self._d, self._hash = rows, d, None
+        self._ints, self._d = rows, d
 
     @classmethod
     def _reduced(cls, ints: tuple[tuple[int, ...], ...], d: int) -> "RationalMatrix":
@@ -92,7 +92,7 @@ class RationalMatrix:
                 ints = tuple(tuple(x // g for x in row) for row in ints)
                 d //= g
         m = object.__new__(cls)
-        m._ints, m._d, m._hash = ints, d, None
+        m._ints, m._d = ints, d
         return m
 
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -191,9 +191,7 @@ class RationalMatrix:
         return isinstance(other, RationalMatrix) and (self._d, self._ints) == (other._d, other._ints)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._ints, self._d))
-        return self._hash
+        return hash((self._ints, self._d))
 
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(_entry_json(a, self._d)) for a in row) + "]" for row in self._ints)

@@ -29,7 +29,7 @@ from perfcolor.coloring import (
     two_color_matrix,
     verify_perfect,
 )
-from perfcolor.filters import PairContext, drg_check, two_color_check
+from perfcolor.filters import DistanceRegularData, PairContext, two_color_check
 from perfcolor.graphs import (
     Graph,
     complete,
@@ -374,14 +374,14 @@ def test_criterion_09_distance_regular_oracle():
     drg_ok = True
     colorings_checked = 0
     for name, g in graphs.items():
-        d = len(distance_matrices(g)) - 1
+        data = DistanceRegularData(g)
         for f in perfect_colorings(g):
             s = induced_parameters(g, f)
             colorings_checked += 1
-            for radius in range(1, d + 1):
+            for radius in range(1, data.diameter + 1):
                 for u in range(g.n):
                     for v in range(g.n):
-                        ball, sphere = drg_check(g, s, radius, u, v, f.colors[u], f.colors[v])
+                        ball, sphere = data.check(s, radius, u, v, f.colors[u], f.colors[v])
                         if not (ball.feasible and sphere.feasible):
                             drg_ok = False
     ok = poly_ok and drg_ok

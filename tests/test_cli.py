@@ -8,6 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from perfcolor import cli, periodic
 from perfcolor.cli import main
@@ -554,6 +555,46 @@ def test_verify_float_colors_are_malformed(c4_files, tmp_path, capsys):
     assert f"bad coloring in {floats}: colors must be integers" in captured.err
 
 
+def test_boolean_k_is_malformed(tmp_path, capsys):
+    # k = true passed Coloring's checks as k = 1
+    graph = write(tmp_path, "c5.json", cycle(5).to_json())
+    mono = write(tmp_path, "mono.json", {"k": True, "colors": [1, 1, 1, 1, 1]})
+    assert main(["verify", "--graph", graph, "--coloring", mono]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad coloring in {mono}: k must be an integer, not True" in captured.err
+
+
+@pytest.mark.parametrize(
+    "simple, shown",
+    [("false", "'false'"), (0, "0"), (1, "1"), ("true", "'true'")],
+)
+def test_non_boolean_simple_flag_is_malformed(tmp_path, capsys, simple, shown):
+    # any truthy "simple" read as simple, and "simple": 0 made C5 "not distance-regular"
+    s = write(tmp_path, "s.json", {"data": [[2]]})
+    for name, obj in (
+        ("adjacency.json", {**cycle(5).to_json(), "simple": simple}),
+        ("edges.json", {"n": 5, "edges": [[v, (v + 1) % 5] for v in range(5)], "simple": simple}),
+    ):
+        graph = write(tmp_path, name, obj)
+        assert main(["filter", "drg", "--graph", graph, "--s", s, "--radius", "1",
+                     "--u", "0", "--v", "1", "--i", "1", "--j", "1"]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad graph in {graph}: simple must be true or false, not {shown}" in captured.err
+
+
+@pytest.mark.parametrize("l", ["0", "-2"])
+def test_filter_power_l_below_one_is_a_usage_error(c4_files, capsys, l):
+    # the scan refused it as malformed input (65) after loading its files
+    graph, alt, s = c4_files
+    m = write_matrix_from_graph(graph)
+    with pytest.raises(SystemExit) as err:
+        main(["filter", "power", "--m", m, "--s", s, "--l", l, "--coloring", alt])
+    assert err.value.code == 64
+    assert f"--l: must be at least 1, not {l}" in capsys.readouterr().err
+
+
 def test_grid_patch_search_budget_bounds_the_window_it_builds(capsys):
     # the 600x600 window has 360,000 cells; a budget of 100 nodes reaches 101 of them,
     # and only those (and the cells that see them) are prepared
@@ -862,3 +903,97 @@ def test_closed_stdout_keeps_the_verdict_exit_code(argv, capsys):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (outcome(capsys, argv)[0], b"")
+
+
+# --- the exit-code contract, over every leaf and option of the parser --------------
+
+_EDGE_VALUES = ["0", "-1", "1/2", "1/0", "x"]
+_SIZES = [*_EDGE_VALUES, "1", "2", "3", "4", "5", "6"]  # small: `graph complete --n 100000` alone exhausts memory
+_OPTION_VALUES = {
+    **dict.fromkeys(("n", "T", "p", "q", "width", "height", "k", "t", "radius", "l", "t_max", "patch_max"), _SIZES),
+    "window": [*_EDGE_VALUES, "1", "2", "3"],
+    # 5 and 7 exceed the valencies of the square and triangular grids
+    **dict.fromkeys(("b", "c", "r", "h", "u", "v", "i", "j"), [*_EDGE_VALUES, "1", "2", "3", "5", "7"]),
+    "d": ["1", "1,2,4", "2,3", "1,1", "0", "-1", "1/2", "x"],
+    "delta": ["1,1", "2,0", "0,0", "1", "x"],
+    "offsets": ["1,0;0,1", "1,0;0,1;1,-1", "0,0", "1,0", "x"],
+    "node_budget": ["0", "1", "50"],
+}
+_FILE_OPTIONS = ("graph", "coloring", "s", "m")
+_CONTRACT_LEAVES = dict(_leaves(cli.build_parser()))
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """Graph, coloring and matrix files: valid ones, then mistyped, ragged, malformed and missing ones."""
+    root = tmp_path_factory.mktemp("inputs")
+    c5 = cycle(5).to_json()
+    objects = [
+        c5,
+        petersen().to_json(),
+        cycle(4).to_json(),
+        {"k": 1, "colors": [1] * 5},
+        {"k": 2, "colors": [1, 2, 1, 2]},
+        {"k": 2, "colors": [1, 2, 2, 1, 1, 2, 2, 1, 1, 2]},
+        {"rows": 1, "cols": 1, "data": [[2]]},
+        {"data": [[0, 2], [2, 0]]},
+        {"data": [[0, 3, 0], [1, 0, 2], [0, 1, 2]]},
+        {"data": [["1/2", "3/2"], [1, 1]]},
+        cycle(5).adjacency.to_json(),
+        {"adjacency": {"data": [[0, "1/2"], ["1/2", 0]]}, "simple": False},
+        {"adjacency": {"data": [[0, -1], [-1, 0]]}},
+        # mistyped
+        {"k": True, "colors": [1] * 5},
+        {"k": "2", "colors": [1, 2, 1, 2]},
+        {"k": 2, "colors": [1.0, 2.0, 1.0, 2.0]},
+        {**c5, "simple": "false"},
+        {**c5, "simple": 0},
+        {"n": 5, "edges": [[0, 1]], "simple": "yes"},
+        {"n": "3", "edges": []},
+        {"data": [[1.5]]},
+        {"data": "x"},
+        {"data": [["1/0"]]},
+        None,
+        [],
+        "x",
+        5,
+        # ragged
+        {"data": [[1, 2], [3]]},
+        {"rows": 3, "cols": 2, "data": [[1, 2], [3, 4]]},
+        {"adjacency": {"data": [[0, 1], [1]]}},
+        {"n": 3, "edges": [[0]]},
+        {"k": 2, "colors": []},
+    ]
+    paths = [write(root, f"{n}.json", obj) for n, obj in enumerate(objects)]
+    for name, text in (("truncated.json", '{"k": 2, "colors": [1,'), ("empty.json", "")):
+        (root / name).write_text(text)
+        paths.append(str(root / name))
+    return [*paths, str(root / "missing.json")]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_leaf_keeps_the_exit_code_contract(input_files, capsys, data):  # capsys is read out per example
+    path = data.draw(st.sampled_from(sorted(_CONTRACT_LEAVES)))
+    argv = list(path)
+    for action in _CONTRACT_LEAVES[path]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._StoreTrueAction):
+            if data.draw(st.booleans()):
+                argv.append(action.option_strings[0])
+            continue
+        if action.choices is not None:
+            values = list(action.choices)
+        elif action.dest in _FILE_OPTIONS:
+            values = input_files
+        else:
+            values = _OPTION_VALUES[action.dest]  # a new option needs its edge values here
+        given_always = action.required or not action.option_strings or action.dest in ("format", "node_budget")
+        if given_always or data.draw(st.booleans()):
+            argv += [*action.option_strings[:1], data.draw(st.sampled_from(values))]
+    code, out, err = outcome(capsys, argv)
+    assert code in {0, 1, 2, 64, 65, 66}, (argv, code)
+    assert "Traceback" not in err, argv
+    if code in (1, 2):  # a rejection or an inconclusive search prints its verdict
+        assert out.strip(), argv

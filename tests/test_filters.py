@@ -12,7 +12,6 @@ from perfcolor.coloring import (
     two_color_matrix,
     two_color_params,
 )
-from perfcolor import filters
 from perfcolor.filters import (
     DistanceRegularData,
     PairContext,
@@ -27,7 +26,7 @@ from perfcolor.filters import (
 )
 from perfcolor.graphs import common_neighbor_count, cycle, petersen, regularity
 from perfcolor.periodic import GridSpec, torus_quotient
-from perfcolor.ratmat import RationalMatrix, l1_row_distance
+from perfcolor.ratmat import Polynomial, RationalMatrix, l1_row_distance
 
 
 def test_pair_context_validation():
@@ -391,31 +390,17 @@ def test_distance_regular_data_balls_and_images(g):
         data.check(s, data.diameter + 1, 0, 1, 1, 1)
 
 
-def test_drg_check_prepares_each_graph_once(monkeypatch):
-    filters._distance_regular_data.cache_clear()
-    s = RationalMatrix([[0, 2], [1, 1]])
-    graphs = [cycle(6), petersen(), cycle(6)]  # equal graphs share one preparation
-    expected = [[DistanceRegularData(g).check(s, 2, 0, u, 1, 2) for u in range(g.n)] for g in graphs]
-    prepared = []
-    real = filters.intersection_array
-    monkeypatch.setattr(filters, "intersection_array", lambda g: prepared.append(g) or real(g))
-    for g, verdicts in zip(graphs, expected):
-        assert [drg_check(g, s, 2, 0, u, 1, 2) for u in range(g.n)] == verdicts
-    assert prepared == [cycle(6), petersen()]
-    # a graph over the vertex cap is prepared for each call and not kept
-    monkeypatch.setattr(filters, "_KEPT_GRAPH_VERTICES", 5)
-    for _ in range(2):
-        assert drg_check(cycle(6), s, 2, 0, 3, 1, 2) == expected[0][3]
-    assert prepared == [cycle(6), petersen(), cycle(6), cycle(6)]
-
-
-def test_distance_regular_data_keeps_a_bounded_number_of_images():
+def test_distance_regular_data_keeps_the_last_query(monkeypatch):
+    evaluations = []
+    real = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda p, a: evaluations.append(a) or real(p, a))
     data = DistanceRegularData(cycle(5))
-    matrices = [RationalMatrix([[t, 2 - t], [1, 1]]) for t in range(filters._IMAGES_KEPT + 5)]
-    for s in matrices:
-        data.images(s, 1)
-    assert len(data._images) == filters._IMAGES_KEPT
-    assert (matrices[0], 1) not in data._images
-    assert (matrices[-1], 1) in data._images
-    # a dropped image is rebuilt unchanged
-    assert data.images(matrices[0], 1) == DistanceRegularData(cycle(5)).images(matrices[0], 1)
+    s1, s2 = RationalMatrix([[0, 2], [1, 1]]), RationalMatrix([[1, 1], [2, 0]])
+    for u in range(5):
+        for v in range(5):
+            data.check(s1, 1, u, v, 1, 2)
+    assert evaluations == [s1, s1]  # one ball and one sphere image for the whole scan
+    expected = data.images(s1, 1)
+    data.images(s2, 1)
+    assert data.images(s1, 1) == expected and data.images(s1, 1) is not expected
+    assert evaluations == [s1, s1, s2, s2, s1, s1]  # asking about s2 replaced s1
