@@ -139,17 +139,31 @@ _JSON_SCALARS = {
 def _json_rows(obj) -> str:
     """``json.dumps(obj, indent=2)``, written directly for a non-empty list of rows of scalars.
 
-    With ``indent`` set the json module encodes in pure Python.  Anything
-    else, such as a dict or a row holding a dict, is left to ``json.dumps``.
+    With ``indent`` set the json module encodes in pure Python.  Scan rows
+    repeat most of their lines, so each distinct (key, type, value) line is
+    encoded once per call; the type is part of it because True == 1.
+    Anything else, such as a dict or a row holding a dict, is left to
+    ``json.dumps``.
     """
-    rows = obj if type(obj) is list else []
-    scalars = (type(k) is str and type(v) in _JSON_SCALARS for row in rows for k, v in row.items())
-    if not (rows and all(type(row) is dict and row for row in rows) and all(scalars)):
+    if type(obj) is not list or not obj:
         return json.dumps(obj, indent=2)
-    objects = (
-        ",\n".join(f"    {encode_basestring_ascii(k)}: {_JSON_SCALARS[type(v)](v)}" for k, v in row.items())
-        for row in rows
-    )
+    lines: dict = {}
+    objects = []
+    for row in obj:
+        if type(row) is not dict or not row:
+            return json.dumps(obj, indent=2)
+        out = []
+        for k, v in row.items():
+            encode = _JSON_SCALARS.get(type(v))
+            if encode is None:
+                return json.dumps(obj, indent=2)
+            line = lines.get((k, type(v), v))
+            if line is None:
+                if type(k) is not str:
+                    return json.dumps(obj, indent=2)
+                line = lines[k, type(v), v] = f"    {encode_basestring_ascii(k)}: {encode(v)}"
+            out.append(line)
+        objects.append(",\n".join(out))
     return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]"
 
 
@@ -219,7 +233,7 @@ def _requested_pairs(args, n: int) -> list[tuple[int, int, int, int]]:
 def _pair_scan(args) -> int:
     """Row-distance bound on M^l against S^l for each requested pair; M against S without --l.
 
-    The powers are taken once, before the scan.
+    The powers are taken once, before the scan, and each S-side distance once per color pair.
     """
     m = _load(args.m, "matrix", RationalMatrix)
     s = _load(args.s, "matrix", RationalMatrix)
@@ -229,8 +243,9 @@ def _pair_scan(args) -> int:
     if l is not None:
         m, s = m**l, s**l
         extra["l"] = l
+    s_distances: dict = {}
     rows = [
-        _verdict_row(pair_color_feasible(m, s, u, v, i, j), u=u, v=v, i=i, j=j, **extra)
+        _verdict_row(pair_color_feasible(m, s, u, v, i, j, s_distances), u=u, v=v, i=i, j=j, **extra)
         for u, v, i, j in pairs
     ]
     return _finish_rows(rows, args)

@@ -114,11 +114,16 @@ class PairContext:
 
 
 def pair_color_feasible(
-    m: RationalMatrix, s: RationalMatrix, u: int, v: int, i: int, j: int
+    m: RationalMatrix, s: RationalMatrix, u: int, v: int, i: int, j: int,
+    s_distances: dict | None = None,
 ) -> FilterVerdict:
-    """Reject colors (i, j) for vertices (u, v) when the row-distance bound fails."""
+    """Reject colors (i, j) for vertices (u, v) when the row-distance bound fails.
+
+    A scan of many pairs of one (M, S) may pass one dict as ``s_distances``;
+    each d(S rows i, j) is then computed once per color pair and kept there.
+    """
     lhs = l1_row_distance(m, u, v)
-    rhs = l1_row_distance(s, i - 1, j - 1)
+    rhs = _s_distance(s_distances, (i, j), lambda: l1_row_distance(s, i - 1, j - 1))
     if lhs < rhs:
         return FilterVerdict(
             VerdictStatus.INFEASIBLE,
@@ -127,6 +132,16 @@ def pair_color_feasible(
             f"d(M rows {u},{v}) = {lhs} < {rhs} = d(S rows {i},{j})",
         )
     return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
+
+
+def _s_distance(table: dict | None, key: tuple[int, int], compute):
+    """table[key], filled by ``compute()`` on first use; a lookup that raises stores nothing."""
+    if table is None:
+        return compute()
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute()
+    return value
 
 
 def simple_pair_bound(ctx: PairContext, s: RationalMatrix, i: int, j: int) -> FilterVerdict:
@@ -254,9 +269,12 @@ class DistanceRegularData:
 
     Holds the intersection array, the distance matrices A_0..A_d and the
     sphere and ball polynomials.  The (S, radius) asked about last is kept
-    with its ball indicator and its images ball[r](S) and sphere[r](S), so
-    an all-pairs scan of one (S, radius) builds them once and then does two
-    row distances per pair; asking about another (S, radius) replaces it.
+    with its ball indicator, its images ball[r](S) and sphere[r](S), and
+    the row distances of those images per color pair (i, j).  So an
+    all-pairs scan of one (S, radius) builds the images once, computes each
+    image-side distance once per color pair, and then does two graph-side
+    row distances per vertex pair; asking about another (S, radius)
+    replaces it.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -266,7 +284,8 @@ class DistanceRegularData:
         self.intersection_array = ia
         self.spheres = distance_matrices(g)
         self.polynomials = distance_polynomials(ia)
-        self._last: tuple | None = None  # (S, radius, ball indicator, (ball image, sphere image))
+        # (S, radius, ball indicator, (ball image, sphere image), {(i, j): (ball rhs, sphere rhs)})
+        self._last: tuple | None = None
 
     @property
     def diameter(self) -> int:
@@ -286,7 +305,7 @@ class DistanceRegularData:
         if last is None or last[1] != radius or last[0] != s:
             indicator = self.ball(radius)
             images = (self.polynomials.ball[radius](s), self.polynomials.sphere[radius](s))
-            last = self._last = (s, radius, indicator, images)
+            last = self._last = (s, radius, indicator, images, {})
         return last
 
     def images(self, s: RationalMatrix, radius: int) -> tuple[RationalMatrix, RationalMatrix]:
@@ -297,11 +316,9 @@ class DistanceRegularData:
         self, s: RationalMatrix, radius: int, u: int, v: int, i: int, j: int
     ) -> tuple[FilterVerdict, FilterVerdict]:
         """The (ball, sphere) verdicts of ``drg_check`` for one query."""
-        _, _, ball, (ball_image, sphere_image) = self._prepare(s, radius)
+        _, _, ball, images, s_distances = self._prepare(s, radius)
 
-        def side(indicator: RationalMatrix, image: RationalMatrix, kind: str) -> FilterVerdict:
-            lhs = l1_row_distance(indicator, u, v)
-            rhs = l1_row_distance(image, i - 1, j - 1)
+        def side(lhs: Fraction, rhs: Fraction, kind: str) -> FilterVerdict:
             if lhs < rhs:
                 return FilterVerdict(
                     VerdictStatus.INFEASIBLE,
@@ -311,9 +328,13 @@ class DistanceRegularData:
                 )
             return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
 
+        ball_lhs = l1_row_distance(ball, u, v)  # a bad vertex is named before a bad color
+        ball_rhs, sphere_rhs = _s_distance(
+            s_distances, (i, j), lambda: tuple(l1_row_distance(x, i - 1, j - 1) for x in images)
+        )
         return (
-            side(ball, ball_image, "B"),
-            side(self.spheres[radius], sphere_image, "W"),
+            side(ball_lhs, ball_rhs, "B"),
+            side(l1_row_distance(self.spheres[radius], u, v), sphere_rhs, "W"),
         )
 
 

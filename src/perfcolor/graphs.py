@@ -202,12 +202,10 @@ def distance_matrices(g: Graph) -> tuple[RationalMatrix, ...]:
     d = max(max(row) for row in dist)
     if any(x < 0 for row in dist for x in row):
         raise ValueError("distance matrices require a connected graph")
-    mats = []
-    for r in range(d + 1):
-        mats.append(
-            RationalMatrix([[1 if dist[u][v] == r else 0 for v in range(g.n)] for u in range(g.n)])
-        )
-    return tuple(mats)
+    return tuple(
+        RationalMatrix.from_integer_form(tuple(tuple(int(x == r) for x in row) for row in dist))
+        for r in range(d + 1)
+    )
 
 
 def diameter(g: Graph) -> int:
@@ -266,30 +264,35 @@ def intersection_array(g: Graph) -> IntersectionArray | None:
     d = max(max(row) for row in dist)
     if d == 0:
         return None
-    b: list[Fraction | None] = [None] * d
-    c: list[Fraction | None] = [None] * d
-    b[0] = Fraction(len(nbrs[0]))
-    for u in range(g.n):
-        for v in range(g.n):
-            r = dist[u][v]
+    b: list[int | None] = [None] * d
+    c: list[int | None] = [None] * d
+    b[0] = len(nbrs[0])
+    for dist_u in dist:
+        for r, nbrs_v in zip(dist_u, nbrs):
             if r == 0:
                 continue
-            closer = sum(1 for w in nbrs[v] if dist[u][w] == r - 1)
-            farther = sum(1 for w in nbrs[v] if dist[u][w] == r + 1)
+            # a neighbor w of v has dist(u, w) in r-1..r+1
+            closer = farther = 0
+            for w in nbrs_v:
+                x = dist_u[w]
+                if x < r:
+                    closer += 1
+                elif x > r:
+                    farther += 1
             if c[r - 1] is None:
-                c[r - 1] = Fraction(closer)
+                c[r - 1] = closer
             elif c[r - 1] != closer:
                 return None
             if r < d:
                 if b[r] is None:
-                    b[r] = Fraction(farther)
+                    b[r] = farther
                 elif b[r] != farther:
                     return None
             elif farther != 0:
                 return None
     if any(x is None for x in b) or any(x is None for x in c):
         return None
-    return IntersectionArray(tuple(b), tuple(c))
+    return IntersectionArray(tuple(map(Fraction, b)), tuple(map(Fraction, c)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ entry is an integer or a ``"p/q"`` string.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Union
@@ -38,11 +38,12 @@ def rat(x: RatLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string (q != 0) to an exact Fraction.
 
     Floats are rejected on purpose: accepting them would smuggle rounding
-    into an otherwise exact pipeline.
+    into an otherwise exact pipeline.  Booleans are rejected too: a JSON
+    ``true`` is not the number 1.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and type(x) is not bool:
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -98,6 +99,11 @@ class RationalMatrix:
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The stored integer rows and denominator d: self[i, j] = rows[i][j] / d, d the least common one."""
         return self._ints, self._d
+
+    @classmethod
+    def from_integer_form(cls, rows: tuple[tuple[int, ...], ...], d: int = 1) -> "RationalMatrix":
+        """The matrix rows[i][j] / d, for d > 0 and non-empty integer tuples of one length; no entry is coerced."""
+        return cls._reduced(rows, d)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -161,18 +167,31 @@ class RationalMatrix:
         return self.scaled(factor)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Exact product: with A = A'/da and B = B'/db, it is A'B' / (da db), reduced once."""
+        """Exact product: with A = A'/da and B = B'/db, it is A'B' / (da db), reduced once.
+
+        The kernel is chosen per row of A'.  A row with at least half zeros
+        becomes the sum of the rows of B' at its nonzero entries, each scaled
+        by its entry unless that is 1; a denser row takes dot products with
+        the columns of B'.  So a sparse factor is best put on the left.
+        """
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bt = tuple(zip(*other._ints))  # columns of other
-        return RationalMatrix._reduced(
-            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self._ints),
-            self._d * other._d,
-        )
+        b, bt, rows = other._ints, None, []
+        for row in self._ints:
+            if 2 * row.count(0) >= len(row):
+                acc = (0,) * len(b[0])
+                for x, b_row in zip(row, b):
+                    if x:
+                        acc = tuple(map(add, acc, b_row if x == 1 else map(mul, repeat(x), b_row)))
+                rows.append(acc)
+            else:
+                bt = bt or tuple(zip(*b))  # columns of other
+                rows.append(tuple(sum(map(mul, row, col)) for col in bt))
+        return RationalMatrix._reduced(tuple(rows), self._d * other._d)
 
     def __pow__(self, exponent: int) -> "RationalMatrix":
         if not self.is_square:
@@ -208,10 +227,12 @@ class RationalMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
         m = cls(obj["data"])
-        if "rows" in obj and obj["rows"] != m.rows:
-            raise ValueError(f"declared rows {obj['rows']} != actual {m.rows}")
-        if "cols" in obj and obj["cols"] != m.cols:
-            raise ValueError(f"declared cols {obj['cols']} != actual {m.cols}")
+        for key, actual in (("rows", m.rows), ("cols", m.cols)):
+            declared = obj.get(key, actual)
+            if type(declared) is not int:
+                raise ValueError(f"declared {key} must be an integer, not {declared!r}")
+            if declared != actual:
+                raise ValueError(f"declared {key} {declared} != actual {actual}")
         return m
 
 
@@ -308,16 +329,26 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __call__(self, a: "RationalMatrix | RatLike"):
+        """The value at a rational or at a square matrix, with a^0 the identity.
+
+        At a matrix, Horner's rule runs as ``a * result``, which is exact
+        because a commutes with every polynomial in a, and keeps a, often the
+        sparser factor, on the left of each product.  It starts from
+        lead * a + c I, so a polynomial of degree n >= 1 takes n - 1 products.
+        """
+        cs = self._coeffs
         if isinstance(a, RationalMatrix):
             if not a.is_square:
                 raise ValueError("polynomial evaluation requires a square matrix")
-            result = RationalMatrix.identity(a.rows).scaled(self._coeffs[-1])
-            for c in reversed(self._coeffs[:-1]):
-                result = _add_diagonal(result * a, c)
+            if len(cs) == 1:
+                return RationalMatrix.identity(a.rows).scaled(cs[0])
+            result = _add_diagonal(a if cs[-1] == 1 else a.scaled(cs[-1]), cs[-2])
+            for c in reversed(cs[:-2]):
+                result = _add_diagonal(a * result, c)
             return result
         x = rat(a)
-        acc = self._coeffs[-1]
-        for c in reversed(self._coeffs[:-1]):
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
             acc = acc * x + c
         return acc
 

@@ -6,6 +6,7 @@ import sys
 import time
 from itertools import combinations
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -210,6 +211,42 @@ def test_filter_drg_scan_rejects_mismatched_colors(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("name", ["petersen", "C7"])
+def test_scan_rows_equal_single_pair_queries(tmp_path, capsys, name):
+    # a scan keeps each S-side distance per color pair; every row must still be the one-pair query
+    g = petersen() if name == "petersen" else cycle(7)
+    spheres = distance_matrices(g)
+    k, r = len(spheres), int(g.adjacency.row_sums()[0])
+    colors = [next(t + 1 for t, a in enumerate(spheres) if a[0, v] == 1) for v in range(g.n)]
+    Random(7).shuffle(colors)
+    # r times a cyclic shift: rows of S are 2r apart, so pairs with a common neighbor are refuted
+    wrong_s = [[r if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
+    files = {
+        "graph": write(tmp_path, "g.json", g.to_json()),
+        "m": write(tmp_path, "m.json", g.adjacency.to_json()),
+        "s": write(tmp_path, "s.json", {"data": wrong_s}),
+        "coloring": write(tmp_path, "f.json", {"k": k, "colors": colors}),
+    }
+    commands = [
+        ["filter", "pair", "--m", files["m"], "--s", files["s"]],
+        ["filter", "power", "--m", files["m"], "--s", files["s"], "--l", "2"],
+    ] + [
+        ["filter", "drg", "--graph", files["graph"], "--s", files["s"], "--radius", str(radius)]
+        for radius in range(1, k)
+    ]
+    for argv in commands:
+        code, out = run(capsys, [*argv, "--coloring", files["coloring"], "--format", "json"])
+        scan = json.loads(out)
+        assert {row["status"] for row in scan} == {"feasible", "infeasible"}, argv
+        assert code == 1
+        singles = []
+        for u, v in combinations(range(g.n), 2):
+            pair = ["--u", str(u), "--v", str(v), "--i", str(colors[u]), "--j", str(colors[v])]
+            _, single = run(capsys, [*argv, *pair, "--format", "json"])
+            singles += json.loads(single)
+        assert scan == singles, argv
+
+
 @pytest.mark.parametrize("length", [9, 3])
 @pytest.mark.parametrize("which", ["pair", "power", "drg"])
 def test_filter_scan_rejects_coloring_of_wrong_length(tmp_path, capsys, which, length):
@@ -312,6 +349,13 @@ def test_filter_output_is_byte_identical_to_json_dumps(tmp_path, capsys):
         [1, "a", None],
         [[{"u": 1}]],
         "text",
+        # lines are encoded once per (key, type, value): True == 1 and False == 0 must not share one
+        [{"x": 1, "y": 0}, {"x": True, "y": False}, {"x": 1, "y": False}, {"x": True, "y": 0}],
+        [{"x": True}, {"x": 1}, {"x": False}, {"x": 0}, {"x": None}],
+        [{"a": "s", "b": "s"}, {"b": "s", "a": "s"}, {"a": "t", "b": "s"}],
+        # the fallback after lines were encoded
+        [{"u": 0, "s": "x"}, {"u": 0, "s": "x"}, {"u": 0, "s": [1, 2]}],
+        [{"u": 0, "s": "x"}, {"u": 0, "s": "x"}, {"u": 0, 1: "x"}],
     ],
 )
 def test_json_row_writer_matches_json_dumps(rows):
@@ -543,6 +587,23 @@ def test_zero_denominator_in_a_matrix_file_is_malformed(c4_files, tmp_path, caps
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"bad matrix in {bad}: zero denominator in '2/0'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"data": [[0, True], [True, 0]]}, "not an exact rational: True"),
+        ({"rows": True, "data": [[0, 1]]}, "declared rows must be an integer, not True"),
+    ],
+)
+def test_booleans_in_a_matrix_file_are_malformed(tmp_path, capsys, obj, message):
+    # bool is an int: the first was read as [[0, 1], [1, 0]], the second as one declared row
+    bad = write(tmp_path, "bool.json", obj)
+    argv = ["filter", "pair", "--m", bad, "--s", bad, "--u", "0", "--v", "0", "--i", "1", "--j", "1"]
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: bad matrix in {bad}: {message}" in captured.err
 
 
 def test_verify_float_colors_are_malformed(c4_files, tmp_path, capsys):

@@ -404,3 +404,37 @@ def test_distance_regular_data_keeps_the_last_query(monkeypatch):
     data.images(s2, 1)
     assert data.images(s1, 1) == expected and data.images(s1, 1) is not expected
     assert evaluations == [s1, s1, s2, s2, s1, s1]  # asking about s2 replaced s1
+
+
+def test_distance_regular_data_keeps_image_distances_per_query(monkeypatch):
+    # image-side distances are kept per color pair, and only for the (S, radius) asked about last
+    g = petersen()
+    data = DistanceRegularData(g)
+    s1 = RationalMatrix([[0, 3, 0], [1, 0, 2], [0, 1, 2]])
+    s2 = RationalMatrix([[0, 3, 0], [3, 0, 0], [0, 0, 3]])
+    queries = [(s, radius, u, v, i, j) for s in (s1, s2, s1) for radius in (1, 2, 1)
+               for u, v in ((0, 1), (2, 9)) for i, j in ((1, 2), (2, 1), (3, 3), (1, 3))]
+    distances = []
+    real = l1_row_distance
+    monkeypatch.setattr("perfcolor.filters.l1_row_distance", lambda a, x, y: distances.append(a) or real(a, x, y))
+    got = [data.check(*q) for q in queries]
+    monkeypatch.setattr("perfcolor.filters.l1_row_distance", real)
+    assert got == [drg_check(g, *q) for q in queries]
+    # 2 graph-side distances per query, and 2 image-side ones per color pair of each of the 9 (S, radius) runs
+    assert len(distances) == 2 * len(queries) + 2 * 4 * 9
+
+
+def test_bad_colors_raise_on_every_query():
+    data = DistanceRegularData(cycle(5))
+    s = RationalMatrix([[0, 2], [1, 1]])
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            data.check(s, 1, 0, 1, 1, 3)
+        with pytest.raises(IndexError):
+            data.check(s, 1, 0, 1, 0, 1)
+    assert data.check(s, 1, 0, 1, 1, 2) == drg_check(cycle(5), s, 1, 0, 1, 1, 2)
+    table: dict = {}
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            pair_color_feasible(cycle(5).adjacency, s, 0, 1, 3, 1, table)
+    assert table == {}

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from perfcolor.ratmat import (
     Polynomial,
@@ -39,6 +39,28 @@ def test_rat_parses_ints_and_strings():
 def test_rat_rejects_floats():
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+@pytest.mark.parametrize("x", [True, False])
+def test_rat_rejects_booleans(x):
+    # bool is an int, so a JSON true was read as 1
+    with pytest.raises(TypeError, match="not an exact rational"):
+        rat(x)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"data": [[0, True], [True, 0]]}, "not an exact rational: True"),
+        ({"data": [[False]]}, "not an exact rational: False"),
+        ({"rows": True, "data": [[0, 1]]}, "declared rows must be an integer, not True"),
+        ({"cols": True, "data": [[1], [2]]}, "declared cols must be an integer, not True"),
+        ({"rows": "2", "data": [[0], [1]]}, "declared rows must be an integer, not '2'"),
+    ],
+)
+def test_booleans_in_matrix_json_are_refused(obj, message):
+    with pytest.raises((TypeError, ValueError), match=message):
+        RationalMatrix.from_json(obj)
 
 
 @pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
@@ -324,3 +346,47 @@ def test_a_float_anywhere_is_rejected(entries, data):
     with pytest.raises(TypeError):
         RationalMatrix(entries)
 
+
+
+# --- both product kernels ------------------------------------------------------
+
+# zeros and units are frequent, so sparse rows (at least half zero) and dense rows both occur
+kernel_entries = st.one_of(st.just(0), st.sampled_from((1, -1)), fractions)
+
+
+def entry_grids(rows, cols):
+    return st.lists(st.lists(kernel_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+product_grids = st.tuples(*(st.integers(1, 6),) * 3).flatmap(
+    lambda shape: st.tuples(entry_grids(shape[0], shape[1]), entry_grids(shape[1], shape[2]))
+)
+square_grids = st.integers(1, 6).flatmap(lambda n: entry_grids(n, n))
+
+
+def fraction_grid(grid):
+    return [[Fraction(x) for x in row] for row in grid]
+
+
+@given(product_grids, square_grids, st.integers(0, 4), st.lists(kernel_entries, min_size=1, max_size=5))
+@example(  # an all-zero row, a row exactly half zero, and a dense row
+    ([[0, 0], [0, Fraction(3, 2)], [1, -1]], [[1, Fraction(1, 3), 0], [-1, 2, Fraction(-5, 4)]]),
+    [[0, 1, 0, 0], [1, 0, 0, Fraction(1, 2)], [0, 0, 0, 0], [-1, 2, Fraction(2, 3), 1]],
+    3,
+    [0],  # the zero polynomial
+)
+@example(([[Fraction(1, 2)]], [[0]]), [[0, 0], [0, 0]], 0, [Fraction(-7, 3)])  # degree 0
+def test_product_kernels_match_a_fraction_reference(pair, square, e, coeffs):
+    a, b = fraction_grid(pair[0]), fraction_grid(pair[1])
+    assert fraction_rows(RationalMatrix(pair[0]) * RationalMatrix(pair[1])) == naive_product(a, b)
+    m, n = fraction_grid(square), len(square)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    powers = [identity]
+    for _ in range(max(e, len(coeffs) - 1)):
+        powers.append(naive_product(powers[-1], m))
+    assert fraction_rows(RationalMatrix(square) ** e) == powers[e]
+    value = [[sum((Fraction(c) * x[i][j] for c, x in zip(coeffs, powers)), Fraction(0)) for j in range(n)]
+             for i in range(n)]
+    evaluated = Polynomial(coeffs)(RationalMatrix(square))
+    assert fraction_rows(evaluated) == value
+    assert_canonical(evaluated)
