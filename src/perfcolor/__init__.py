@@ -23,16 +23,18 @@ from .coloring import (
     verify_perfect,
 )
 from .filters import (
-    DistanceRegularData,
     FilterVerdict,
     ForcedDistributions,
     ForcedSets,
     PairContext,
+    Side,
     VerdictStatus,
     distance_power_check,
     drg_check,
+    drg_sides,
     forced_distributions,
     pair_color_feasible,
+    row_distance_scan,
     simple_pair_bound,
     two_color_check,
     two_color_forced_sets,
@@ -79,10 +81,7 @@ from .periodic import (
 from .ratmat import (
     Polynomial,
     RationalMatrix,
-    eval_poly,
     l1_row_distance,
-    matrix_mul,
-    matrix_pow,
     rat,
     rat_to_json,
 )

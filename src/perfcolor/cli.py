@@ -26,10 +26,11 @@ from .coloring import (
     verify_perfect,
 )
 from .filters import (
-    DistanceRegularData,
     PairContext,
+    Side,
     VerdictStatus,
-    pair_color_feasible,
+    drg_sides,
+    row_distance_scan,
     simple_pair_bound,
     two_color_check,
     two_color_forced_sets,
@@ -231,22 +232,30 @@ def _requested_pairs(args, n: int) -> list[tuple[int, int, int, int]]:
 
 
 def _pair_scan(args) -> int:
-    """Row-distance bound on M^l against S^l for each requested pair; M against S without --l.
+    """Row-distance bound for each requested pair: M against S for `filter pair`, M^l against
+    S^l for `power`, and the ball and sphere sides of a distance-regular graph for `drg`.
 
-    The powers are taken once, before the scan, and each S-side distance once per color pair.
+    The sides are prepared once, before the scan; each row names its pair and its side's keys.
     """
-    m = _load(args.m, "matrix", RationalMatrix)
-    s = _load(args.s, "matrix", RationalMatrix)
-    pairs = _requested_pairs(args, m.rows)
-    extra = {}
-    l = getattr(args, "l", None)  # only `filter power` declares --l
-    if l is not None:
-        m, s = m**l, s**l
-        extra["l"] = l
-    s_distances: dict = {}
+    if args.which == "drg":
+        g = _load(args.graph, "graph", Graph)
+        s = _load(args.s, "matrix", RationalMatrix)
+        pairs = _requested_pairs(args, g.n)
+        sides = drg_sides(g, s, args.radius)
+        keys = [dict(radius=args.radius, kind=kind) for kind in ("ball", "sphere")]
+    else:
+        m = _load(args.m, "matrix", RationalMatrix)
+        s = _load(args.s, "matrix", RationalMatrix)
+        pairs = _requested_pairs(args, m.rows)
+        if args.which == "power":
+            sides, keys = [Side(m**args.l, s**args.l)], [dict(l=args.l)]
+        else:
+            sides, keys = [Side(m, s)], [{}]
+    verdicts = iter(row_distance_scan(sides, pairs))
     rows = [
-        _verdict_row(pair_color_feasible(m, s, u, v, i, j, s_distances), u=u, v=v, i=i, j=j, **extra)
+        _verdict_row(next(verdicts), u=u, v=v, i=i, j=j, **extra)
         for u, v, i, j in pairs
+        for extra in keys
     ]
     return _finish_rows(rows, args)
 
@@ -275,19 +284,6 @@ def _cmd_filter_two_color(args) -> int:
             "bound": forced.bound,
         }
     return _finish_rows([row], args)
-
-
-def _cmd_filter_drg(args) -> int:
-    g = _load(args.graph, "graph", Graph)
-    s = _load(args.s, "matrix", RationalMatrix)
-    pairs = _requested_pairs(args, g.n)
-    data = DistanceRegularData(g)
-    rows = []
-    for u, v, i, j in pairs:
-        ball, sphere = data.check(s, args.radius, u, v, i, j)
-        rows.append(_verdict_row(ball, u=u, v=v, i=i, j=j, radius=args.radius, kind="ball"))
-        rows.append(_verdict_row(sphere, u=u, v=v, i=i, j=j, radius=args.radius, kind="sphere"))
-    return _finish_rows(rows, args)
 
 
 def _cmd_circulant_h(args) -> int:
@@ -520,9 +516,9 @@ def build_parser() -> _Parser:
     fd = filter_sub.add_parser("drg", help="ball/sphere bounds in a distance-regular graph")
     fd.add_argument("--graph", required=True)
     fd.add_argument("--s", required=True)
-    fd.add_argument("--radius", type=int, required=True)
+    fd.add_argument("--radius", type=_positive, required=True)
     add_pairs(fd)
-    _add_common(fd, _cmd_filter_drg)
+    _add_common(fd, _pair_scan)
 
     p_circ = top.add_parser("circulant", help="circulant graph tools")
     circ_sub = p_circ.add_subparsers(dest="which", required=True)

@@ -20,6 +20,11 @@ counts max(s_i - s_j, 0) per color.  Those elementwise formulas are the
 equality case worked out explicitly, since only the existence of forced
 distributions is usually stated.
 
+Since M P = P S gives p(M) P = P p(S) for every polynomial p, the bound
+holds for rows of p(M) against rows of p(S) too: the power (p = x^l) and
+distance-regular (ball and sphere polynomials) checks are that one
+inequality on other matrix pairs, each a ``Side`` of ``row_distance_scan``.
+
 Vertex indices are 0-based, color indices 1-based throughout.
 """
 
@@ -28,22 +33,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import TwoColorParams
 from .graphs import Graph, distance_matrices, distance_polynomials, intersection_array
 from .ratmat import RationalMatrix, l1_row_distance, rat
 
 __all__ = [
-    "DistanceRegularData",
     "FilterVerdict",
     "ForcedDistributions",
     "ForcedSets",
     "PairContext",
+    "Side",
     "VerdictStatus",
     "drg_check",
+    "drg_sides",
     "distance_power_check",
     "forced_distributions",
     "pair_color_feasible",
+    "row_distance_scan",
     "simple_pair_bound",
     "two_color_check",
     "two_color_forced_sets",
@@ -113,35 +121,51 @@ class PairContext:
         object.__setattr__(self, "high", 2 * self.r - self.h)
 
 
-def pair_color_feasible(
-    m: RationalMatrix, s: RationalMatrix, u: int, v: int, i: int, j: int,
-    s_distances: dict | None = None,
-) -> FilterVerdict:
-    """Reject colors (i, j) for vertices (u, v) when the row-distance bound fails.
+class Side(NamedTuple):
+    """One matrix pair of the row-distance bound d(X_u, X_v) >= d(Y_i, Y_j).
 
-    A scan of many pairs of one (M, S) may pass one dict as ``s_distances``;
-    each d(S rows i, j) is then computed once per color pair and kept there.
+    ``graph`` is X, indexed by vertices; ``params`` is Y, indexed by colors;
+    ``wording`` is the violated inequality, a format string over u, v, i, j,
+    lhs and rhs.  The default wording is that of M against S.
     """
-    lhs = l1_row_distance(m, u, v)
-    rhs = _s_distance(s_distances, (i, j), lambda: l1_row_distance(s, i - 1, j - 1))
-    if lhs < rhs:
-        return FilterVerdict(
-            VerdictStatus.INFEASIBLE,
-            lhs,
-            rhs,
-            f"d(M rows {u},{v}) = {lhs} < {rhs} = d(S rows {i},{j})",
-        )
-    return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
+
+    graph: RationalMatrix
+    params: RationalMatrix
+    wording: str = "d(M rows {u},{v}) = {lhs} < {rhs} = d(S rows {i},{j})"
 
 
-def _s_distance(table: dict | None, key: tuple[int, int], compute):
-    """table[key], filled by ``compute()`` on first use; a lookup that raises stores nothing."""
-    if table is None:
-        return compute()
-    value = table.get(key)
-    if value is None:
-        value = table[key] = compute()
-    return value
+def row_distance_scan(
+    sides: Sequence[Side], pairs: Iterable[tuple[int, int, int, int]]
+) -> list[FilterVerdict]:
+    """The row-distance verdict of every side for every (u, v, i, j), pair-major, side-minor.
+
+    Per pair and side, d(X_u, X_v) is taken first, so a bad vertex is named
+    before a bad color.  d(Y_i, Y_j) is computed once per side and color pair
+    of this call; a computation that raises stores nothing.
+    """
+    tables = [{} for _ in sides]
+    verdicts = []
+    for u, v, i, j in pairs:
+        for (x, y, wording), table in zip(sides, tables):
+            lhs = l1_row_distance(x, u, v)
+            rhs = table.get((i, j))
+            if rhs is None:
+                rhs = table[i, j] = l1_row_distance(y, i - 1, j - 1)
+            if lhs < rhs:
+                verdicts.append(FilterVerdict(
+                    VerdictStatus.INFEASIBLE, lhs, rhs,
+                    wording.format(u=u, v=v, i=i, j=j, lhs=lhs, rhs=rhs),
+                ))
+            else:
+                verdicts.append(FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs))
+    return verdicts
+
+
+def pair_color_feasible(
+    m: RationalMatrix, s: RationalMatrix, u: int, v: int, i: int, j: int
+) -> FilterVerdict:
+    """Reject colors (i, j) for vertices (u, v) when d(M rows u, v) < d(S rows i, j)."""
+    return row_distance_scan([Side(m, s)], [(u, v, i, j)])[0]
 
 
 def simple_pair_bound(ctx: PairContext, s: RationalMatrix, i: int, j: int) -> FilterVerdict:
@@ -264,78 +288,32 @@ def distance_power_check(
     return pair_color_feasible(m**l, s**l, u, v, i, j)
 
 
-class DistanceRegularData:
-    """Graph-level data of a distance-regular graph, prepared once for many queries.
+def drg_sides(g: Graph, s: RationalMatrix, radius: int) -> tuple[Side, Side]:
+    """The ball and sphere sides of a distance-regular graph at ``radius``.
 
-    Holds the intersection array, the distance matrices A_0..A_d and the
-    sphere and ball polynomials.  The (S, radius) asked about last is kept
-    with its ball indicator, its images ball[r](S) and sphere[r](S), and
-    the row distances of those images per color pair (i, j).  So an
-    all-pairs scan of one (S, radius) builds the images once, computes each
-    image-side distance once per color pair, and then does two graph-side
-    row distances per vertex pair; asking about another (S, radius)
-    replaces it.
+    The ball side is A_0 + ... + A_radius against ball[radius](S), the
+    sphere side A_radius against sphere[radius](S), where A_t indicates the
+    pairs at distance t and ball, sphere are the graph's distance
+    polynomials.  Raises unless g is distance-regular and radius is in
+    1..diameter.
     """
-
-    def __init__(self, g: Graph) -> None:
-        ia = intersection_array(g)
-        if ia is None:
-            raise ValueError("graph is not distance-regular")
-        self.intersection_array = ia
-        self.spheres = distance_matrices(g)
-        self.polynomials = distance_polynomials(ia)
-        # (S, radius, ball indicator, (ball image, sphere image), {(i, j): (ball rhs, sphere rhs)})
-        self._last: tuple | None = None
-
-    @property
-    def diameter(self) -> int:
-        return len(self.spheres) - 1
-
-    def ball(self, radius: int) -> RationalMatrix:
-        """0/1 matrix of the pairs at distance at most ``radius``."""
-        if not 1 <= radius <= self.diameter:
-            raise ValueError(f"radius must be in 1..{self.diameter}")
-        indicator = self.spheres[0]
-        for t in range(1, radius + 1):
-            indicator = indicator + self.spheres[t]
-        return indicator
-
-    def _prepare(self, s: RationalMatrix, radius: int) -> tuple:
-        last = self._last
-        if last is None or last[1] != radius or last[0] != s:
-            indicator = self.ball(radius)
-            images = (self.polynomials.ball[radius](s), self.polynomials.sphere[radius](s))
-            last = self._last = (s, radius, indicator, images, {})
-        return last
-
-    def images(self, s: RationalMatrix, radius: int) -> tuple[RationalMatrix, RationalMatrix]:
-        """The ball and sphere polynomial images (ball[radius](S), sphere[radius](S))."""
-        return self._prepare(s, radius)[3]
-
-    def check(
-        self, s: RationalMatrix, radius: int, u: int, v: int, i: int, j: int
-    ) -> tuple[FilterVerdict, FilterVerdict]:
-        """The (ball, sphere) verdicts of ``drg_check`` for one query."""
-        _, _, ball, images, s_distances = self._prepare(s, radius)
-
-        def side(lhs: Fraction, rhs: Fraction, kind: str) -> FilterVerdict:
-            if lhs < rhs:
-                return FilterVerdict(
-                    VerdictStatus.INFEASIBLE,
-                    lhs,
-                    rhs,
-                    f"|{kind}_{radius}({u}) symdiff {kind}_{radius}({v})| = {lhs} < {rhs}",
-                )
-            return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
-
-        ball_lhs = l1_row_distance(ball, u, v)  # a bad vertex is named before a bad color
-        ball_rhs, sphere_rhs = _s_distance(
-            s_distances, (i, j), lambda: tuple(l1_row_distance(x, i - 1, j - 1) for x in images)
-        )
-        return (
-            side(ball_lhs, ball_rhs, "B"),
-            side(l1_row_distance(self.spheres[radius], u, v), sphere_rhs, "W"),
-        )
+    ia = intersection_array(g)
+    if ia is None:
+        raise ValueError("graph is not distance-regular")
+    spheres = distance_matrices(g)
+    if not 1 <= radius < len(spheres):
+        raise ValueError(f"radius must be in 1..{len(spheres) - 1}")
+    polynomials = distance_polynomials(ia)
+    ball = spheres[0]
+    for sphere in spheres[1 : radius + 1]:
+        ball = ball + sphere
+    ball_wording, sphere_wording = (
+        f"|{kind}_{radius}({{u}}) symdiff {kind}_{radius}({{v}})| = {{lhs}} < {{rhs}}" for kind in "BW"
+    )
+    return (
+        Side(ball, polynomials.ball[radius](s), ball_wording),
+        Side(spheres[radius], polynomials.sphere[radius](s), sphere_wording),
+    )
 
 
 def drg_check(
@@ -345,8 +323,7 @@ def drg_check(
 
     |B_r(u) symdiff B_r(v)| must dominate the distance between rows i, j of
     the ball polynomial image of S, and likewise for spheres.  Returns the
-    (ball, sphere) verdicts.  Each call prepares the graph's
-    ``DistanceRegularData`` and keeps nothing, so a caller with many pairs
-    should prepare it once and call its ``check``.
+    (ball, sphere) verdicts.  Each call prepares the graph again, so a
+    caller with many pairs should scan ``drg_sides`` once.
     """
-    return DistanceRegularData(g).check(s, radius, u, v, i, j)
+    return tuple(row_distance_scan(drg_sides(g, s, radius), [(u, v, i, j)]))

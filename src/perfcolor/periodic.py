@@ -157,14 +157,15 @@ def circulant_period_filter(
     length.  Any of these contradicts a differently colored pair at
     distance t, so the coloring's period must divide every fired t, hence
     their gcd.  As in the searches (``_target_matrix``), r is 2m and b, c lie in
-    0..r; t_max is at least 1.
+    0..r; t_max is at least 1.  Past 2 max(D) no shift fires: there h = 0,
+    t is no connection length, and 0 <= b+c <= 4m, so the scan stops there.
     """
     if t_max < 1:
         raise ValueError("t_max must be a positive integer")
     _check_two_color_target(params, spec.valency)
     bc = params.b + params.c
     fired = []
-    for t in range(1, t_max + 1):
+    for t in range(1, min(t_max, 2 * max(spec.ds)) + 1):
         h = circulant_h(spec, t)
         if bc > 4 * spec.m - h or bc < h or (t in spec.ds and bc < h + 2):
             fired.append(t)

@@ -25,10 +25,7 @@ __all__ = [
     "RatLike",
     "Polynomial",
     "RationalMatrix",
-    "eval_poly",
     "l1_row_distance",
-    "matrix_mul",
-    "matrix_pow",
     "rat",
     "rat_to_json",
 ]
@@ -242,16 +239,6 @@ def _entry_json(a: int, d: int) -> int | str:
     return a // g if g == d else f"{a // g}/{d // g}"
 
 
-def matrix_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Exact matrix product (function form of ``a * b``)."""
-    return a * b
-
-
-def matrix_pow(a: RationalMatrix, exponent: int) -> RationalMatrix:
-    """Exact matrix power with a^0 = identity (function form of ``a ** l``)."""
-    return a**exponent
-
-
 def l1_row_distance(a: RationalMatrix, u: int, v: int) -> Fraction:
     """Manhattan distance between rows u and v: sum of |a[u,w] - a[v,w]|.
 
@@ -374,8 +361,3 @@ def _add_diagonal(a: RationalMatrix, c: Fraction) -> RationalMatrix:
         row[i] += diagonal
         rows.append(tuple(row))
     return RationalMatrix._reduced(tuple(rows), d)
-
-
-def eval_poly(p: Polynomial, a: RationalMatrix) -> RationalMatrix:
-    """Evaluate p at a square matrix, with a^0 taken as the identity."""
-    return p(a)

@@ -29,7 +29,7 @@ from perfcolor.coloring import (
     two_color_matrix,
     verify_perfect,
 )
-from perfcolor.filters import DistanceRegularData, PairContext, two_color_check
+from perfcolor.filters import PairContext, drg_sides, row_distance_scan, two_color_check
 from perfcolor.graphs import (
     Graph,
     complete,
@@ -52,7 +52,7 @@ from perfcolor.periodic import (
     torus_quotient,
     torus_search,
 )
-from perfcolor.ratmat import Polynomial, RationalMatrix, eval_poly, l1_row_distance
+from perfcolor.ratmat import Polynomial, RationalMatrix, l1_row_distance
 from perfcolor import repro
 
 
@@ -352,7 +352,7 @@ def test_criterion_09_distance_regular_oracle():
         polys = distance_polynomials(ia)
         mats = distance_matrices(g)
         for r, mat in enumerate(mats):
-            if eval_poly(polys.sphere[r], g.adjacency) != mat:
+            if polys.sphere[r](g.adjacency) != mat:
                 poly_ok = False
 
     def perfect_colorings(g: Graph) -> list[Coloring]:
@@ -374,16 +374,14 @@ def test_criterion_09_distance_regular_oracle():
     drg_ok = True
     colorings_checked = 0
     for name, g in graphs.items():
-        data = DistanceRegularData(g)
         for f in perfect_colorings(g):
             s = induced_parameters(g, f)
             colorings_checked += 1
-            for radius in range(1, data.diameter + 1):
-                for u in range(g.n):
-                    for v in range(g.n):
-                        ball, sphere = data.check(s, radius, u, v, f.colors[u], f.colors[v])
-                        if not (ball.feasible and sphere.feasible):
-                            drg_ok = False
+            pairs = [(u, v, f.colors[u], f.colors[v]) for u in range(g.n) for v in range(g.n)]
+            for radius in range(1, len(distance_matrices(g))):
+                verdicts = row_distance_scan(drg_sides(g, s, radius), pairs)
+                if not all(verdict.feasible for verdict in verdicts):
+                    drg_ok = False
     ok = poly_ok and drg_ok
     report(
         "criterion 9 (distance-regular polynomials + ball/sphere checks)",

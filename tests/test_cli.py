@@ -656,6 +656,25 @@ def test_filter_power_l_below_one_is_a_usage_error(c4_files, capsys, l):
     assert f"--l: must be at least 1, not {l}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_filter_drg_radius_below_one_is_a_usage_error(c4_files, capsys, radius):
+    # the scan refused it as malformed input (65) after loading its files
+    graph, alt, s = c4_files
+    with pytest.raises(SystemExit) as err:
+        main(["filter", "drg", "--graph", graph, "--s", s, "--radius", radius, "--coloring", alt])
+    assert err.value.code == 64
+    assert f"--radius: must be at least 1, not {radius}" in capsys.readouterr().err
+
+
+def test_filter_drg_radius_above_the_diameter_is_malformed_input(c4_files, capsys):
+    # the diameter comes from the graph file, so a radius past it is refused with the input
+    graph, alt, s = c4_files
+    assert main(["filter", "drg", "--graph", graph, "--s", s, "--radius", "3", "--coloring", alt]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: radius must be in 1..2\n"
+
+
 def test_grid_patch_search_budget_bounds_the_window_it_builds(capsys):
     # the 600x600 window has 360,000 cells; a budget of 100 nodes reaches 101 of them,
     # and only those (and the cells that see them) are prepared

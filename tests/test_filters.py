@@ -13,20 +13,29 @@ from perfcolor.coloring import (
     two_color_params,
 )
 from perfcolor.filters import (
-    DistanceRegularData,
     PairContext,
+    Side,
     VerdictStatus,
     distance_power_check,
     drg_check,
+    drg_sides,
     forced_distributions,
     pair_color_feasible,
+    row_distance_scan,
     simple_pair_bound,
     two_color_check,
     two_color_forced_sets,
 )
-from perfcolor.graphs import common_neighbor_count, cycle, petersen, regularity
+from perfcolor.graphs import (
+    common_neighbor_count,
+    cycle,
+    distance_polynomials,
+    intersection_array,
+    petersen,
+    regularity,
+)
 from perfcolor.periodic import GridSpec, torus_quotient
-from perfcolor.ratmat import Polynomial, RationalMatrix, l1_row_distance
+from perfcolor.ratmat import RationalMatrix, l1_row_distance
 
 
 def test_pair_context_validation():
@@ -373,68 +382,60 @@ def test_drg_check_radius_range():
 
 @pytest.mark.parametrize("g", [cycle(7), petersen()], ids=["C7", "petersen"])
 def test_distance_regular_data_balls_and_images(g):
-    data = DistanceRegularData(g)
     edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adjacency[u, v] == 1]
     dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(edges)))
     s = RationalMatrix([[0, 1, 1], [Fraction(1, 2), 1, Fraction(1, 2)], [2, 0, 0]])
-    for radius in range(1, data.diameter + 1):
-        within = [[int(dist[u][v] <= radius) for v in range(g.n)] for u in range(g.n)]
-        assert data.ball(radius) == RationalMatrix(within)
-        ball_image, sphere_image = data.images(s, radius)
-        assert ball_image == data.polynomials.ball[radius](s)
-        assert sphere_image == data.polynomials.sphere[radius](s)
-        assert data.images(s, radius) is data.images(s, radius)
-        for u in range(g.n):
-            assert data.check(s, radius, 0, u, 1, 3) == drg_check(g, s, radius, 0, u, 1, 3)
+    polys = distance_polynomials(intersection_array(g))
+    diameter = max(max(row.values()) for row in dist.values())
+    for radius in range(1, diameter + 1):
+        ball, sphere = drg_sides(g, s, radius)
+        assert ball.graph == RationalMatrix([[int(dist[u][v] <= radius) for v in range(g.n)] for u in range(g.n)])
+        assert sphere.graph == RationalMatrix([[int(dist[u][v] == radius) for v in range(g.n)] for u in range(g.n)])
+        assert (ball.params, sphere.params) == (polys.ball[radius](s), polys.sphere[radius](s))
+        pairs = [(0, u, 1, 3) for u in range(g.n)]
+        scanned = row_distance_scan((ball, sphere), pairs)
+        assert scanned == [x for q in pairs for x in drg_check(g, s, radius, *q)]
     with pytest.raises(ValueError, match="radius"):
-        data.check(s, data.diameter + 1, 0, 1, 1, 1)
+        drg_sides(g, s, diameter + 1)
 
 
-def test_distance_regular_data_keeps_the_last_query(monkeypatch):
-    evaluations = []
-    real = Polynomial.__call__
-    monkeypatch.setattr(Polynomial, "__call__", lambda p, a: evaluations.append(a) or real(p, a))
-    data = DistanceRegularData(cycle(5))
-    s1, s2 = RationalMatrix([[0, 2], [1, 1]]), RationalMatrix([[1, 1], [2, 0]])
-    for u in range(5):
-        for v in range(5):
-            data.check(s1, 1, u, v, 1, 2)
-    assert evaluations == [s1, s1]  # one ball and one sphere image for the whole scan
-    expected = data.images(s1, 1)
-    data.images(s2, 1)
-    assert data.images(s1, 1) == expected and data.images(s1, 1) is not expected
-    assert evaluations == [s1, s1, s2, s2, s1, s1]  # asking about s2 replaced s1
-
-
-def test_distance_regular_data_keeps_image_distances_per_query(monkeypatch):
-    # image-side distances are kept per color pair, and only for the (S, radius) asked about last
+def test_row_distance_scan_computes_each_distance_once(monkeypatch):
+    # one graph-side distance per (pair, side), one parameter-side distance per (side, color pair),
+    # and nothing kept from one scan to the next
     g = petersen()
-    data = DistanceRegularData(g)
-    s1 = RationalMatrix([[0, 3, 0], [1, 0, 2], [0, 1, 2]])
-    s2 = RationalMatrix([[0, 3, 0], [3, 0, 0], [0, 0, 3]])
-    queries = [(s, radius, u, v, i, j) for s in (s1, s2, s1) for radius in (1, 2, 1)
-               for u, v in ((0, 1), (2, 9)) for i, j in ((1, 2), (2, 1), (3, 3), (1, 3))]
-    distances = []
+    s = RationalMatrix([[0, 3, 0], [1, 0, 2], [0, 1, 2]])
+    sides = drg_sides(g, s, 2)
+    pairs = [(u, v, i, j) for u, v in ((0, 1), (2, 9), (4, 4)) for i, j in ((1, 2), (2, 1), (3, 3), (1, 3))]
+    expected = [x for q in pairs for x in drg_check(g, s, 2, *q)]
+    calls = []
     real = l1_row_distance
-    monkeypatch.setattr("perfcolor.filters.l1_row_distance", lambda a, x, y: distances.append(a) or real(a, x, y))
-    got = [data.check(*q) for q in queries]
-    monkeypatch.setattr("perfcolor.filters.l1_row_distance", real)
-    assert got == [drg_check(g, *q) for q in queries]
-    # 2 graph-side distances per query, and 2 image-side ones per color pair of each of the 9 (S, radius) runs
-    assert len(distances) == 2 * len(queries) + 2 * 4 * 9
+    monkeypatch.setattr("perfcolor.filters.l1_row_distance", lambda a, x, y: calls.append(a) or real(a, x, y))
+    for _ in range(2):
+        assert row_distance_scan(sides, pairs) == expected
+    graph_side = [a for a in calls if a.rows == g.n]
+    assert len(graph_side) == 2 * 2 * len(pairs)
+    assert len(calls) - len(graph_side) == 2 * 2 * 4
+    calls.clear()
+    assert row_distance_scan([Side(g.adjacency, s)], pairs) == [pair_color_feasible(g.adjacency, s, *q) for q in pairs]
+    assert len(calls) == len(pairs) + 4 + 2 * len(pairs)  # the scan, then one pair per single query
 
 
-def test_bad_colors_raise_on_every_query():
-    data = DistanceRegularData(cycle(5))
+def test_bad_colors_raise_on_every_query(monkeypatch):
+    # a parameter-side distance that raises is not kept: asking again computes it, and raises, again
     s = RationalMatrix([[0, 2], [1, 1]])
+    sides = drg_sides(cycle(5), s, 1)
+    calls = []
+    real = l1_row_distance
+    monkeypatch.setattr("perfcolor.filters.l1_row_distance", lambda a, x, y: calls.append(a) or real(a, x, y))
+    for pairs in ([(0, 1, 1, 3)], [(0, 1, 0, 1)], [(0, 1, 1, 2), (0, 2, 3, 1)]):
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(IndexError):
+                row_distance_scan(sides, pairs)
+            assert calls[-1] is sides[0].params
+        with pytest.raises(IndexError):
+            drg_check(cycle(5), s, 1, *pairs[-1])
     for _ in range(2):
         with pytest.raises(IndexError):
-            data.check(s, 1, 0, 1, 1, 3)
-        with pytest.raises(IndexError):
-            data.check(s, 1, 0, 1, 0, 1)
-    assert data.check(s, 1, 0, 1, 1, 2) == drg_check(cycle(5), s, 1, 0, 1, 1, 2)
-    table: dict = {}
-    for _ in range(2):
-        with pytest.raises(IndexError):
-            pair_color_feasible(cycle(5).adjacency, s, 0, 1, 3, 1, table)
-    assert table == {}
+            pair_color_feasible(cycle(5).adjacency, s, 0, 1, 3, 1)
+    assert row_distance_scan(sides, [(0, 1, 1, 2)]) == list(drg_check(cycle(5), s, 1, 0, 1, 1, 2))

@@ -1,6 +1,8 @@
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from perfcolor.periodic import (
     BudgetExceededError,
     CirculantSpec,
     GridSpec,
+    PeriodConstraint,
     SearchStatus,
     _backtrack,
     _coset_sizes,
@@ -127,6 +130,47 @@ def test_period_filter_single_distance():
 def test_period_filter_valency_check():
     with pytest.raises(ValueError):
         circulant_period_filter(CirculantSpec((1,)), params(1, 1, 4), t_max=3)
+
+
+def test_period_filter_stops_at_twice_the_longest_connection():
+    # past 2 max(D) no shift fires, so a huge t_max costs no more than 2 max(D)
+    spec = CirculantSpec((1, 2, 4))
+    start = time.perf_counter()
+    constraint = circulant_period_filter(spec, params(1, 1, 6), t_max=10**9)
+    assert time.perf_counter() - start < 0.05
+    assert constraint == circulant_period_filter(spec, params(1, 1, 6), t_max=8)
+
+
+def _period_filter_every_shift(spec, p, t_max):
+    """The period filter's condition tried at every t in 1..t_max."""
+    bc = p.b + p.c
+    fired = tuple(
+        t for t in range(1, t_max + 1)
+        if bc > 4 * spec.m - circulant_h(spec, t) or bc < circulant_h(spec, t)
+        or (t in spec.ds and bc < circulant_h(spec, t) + 2)
+    )
+    divides = 0
+    for t in fired:
+        divides = gcd(divides, t)
+    return PeriodConstraint(fired, divides)
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [ds for size in range(1, 6) for ds in combinations(range(1, 6), size)] + [(1, 1), (2, 2, 3)],
+    ids=str,
+)
+def test_period_filter_matches_a_scan_of_every_shift(ds):
+    spec = CirculantSpec(ds)
+    r = spec.valency
+    top = 2 * max(ds)
+    halves = [Fraction(x, 2) for x in range(2 * r + 1)]
+    for b, c in product(halves, repeat=2):
+        p = params(b, c, r)
+        every = _period_filter_every_shift(spec, p, top + 3)
+        assert every.fired == tuple(t for t in every.fired if t <= top)
+        for t_max in (1, max(ds), top, top + 3):
+            assert circulant_period_filter(spec, p, t_max) == _period_filter_every_shift(spec, p, t_max)
 
 
 # --- circulant quotients -------------------------------------------------------------

@@ -7,10 +7,7 @@ from hypothesis import example, given, strategies as st
 from perfcolor.ratmat import (
     Polynomial,
     RationalMatrix,
-    eval_poly,
     l1_row_distance,
-    matrix_mul,
-    matrix_pow,
     rat,
     rat_to_json,
 )
@@ -107,12 +104,6 @@ def test_pow_base_cases():
     assert a**1 == a
 
 
-def test_function_forms_match_operators():
-    a = RationalMatrix([[1, 2], [3, 4]])
-    assert matrix_mul(a, a) == a * a
-    assert matrix_pow(a, 3) == a**3
-
-
 def test_pow_requires_square():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2, 3]]) ** 2
@@ -200,13 +191,13 @@ def test_polynomial_normalization():
 
 def test_eval_identity_and_constant():
     a = RationalMatrix([[1, 2], [3, 4]])
-    assert eval_poly(Polynomial.x(), a) == a
-    assert eval_poly(Polynomial.constant(5), a) == RationalMatrix.identity(2).scaled(5)
+    assert Polynomial.x()(a) == a
+    assert Polynomial.constant(5)(a) == RationalMatrix.identity(2).scaled(5)
 
 
 def test_eval_requires_square():
     with pytest.raises(ValueError):
-        eval_poly(Polynomial.x(), RationalMatrix([[1, 2, 3]]))
+        Polynomial.x()(RationalMatrix([[1, 2, 3]]))
 
 
 def test_x_squared_minus_two_on_c6():
@@ -232,7 +223,7 @@ def test_x_squared_minus_two_on_c6():
             [0, 1, 0, 1, 0, 0],
         ]
     )
-    assert eval_poly(Polynomial([-2, 0, 1]), c6) == dist2
+    assert Polynomial([-2, 0, 1])(c6) == dist2
 
 
 small_polys = st.lists(fractions, min_size=1, max_size=4).map(Polynomial)
@@ -240,8 +231,8 @@ small_polys = st.lists(fractions, min_size=1, max_size=4).map(Polynomial)
 
 @given(small_polys, small_polys, small_matrices())
 def test_eval_is_ring_homomorphism(p, q, a):
-    assert eval_poly(p + q, a) == eval_poly(p, a) + eval_poly(q, a)
-    assert eval_poly(p * q, a) == eval_poly(p, a) * eval_poly(q, a)
+    assert (p + q)(a) == p(a) + q(a)
+    assert (p * q)(a) == p(a) * q(a)
 
 
 @given(st.data())
