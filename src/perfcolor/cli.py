@@ -309,7 +309,7 @@ def _cmd_circulant_period_filter(args) -> int:
 
 def _cmd_circulant_quotient(args) -> int:
     spec = CirculantSpec.parse(args.d)
-    if args.T > 0 and args.T**2 > args.node_budget:
+    if args.T**2 > args.node_budget:
         raise BudgetExceededError(
             f"{args.T}^2 quotient entries exceed the node budget of {args.node_budget}"
         )
@@ -524,7 +524,7 @@ def build_parser() -> _Parser:
     circ_sub = p_circ.add_subparsers(dest="which", required=True)
     ch = circ_sub.add_parser("h", help="common neighbors of x and x+t")
     ch.add_argument("--d", required=True, help="connection multiset, e.g. 1,2,4")
-    ch.add_argument("--t", type=int, required=True)
+    ch.add_argument("--t", type=_positive, required=True)
     _add_common(ch, _cmd_circulant_h)
     cp = circ_sub.add_parser("period-filter", help="period divisibility constraints")
     cp.add_argument("--d", required=True)
@@ -534,12 +534,12 @@ def build_parser() -> _Parser:
     _add_common(cp, _cmd_circulant_period_filter)
     cq = circ_sub.add_parser("quotient", help="quotient multigraph on Z_T")
     cq.add_argument("--d", required=True)
-    cq.add_argument("--T", type=int, required=True)
+    cq.add_argument("--T", type=_positive, required=True)
     _add_common(cq, _cmd_circulant_quotient, node_budget=True)
     ce = circ_sub.add_parser("enumerate", help="all perfect colorings of period T")
     ce.add_argument("--d", required=True)
-    ce.add_argument("--T", type=int, required=True)
-    ce.add_argument("--k", type=int, required=True)
+    ce.add_argument("--T", type=_positive, required=True)
+    ce.add_argument("--k", type=_positive, required=True)
     _add_common(ce, _cmd_circulant_enumerate, node_budget=True)
 
     p_grid = top.add_parser("grid", help="plane grid tools")
@@ -561,8 +561,8 @@ def build_parser() -> _Parser:
     _add_common(gr, _cmd_grid_reject, node_budget=True)
     gt = grid_sub.add_parser("torus-search", help="witness search at fixed periods")
     add_grid_spec(gt)
-    gt.add_argument("--p", type=int, required=True)
-    gt.add_argument("--q", type=int, required=True)
+    gt.add_argument("--p", type=_positive, required=True)
+    gt.add_argument("--q", type=_positive, required=True)
     gt.add_argument("--b")
     gt.add_argument("--c")
     gt.add_argument("--s", help="explicit parameter matrix JSON")
@@ -573,8 +573,8 @@ def build_parser() -> _Parser:
     gp.add_argument("--b")
     gp.add_argument("--c")
     gp.add_argument("--s")
-    gp.add_argument("--width", type=int, required=True)
-    gp.add_argument("--height", type=int, required=True)
+    gp.add_argument("--width", type=_positive, required=True)
+    gp.add_argument("--height", type=_positive, required=True)
     _add_common(gp, _cmd_patch_search, node_budget=True)
 
     p_repro = top.add_parser("repro", help="re-derive the bundled grid and circulant results")

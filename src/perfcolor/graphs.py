@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .ratmat import Polynomial, RationalMatrix, rat
 
@@ -304,17 +305,36 @@ class DistancePolynomials:
 
 
 def distance_polynomials(ia: IntersectionArray) -> DistancePolynomials:
-    sphere = [Polynomial([1])]
+    """Sphere polynomials by c_{r+1} p_{r+1} = (x - a_r) p_r - b_{r-1} p_{r-1}, and their running sums.
+
+    The recurrence runs over integer coefficient lists: with the intersection
+    numbers over one common denominator L (A_r = L a_r, and so on), p_r is
+    q_r / D_r, where q_{r+1} = (L x - A_r) q_r - B_{r-1} (D_r / D_{r-1}) q_{r-1}
+    and D_{r+1} = D_r C_{r+1}.  The ``Polynomial``s are built once, at the end.
+    """
+    scale = lcm(*(x.denominator for x in ia.b + ia.c))  # a_r = b_0 - b_r - c_r shares it
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    spheres, denominators = [[1]], [1]  # sphere r is spheres[r] / denominators[r]
     if ia.d >= 1:
-        sphere.append(Polynomial.x())
+        spheres.append([0, 1])
+        denominators.append(1)
     for r in range(1, ia.d):
-        c_next = ia.c_at(r + 1)
+        c_next = scaled(ia.c_at(r + 1))
         if c_next == 0:
             raise ValueError(f"c_{r + 1} is zero; malformed intersection array")
-        term = (Polynomial.x() - Polynomial.constant(ia.a(r))) * sphere[r]
-        term = term - sphere[r - 1].scaled(ia.b_at(r - 1))
-        sphere.append(term.scaled(Fraction(1) / c_next))
-    ball = [sphere[0]]
+        a_r, b_back = scaled(ia.a(r)), scaled(ia.b_at(r - 1)) * (denominators[r] // denominators[r - 1])
+        here, before = spheres[r], spheres[r - 1] + [0, 0]
+        spheres.append([scale * x - a_r * y - b_back * z for x, y, z in zip([0] + here, here + [0], before)])
+        denominators.append(denominators[r] * c_next)
+    balls = [spheres[0]]  # sphere r, and so ball r, has degree r
     for r in range(1, ia.d + 1):
-        ball.append(ball[r - 1] + sphere[r])
-    return DistancePolynomials(tuple(sphere), tuple(ball))
+        ratio = denominators[r] // denominators[r - 1]
+        balls.append([ratio * x + y for x, y in zip(balls[-1] + [0], spheres[r])])
+
+    def polynomials(numerators: list[list[int]]) -> tuple[Polynomial, ...]:
+        return tuple(Polynomial([Fraction(x, d) for x in q]) for q, d in zip(numerators, denominators))
+
+    return DistancePolynomials(polynomials(spheres), polynomials(balls))

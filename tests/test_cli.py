@@ -728,6 +728,30 @@ def test_period_filter_t_max_below_one_is_a_usage_error(capsys, t_max):
     assert f"--t-max: must be at least 1, not {t_max}" in capsys.readouterr().err
 
 
+SIZE_OPTIONS = [
+    (["grid", "torus-search", "--grid", "square", "--b", "1", "--c", "1", "--q", "3"], "--p"),
+    (["grid", "torus-search", "--grid", "square", "--b", "1", "--c", "1", "--p", "3"], "--q"),
+    (["grid", "patch-search", "--grid", "square", "--b", "1", "--c", "1", "--height", "3"], "--width"),
+    (["grid", "patch-search", "--grid", "square", "--b", "1", "--c", "1", "--width", "3"], "--height"),
+    (["circulant", "quotient", "--d", "1"], "--T"),
+    (["circulant", "enumerate", "--d", "1", "--k", "2"], "--T"),
+    (["circulant", "enumerate", "--d", "1", "--T", "4"], "--k"),
+    (["circulant", "h", "--d", "1"], "--t"),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, option", SIZE_OPTIONS, ids=[f"{argv[1]}{option}" for argv, option in SIZE_OPTIONS]
+)
+def test_sizes_below_one_are_usage_errors(capsys, argv, option, value):
+    # each was refused as malformed input (65) by the library's ValueError
+    with pytest.raises(SystemExit) as err:
+        main([*argv, option, value])
+    assert err.value.code == 64
+    assert f"{option}: must be at least 1, not {value}" in capsys.readouterr().err
+
+
 def test_grid_node_budget_reaches_every_search(capsys):
     code, _ = run(
         capsys, ["grid", "reject", "--grid", "square", "--b", "4", "--c", "3", "--node-budget", "1"]

@@ -207,6 +207,46 @@ def test_sphere_polynomials_give_distance_matrices(g):
         assert polys.ball[r](g.adjacency) == ball
 
 
+def cube() -> Graph:
+    return from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+
+
+def fraction_recurrence(ia: IntersectionArray) -> tuple[list[Polynomial], list[Polynomial]]:
+    """Sphere and ball polynomials by the three-term recurrence in Fraction polynomial arithmetic."""
+    sphere = [Polynomial([1]), Polynomial.x()][: ia.d + 1]
+    for r in range(1, ia.d):
+        term = (Polynomial.x() - Polynomial.constant(ia.a(r))) * sphere[r] - sphere[r - 1].scaled(ia.b_at(r - 1))
+        sphere.append(term.scaled(Fraction(1) / ia.c_at(r + 1)))
+    ball = [sphere[0]]
+    for r in range(1, ia.d + 1):
+        ball.append(ball[r - 1] + sphere[r])
+    return sphere, ball
+
+
+@pytest.mark.parametrize(
+    "g",
+    [*map(cycle, range(5, 13)), *map(complete, range(4, 7)), petersen(), cube()],
+    ids=[*(f"C{n}" for n in range(5, 13)), *(f"K{n}" for n in range(4, 7)), "petersen", "cube"],
+)
+def test_distance_polynomials_match_the_fraction_recurrence(g):
+    ia = intersection_array(g)
+    polys = distance_polynomials(ia)
+    sphere, ball = fraction_recurrence(ia)
+    assert [p.coeffs for p in polys.sphere] == [p.coeffs for p in sphere]
+    assert [p.coeffs for p in polys.ball] == [p.coeffs for p in ball]
+
+
+def test_distance_polynomials_of_a_rational_array():
+    # an array with non-integer entries runs over the same common denominator
+    ia = IntersectionArray(
+        (Fraction(5, 2), Fraction(3, 2), Fraction(1, 3)), (Fraction(1), Fraction(1, 2), Fraction(7, 3))
+    )
+    polys = distance_polynomials(ia)
+    sphere, ball = fraction_recurrence(ia)
+    assert [p.coeffs for p in polys.sphere] == [p.coeffs for p in sphere]
+    assert [p.coeffs for p in polys.ball] == [p.coeffs for p in ball]
+
+
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
 def test_row_distance_identity_on_regular_graphs(g):
     # d([M]^u, [M]^v) = 2(r - h) for simple r-regular graphs

@@ -37,6 +37,7 @@ from perfcolor.periodic import (
     _delta_table,
     _lattice_basis,
     _lattice_neighbors,
+    _quotient_cells,
     _window,
     circulant_enumerate,
     circulant_h,
@@ -667,15 +668,15 @@ def test_backtrack_requires_cell_weight_equal_to_row_sums():
     # yet the engine only cuts colors over target, so it refuses such input
     with pytest.raises(ValueError, match="row sum"):
         _backtrack(
-            RationalMatrix([[2]]), [[(0, 1)]], [True], frozenset({1}), [(1,)],
+            RationalMatrix([[2]]), [(True, ((0, 1),))], frozenset({1}), [1],
             all_colors=False, find_all=False, node_budget=10,
         )
     # cells seeing totals 1 and 2 against rows summing to 1 and 2: not one common total
-    affected = [[(0, 1), (1, 1)], [(1, 1)]]
+    cells = [(True, ((0, 1), (1, 1))), (True, ((0, 1),))]
     with pytest.raises(ValueError, match="row sum"):
         _backtrack(
-            RationalMatrix([[1, 0], [0, 2]]), affected, [True, True], frozenset({1, 2}),
-            [(1, 2), (1, 2)], all_colors=False, find_all=False, node_budget=10,
+            RationalMatrix([[1, 0], [0, 2]]), cells, frozenset({1, 2}),
+            [2, 2], all_colors=False, find_all=False, node_budget=10,
         )
 
 
@@ -726,7 +727,7 @@ def test_patch_search_target_with_negative_entry_is_malformed():
         lambda: torus_search(GridSpec.square(), (2, 2), (1, 7)),
         lambda: patch_search(GridSpec.square(), RationalMatrix([[5, -1], [2, 2]]), (4, 4)),
         lambda: _backtrack(  # a negative entry would borrow across the engine's packed fields
-            RationalMatrix([[5, -1], [2, 2]]), [[]], [False], frozenset(), [2],
+            RationalMatrix([[5, -1], [2, 2]]), [(False, ())], frozenset(), [2],
             all_colors=False, find_all=False, node_budget=10,
         ),
     ):
@@ -776,24 +777,26 @@ def test_backtrack_matches_reference_search(spec, data):
             limits[interior[0]] = 1
         # the engine gets the window prepared for the cells its budget reaches,
         # or all of them when the unused-color cut counts the cells left
-        cells = width * height if all_colors else budget + 1
-        constrained, _, affected, totals = _window(spec, width, height, cells)
-    else:
-        a = data.draw(st.integers(1, 3), label="a")
-        d = data.draw(st.integers(1, 6 // a), label="d")
+        cells, totals = _window(spec, width, height, width * height if all_colors else budget + 1)
+        cycle = 0
+    else:  # quotients of index up to 36: on the larger ones the engine's band wraps round the cycle
+        a = data.draw(st.integers(1, 6), label="a")
+        d = data.draw(st.integers(1, 6), label="d")
         basis = [(a, data.draw(st.integers(0, d - 1), label="b")), (0, d)]
+        if a * d > 6:  # the reference search recounts every cell at each node
+            budget = min(budget, 300)
         targets = lattice_neighbor_counts(spec.offsets, basis)
         flags = [True] * len(targets)
         limits = [k] * len(targets)
-        affected = _lattice_neighbors(spec, basis)
-        constrained, totals = [True] * len(affected), frozenset({r})
+        cells, totals = _quotient_cells(_lattice_neighbors(spec, basis)), frozenset({r})
+        cycle = len(cells)
     allowed = [tuple(range(1, limit + 1)) for limit in limits]
     expected = reference_backtrack(
         rows, targets, flags, allowed, all_colors=all_colors, find_all=find_all, node_budget=budget
     )
     got = _backtrack(
-        RationalMatrix(rows), affected, constrained, totals, limits[: len(affected)],
-        all_colors=all_colors, find_all=find_all, node_budget=budget,
+        RationalMatrix(rows), cells, totals, limits[: len(cells)],
+        cycle=cycle, all_colors=all_colors, find_all=find_all, node_budget=budget,
     )
     assert got == expected
 
@@ -836,6 +839,9 @@ GRID_CORPUS = [
     *[("triangular", (2, 2), "torus", periods, "witness" if count else "inconclusive", nodes, count)
       for periods, (nodes, count) in TRI_22_TORI.items()],
     ("triangular", (3, 3), "torus", (4, 5), "inconclusive", 3546, 0),
+    # trees deep enough that the engine's band moves far past its start, and round a torus
+    ("square", (2, 2), "patch", (16, 16), "inconclusive", 274181, 0),
+    ("square", (4, 3), "torus", (20, 20), "inconclusive", 5976, 0),
 ]
 
 
@@ -1050,20 +1056,18 @@ GEOMETRY_IDS = ["square", "triangular", "radius-2"]
 @pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
 def test_window_matches_coordinate_oracle(spec):
     # a window prepared for its first cells (all of them, or the cells a budget
-    # reaches) is the prefix of the whole window that those cells read
+    # reaches) is the prefix of the whole window, with equal cells sharing one object
     for width in range(1, 10):
         for height in range(1, 10):
-            flags, cells, targets = window_by_coordinates(spec.offsets, width, height)
+            flags, interior, targets = window_by_coordinates(spec.offsets, width, height)
             seen = Counter(w for column in targets for w, _ in column)
             for prefix in range(1, width * height + 2):
-                constrained, interior, affected, totals = _window(spec, width, height, prefix)
-                tracked = len(constrained)
-                assert (list(constrained), list(interior)) == (
-                    flags[:tracked], [u for u in cells if u < tracked]
-                )
-                assert list(map(Counter, affected)) == list(map(Counter, targets[:prefix]))
-                assert all(w < tracked for column in affected for w, _ in column)
-                assert totals == frozenset(seen[w] for w in cells)
+                cells, totals = _window(spec, width, height, prefix)
+                assert [constrained for constrained, _ in cells] == flags[:prefix]
+                affected = [Counter((u + d, weight) for d, weight in seers) for u, (_, seers) in enumerate(cells)]
+                assert affected == list(map(Counter, targets[:prefix]))
+                assert len({id(cell) for cell in cells}) == len(set(cells))
+                assert totals == frozenset(seen[w] for w in interior)
 
 
 @pytest.mark.parametrize("spec", [GridSpec.square(), GridSpec.triangular()], ids=["square", "triangular"])
