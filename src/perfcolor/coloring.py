@@ -112,7 +112,8 @@ def _class_sums(
         sums = [0] * k
         for w, a in row:
             sums[colors[w] - 1] += a
-        sums = [x * ds for x in sums]
+        if ds != 1:
+            sums = [x * ds for x in sums]
         i = colors[u] - 1
         if rows[i] is None:
             rows[i] = sums

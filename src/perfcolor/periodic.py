@@ -176,13 +176,18 @@ def circulant_period_filter(
 
 
 def _circulant_neighbors(spec: CirculantSpec, period: int) -> Neighbors:
-    """Neighbor lists of the quotient on Z_period: (y, offsets +-d taking x to y), by y."""
+    """Neighbor lists of the quotient on Z_period: (y, offsets +-d taking x to y), by y.
+
+    Vertex x sees x + r, with multiplicity a, for each residue r of the
+    offsets, so the lists are translates of one: the pairs (y, a) rotated
+    left by r hold x's pair for r at index x.  Each pair is one object,
+    shared by every list that holds it.
+    """
     if period < 1:
         raise ValueError("period must be a positive integer")
-    return [
-        sorted(Counter((x + o) % period for d in spec.ds for o in (d, -d)).items())
-        for x in range(period)
-    ]
+    base = Counter(o % period for d in spec.ds for o in (d, -d)).items()
+    pairs = {a: [(y, a) for y in range(period)] for a in {a for _, a in base}}
+    return [sorted(seen) for seen in zip(*(pairs[a][r:] + pairs[a][:r] for r, a in base))]
 
 
 def circulant_quotient(spec: CirculantSpec, period: int) -> Graph:
@@ -212,22 +217,34 @@ def circulant_enumerate(
     colored in that form, smallest color first, so entries come out in
     order.  A vertex is checked once it and its neighbors are colored: its
     color-wise neighbor counts must equal those of the first checked vertex
-    of its color.  A prefix that passes is also compared with each rotation
-    s that starts at a run start (color[s-1] != color[s]) and has so far
-    renamed, by first appearance, to the prefix itself.  At p, rotation s
-    names color[p] as at its last position q in s..p-1 (color[q-s]) or,
-    if new, one above the colors before p-s; below color[p-s], every
-    completion has a smaller rotation and the branch is cut; above it, s
-    is dropped.  A complete string carries the rotations still followed,
-    least first, on through the wrap positions 0..s-1 by the same rule: one
-    naming below the string rejects it, and one renaming to the string
-    itself accepts it, since every later rotation repeats an earlier one.
-    A rotation starting mid-run loses to the one a step earlier, which has
-    the longer leading run, so the least rotation starts at a run start,
-    even when its run wraps past position 0, and is followed.  The class
-    sums of a kept string give its S.  Each color tried at a position is
-    one node, and so is each rotation compared at a position or across the
-    wrap; past ``node_budget`` of them the census raises
+    of its color.  Each position holds a tuple of the vertices completed
+    there, each with the positions it sees (one seen a times is listed a
+    times); positions that complete none share the empty tuple.  The counts
+    are one integer: position w, once colored, holds code[w] = 1 << width *
+    color[w], so the sum of the codes a vertex sees holds its count of color
+    c in field c, and a color's row is the first such sum.  A field is
+    width = valency.bit_length() bits and a count is at most the valency, so
+    no field carries into the next, and sums are only compared for equality,
+    never subtracted, so unlike ``_backtrack``'s fields they need no guard
+    bit: a check is one sum and one integer compare.  The rows set while
+    coloring a position go on one stack of (position, color) pairs, popped
+    when the position is undone.  A prefix that passes is also compared
+    with each rotation s that starts at a run start (color[s-1] !=
+    color[s]) and has so far renamed, by first appearance, to the prefix
+    itself.  At p, rotation s names color[p] as at its last position q in
+    s..p-1 (color[q-s]) or, if new, one above the colors before p-s; below
+    color[p-s], every completion has a smaller rotation and the branch is
+    cut; above it, s is dropped.  A complete string carries the rotations
+    still followed, least first, on through the wrap positions 0..s-1 by
+    the same rule: one naming below the string rejects it, and one renaming
+    to the string itself accepts it, since every later rotation repeats an
+    earlier one.  A rotation starting mid-run loses to the one a step
+    earlier, which has the longer leading run, so the least rotation starts
+    at a run start, even when its run wraps past position 0, and is
+    followed.  The class sums of a kept string, checked again by the kernel
+    behind ``induced_parameters``, give its S.  Each color tried at a
+    position is one node, and so is each rotation compared at a position or
+    across the wrap; past ``node_budget`` of them the census raises
     ``BudgetExceededError``, never returning part of its entries.  Coloring
     every position 1 takes ``period`` nodes, so a longer period is refused
     before anything is built.
@@ -239,17 +256,26 @@ def circulant_enumerate(
     if period > node_budget:
         raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
     neighbors = _circulant_neighbors(spec, period)
-    ready: list[list[int]] = [[] for _ in range(period)]  # vertices complete at a position
-    for x in range(period):
-        ready[max(x, neighbors[x][-1][0])].append(x)
+    # checks[p]: (x, the positions x sees, one per unit of multiplicity) for each
+    # vertex x whose neighbors are all colored once position p is; x sees the
+    # translates by x of the positions 0 sees
+    offsets = [r for r, a in neighbors[0] for _ in range(a)]
+    at = list(range(period))
+    checks: list[tuple[tuple[int, tuple[int, ...]], ...]] = [()] * period
+    for x, sees in enumerate(zip(*(at[r:] + at[:r] for r in offsets))):
+        q = neighbors[x][-1][0]
+        checks[x if x > q else q] += ((x, sees),)
+    width = spec.valency.bit_length()  # a field holds one color's count, at most the valency
+    code = [0] * period  # code[w] = 1 << width * color[w]: field c of a sum counts color c
     color = [0] * period
     top = [0] * (period + 1)  # top[p]: highest color at positions before p
     next_color = [1] * period
-    row: list[list[int] | None] = [None] * (k + 1)  # counts of a color's first checked vertex
-    recorded: list[list[int]] = [[] for _ in range(period)]  # colors whose row position p set
+    row: list[int | None] = [None] * (k + 1)  # packed counts of a color's first checked vertex
+    rows_set = [(-1, 0)]  # (position, color) of each row set, on a sentinel that never pops
     follow: list[tuple[int, ...]] = [()] * (period + 1)  # rotations s renaming s..p-1 as 0..p-s-1
     last = [-1] * (k + 1)  # last[c]: the latest position of color c before p
     before = [0] * period  # before[p]: last[color[p]] when position p was colored
+    code_of = code.__getitem__
     found = []
     nodes = 0
     p = 0
@@ -276,23 +302,21 @@ def circulant_enumerate(
                     raise AssertionError(f"census kept a coloring with unequal class sums: {color}")
                 found.append(EnumeratedColoring(Coloring(color, top[p]), RationalMatrix(rows)))
             p -= 1
-        elif next_color[p] <= min(k, top[p] + 1):
+        elif next_color[p] <= k and next_color[p] <= top[p] + 1:
             nodes += 1
             c = next_color[p]
-            next_color[p] += 1
+            next_color[p] = c + 1
             color[p] = c
+            code[p] = 1 << width * c
             before[p] = seen = last[c]
-            top[p + 1] = max(top[p], c)
-            for x in ready[p]:
-                counts = [0] * (k + 1)
-                for w, a in neighbors[x]:
-                    counts[color[w]] += a
-                cx = color[x]
-                if row[cx] is None:
-                    row[cx] = counts
-                    recorded[p].append(cx)
-                elif row[cx] != counts:
-                    break
+            top[p + 1] = c if c > top[p] else top[p]
+            for x, sees in checks[p]:
+                counts = sum(map(code_of, sees))
+                if row[color[x]] != counts:
+                    if row[color[x]] is not None:
+                        break
+                    row[color[x]] = counts
+                    rows_set.append((p, color[x]))
             else:
                 kept = []
                 for s in follow[p]:  # rotation s names c as at its last position, or anew
@@ -314,9 +338,8 @@ def circulant_enumerate(
             p -= 1
             if p < 0:
                 return tuple(found)
-        for c in recorded[p]:  # undo position p before its next color
-            row[c] = None
-        recorded[p].clear()
+        while rows_set[-1][0] == p:  # undo position p before its next color
+            row[rows_set.pop()[1]] = None
         last[color[p]] = before[p]
 
 

@@ -204,6 +204,24 @@ def test_quotient_row_sums_always_valency():
             assert set(g.adjacency.row_sums()) == {Fraction(spec.valency)}
 
 
+@pytest.mark.parametrize(
+    "ds",
+    [ds for r in range(1, 6) for ds in combinations(range(1, 6), r)]
+    + [(1, 1), (2, 2, 3), (7, 12), (6, 30, 31), (10, 20, 45)],
+    ids=lambda ds: ",".join(map(str, ds)),
+)
+def test_circulant_neighbors_translate_one_offset_list(ds):
+    # every vertex's list is the translate of vertex 0's, equal to counting each
+    # vertex's offsets on its own, also when d >= T or d = 0 mod T gives a loop
+    spec = CirculantSpec(ds)
+    for period in range(1, 31):
+        per_vertex = [
+            sorted(Counter((x + o) % period for d in ds for o in (d, -d)).items())
+            for x in range(period)
+        ]
+        assert periodic._circulant_neighbors(spec, period) == per_vertex, period
+
+
 # --- circulant enumeration ------------------------------------------------------------
 
 
@@ -295,6 +313,60 @@ def test_enumerate_matches_reference_census(ds):
 def test_enumerate_rotation_cut_saves_nodes(ds, period, nodes, leaf_cut_nodes):
     assert reference_census(ds, period, 2)[1] == leaf_cut_nodes
     assert _nodes_needed(CirculantSpec(ds), period, 2) == nodes < leaf_cut_nodes
+
+
+# least completing node budgets: the benchmark's thirteen census shapes, then
+# repeated lengths and a fourth color; a change in pruning or in what counts
+# as a node shows here
+CENSUS_TREES = [
+    ((1, 2, 4), 6, 3, 161, 5),
+    ((1, 3, 5), 6, 3, 199, 8),
+    ((1, 2), 10, 2, 229, 5),
+    ((2, 5), 10, 2, 290, 2),
+    ((1, 2, 4), 12, 2, 926, 4),
+    ((1, 3, 5), 12, 2, 2014, 45),
+    ((2, 3, 4), 12, 2, 1156, 15),
+    ((1, 4), 8, 3, 365, 4),
+    ((1, 2, 3, 4, 5), 8, 3, 837, 4),
+    ((1, 3), 13, 2, 545, 1),
+    ((1, 2, 4), 14, 2, 1400, 11),
+    ((1, 2), 14, 2, 380, 2),
+    ((2, 5), 14, 2, 2111, 11),
+    ((1, 1), 8, 3, 205, 4),
+    ((2, 2, 3), 8, 3, 527, 4),
+    ((1, 2), 6, 4, 242, 11),
+]
+
+
+@pytest.mark.parametrize(
+    "ds, period, k, nodes, entries",
+    CENSUS_TREES,
+    ids=[f"{','.join(map(str, ds))}-T{t}-k{k}" for ds, t, k, _, _ in CENSUS_TREES],
+)
+def test_enumerate_census_tree_corpus(ds, period, k, nodes, entries):
+    spec = CirculantSpec(ds)
+    assert _nodes_needed(spec, period, k) == nodes
+    assert len(circulant_enumerate(spec, period, k)) == entries
+
+
+@pytest.mark.parametrize(
+    "ds, period, max_k, nodes",
+    [((2, 2), 4, 4, 37), ((3, 3), 3, 4, 15), ((4, 4), 4, 4, 50), ((1, 4, 4), 8, 3, 339)],
+    ids=["2,2", "3,3", "4,4", "1,4,4"],
+)
+def test_enumerate_packs_a_count_of_the_full_valency(ds, period, max_k, nodes):
+    # at the last period one class count reaches the valency: x sees x + 2 four
+    # times in C(2,2) at T = 4, itself four times in C(3,3) at T = 3 and in
+    # C(4,4) at T = 4, and x + 4 four times in C(1,4,4) at T = 8.  Counts of
+    # one total alias only in fields too narrow for the valency: at valency 4
+    # none do even in 2-bit fields, but at valency 6 those pack (0, 5, 1) and
+    # (4, 0, 2) alike, which lets C(1,4,4) pass prefixes its counts refuse and
+    # grows its tree
+    spec = CirculantSpec(ds)
+    for k in range(1, max_k + 1):
+        for t in range(1, period + 1):
+            assert _census(spec, t, k) == brute_force_circulant_census(ds, t, k), (t, k)
+    assert _nodes_needed(spec, period, max_k) == nodes
 
 
 def test_enumerate_bounds_k_by_the_period():
