@@ -219,15 +219,23 @@ def _cmd_verify(args) -> int:
     return EXIT_REJECTED
 
 
-def _requested_pairs(args, n: int) -> list[tuple[int, int, int, int]]:
-    """(u, v, i, j) for every vertex pair u < v of --coloring, or the one pair given by flags."""
+def _requested_pairs(args, n: int, k: int) -> list[tuple[int, int, int, int]]:
+    """(u, v, i, j) for every vertex pair u < v of --coloring, or the one pair given by flags.
+
+    n is the number of vertices and k the number of rows of S; every color must lie in 1..k.
+    """
     if args.coloring:
         f = _load(args.coloring, "coloring", Coloring)
         if f.n != n:
             raise CliDataError(f"coloring has {f.n} entries but the graph has {n} vertices")
+        if f.k > k:  # a coloring uses every color in 1..f.k
+            raise CliDataError(f"coloring uses color {f.k}, outside 1..{k} for S with {k} rows")
         return [(u, v, f.colors[u], f.colors[v]) for u in range(n) for v in range(u + 1, n)]
     if None in (args.u, args.v, args.i, args.j):
         raise CliDataError("give --u --v --i --j, or --coloring for a full scan")
+    for flag, color in (("--i", args.i), ("--j", args.j)):
+        if not 1 <= color <= k:
+            raise CliDataError(f"{flag} {color}: color outside 1..{k} for S with {k} rows")
     return [(args.u, args.v, args.i, args.j)]
 
 
@@ -240,13 +248,13 @@ def _pair_scan(args) -> int:
     if args.which == "drg":
         g = _load(args.graph, "graph", Graph)
         s = _load(args.s, "matrix", RationalMatrix)
-        pairs = _requested_pairs(args, g.n)
+        pairs = _requested_pairs(args, g.n, s.rows)
         sides = drg_sides(g, s, args.radius)
         keys = [dict(radius=args.radius, kind=kind) for kind in ("ball", "sphere")]
     else:
         m = _load(args.m, "matrix", RationalMatrix)
         s = _load(args.s, "matrix", RationalMatrix)
-        pairs = _requested_pairs(args, m.rows)
+        pairs = _requested_pairs(args, m.rows, s.rows)
         if args.which == "power":
             sides, keys = [Side(m**args.l, s**args.l)], [dict(l=args.l)]
         else:
@@ -604,8 +612,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MemoryError as exc:
-        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+    except MemoryError:
+        # print would allocate, raise MemoryError again and exit 1, the code of a rejection
+        os.write(2, b"out of memory: an allocation failed\n")
         return EXIT_BUDGET
     except (ValueError, IndexError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ __all__ = [
     "partition_matrix",
     "poly_lift",
     "two_color_matrix",
-    "two_color_params",
     "verify_perfect",
 ]
 
@@ -59,9 +58,6 @@ class Coloring:
     @property
     def n(self) -> int:
         return len(self.colors)
-
-    def color_class(self, i: int) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.colors) if c == i)
 
     def to_json(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}
@@ -176,15 +172,8 @@ class PerfectColoringTriple:
                 raise ValueError(f"row {v} of P must contain exactly one 1 and zeroes")
 
     @property
-    def n(self) -> int:
-        return self.m.rows
-
-    @property
     def k(self) -> int:
         return self.s.rows
-
-    def coloring(self) -> Coloring:
-        return Coloring(_partition_colors(self.p), self.k)
 
 
 def _partition_colors(p: RationalMatrix) -> tuple[int, ...]:
@@ -272,16 +261,6 @@ class TwoColorParams:
 
     def matrix(self) -> RationalMatrix:
         return RationalMatrix([[self.a, self.b], [self.c, self.d]])
-
-
-def two_color_params(s: RationalMatrix, r: RatLike) -> TwoColorParams:
-    """Extract (b, c) from a 2x2 parameter matrix with both row sums r."""
-    rr = rat(r)
-    if s.rows != 2 or s.cols != 2:
-        raise ValueError("parameter matrix must be 2x2")
-    if s.row_sums() != (rr, rr):
-        raise ValueError(f"both row sums must equal {rr}, got {s.row_sums()}")
-    return TwoColorParams(b=s[0, 1], c=s[1, 0], r=rr)
 
 
 def two_color_matrix(b: RatLike, c: RatLike, r: RatLike) -> RationalMatrix:

@@ -12,13 +12,7 @@ For a simple r-regular graph the left side equals 2(r - h), where h is the
 number of common neighbors of u and v, which gives the simple-graph bound
 d([S]^i, [S]^j) <= 2(r - h).  For two colors this becomes the window
 h <= b + c <= 2r - h, sharpened to h + 2 <= b + c when u and v are
-adjacent.  At equality the color distributions over N(u) & N(v),
-N(u) \\ N(v), and N(v) \\ N(u) are pinned down: the triangle inequality
-|x - y| <= |x| + |y| used row-by-row is tight only when no cancellation
-occurs, which forces intersection counts min(s_i, s_j) and difference
-counts max(s_i - s_j, 0) per color.  Those elementwise formulas are the
-equality case worked out explicitly, since only the existence of forced
-distributions is usually stated.
+adjacent.
 
 Since M P = P S gives p(M) P = P p(S) for every polynomial p, the bound
 holds for rows of p(M) against rows of p(S) too: the power (p = x^l) and
@@ -41,7 +35,6 @@ from .ratmat import RationalMatrix, l1_row_distance, rat
 
 __all__ = [
     "FilterVerdict",
-    "ForcedDistributions",
     "ForcedSets",
     "PairContext",
     "Side",
@@ -49,8 +42,6 @@ __all__ = [
     "drg_check",
     "drg_sides",
     "distance_power_check",
-    "forced_distributions",
-    "pair_color_feasible",
     "row_distance_scan",
     "simple_pair_bound",
     "two_color_check",
@@ -161,13 +152,6 @@ def row_distance_scan(
     return verdicts
 
 
-def pair_color_feasible(
-    m: RationalMatrix, s: RationalMatrix, u: int, v: int, i: int, j: int
-) -> FilterVerdict:
-    """Reject colors (i, j) for vertices (u, v) when d(M rows u, v) < d(S rows i, j)."""
-    return row_distance_scan([Side(m, s)], [(u, v, i, j)])[0]
-
-
 def simple_pair_bound(ctx: PairContext, s: RationalMatrix, i: int, j: int) -> FilterVerdict:
     """Simple-graph form: d([S]^i, [S]^j) must be at most 2(r - h)."""
     for idx, total in enumerate(s.row_sums()):
@@ -183,33 +167,6 @@ def simple_pair_bound(ctx: PairContext, s: RationalMatrix, i: int, j: int) -> Fi
             f"d(S rows {i},{j}) = {lhs} > {rhs} = 2(r - h)",
         )
     return FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs)
-
-
-@dataclass(frozen=True)
-class ForcedDistributions:
-    """Per-color counts forced on N(u) & N(v), N(u) \\ N(v), N(v) \\ N(u) at equality."""
-
-    intersection: tuple[Fraction, ...]
-    only_u: tuple[Fraction, ...]
-    only_v: tuple[Fraction, ...]
-
-
-def forced_distributions(
-    ctx: PairContext, s: RationalMatrix, i: int, j: int
-) -> ForcedDistributions | None:
-    """Color distributions pinned down when d([S]^i,[S]^j) = 2(r - h) exactly.
-
-    Absent unless the equality holds.  The formulas are the no-cancellation
-    case per color: intersection min(s_i, s_j), differences the positive
-    parts, so intersection sums to h and each difference to r - h.
-    """
-    if l1_row_distance(s, i - 1, j - 1) != 2 * (ctx.r - ctx.h):
-        return None
-    ri, rj = s.row(i - 1), s.row(j - 1)
-    inter = tuple(min(a, b) for a, b in zip(ri, rj))
-    only_u = tuple(max(a - b, Fraction(0)) for a, b in zip(ri, rj))
-    only_v = tuple(max(b - a, Fraction(0)) for a, b in zip(ri, rj))
-    return ForcedDistributions(inter, only_u, only_v)
 
 
 def two_color_check(ctx: PairContext, params: TwoColorParams) -> FilterVerdict:
@@ -279,13 +236,14 @@ def two_color_forced_sets(ctx: PairContext, params: TwoColorParams) -> ForcedSet
     return None
 
 
+# perfbench/spans.py wraps this by name; it can go only with ROADMAP item 1, step A.
 def distance_power_check(
     m: RationalMatrix, s: RationalMatrix, l: int, u: int, v: int, i: int, j: int
 ) -> FilterVerdict:
     """Row-distance bound applied to the walk-counting matrices M^l and S^l."""
     if l < 1:
         raise ValueError("power must be a positive integer")
-    return pair_color_feasible(m**l, s**l, u, v, i, j)
+    return row_distance_scan([Side(m**l, s**l)], [(u, v, i, j)])[0]
 
 
 def drg_sides(g: Graph, s: RationalMatrix, radius: int) -> tuple[Side, Side]:
@@ -316,6 +274,7 @@ def drg_sides(g: Graph, s: RationalMatrix, radius: int) -> tuple[Side, Side]:
     )
 
 
+# perfbench/spans.py wraps this by name; it can go only with ROADMAP item 1, step A.
 def drg_check(
     g: Graph, s: RationalMatrix, radius: int, u: int, v: int, i: int, j: int
 ) -> tuple[FilterVerdict, FilterVerdict]:

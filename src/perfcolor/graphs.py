@@ -31,15 +31,12 @@ __all__ = [
     "DistancePolynomials",
     "Graph",
     "IntersectionArray",
-    "common_neighbor_count",
     "complete",
     "cycle",
     "distance_matrices",
-    "diameter",
     "distance_polynomials",
     "from_edges",
     "intersection_array",
-    "neighborhood",
     "petersen",
     "regularity",
 ]
@@ -163,16 +160,6 @@ def _require_simple(g: Graph, op: str) -> None:
         raise ValueError(f"{op} is defined for simple graphs only")
 
 
-def neighborhood(g: Graph, u: int) -> frozenset[int]:
-    _require_simple(g, "neighborhood")
-    return frozenset(w for w in range(g.n) if g.adjacency[u, w] == 1)
-
-
-def common_neighbor_count(g: Graph, u: int, v: int) -> int:
-    _require_simple(g, "common_neighbor_count")
-    return sum(1 for w in range(g.n) if g.adjacency[u, w] == 1 and g.adjacency[v, w] == 1)
-
-
 def _unit_neighbors(g: Graph) -> list[list[int]]:
     """For each vertex u, the vertices w with adjacency[u, w] == 1, in order."""
     ints, d = g.adjacency.integer_form()
@@ -209,10 +196,6 @@ def distance_matrices(g: Graph) -> tuple[RationalMatrix, ...]:
     )
 
 
-def diameter(g: Graph) -> int:
-    return len(distance_matrices(g)) - 1
-
-
 @dataclass(frozen=True)
 class IntersectionArray:
     """Distance-regularity data: b = (b_0..b_{d-1}), c = (c_1..c_d)."""
@@ -232,10 +215,6 @@ class IntersectionArray:
     @property
     def d(self) -> int:
         return len(self.b)
-
-    @property
-    def valency(self) -> Fraction:
-        return self.b[0]
 
     def b_at(self, i: int) -> Fraction:
         # b_d := 0

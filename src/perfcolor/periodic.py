@@ -143,9 +143,6 @@ class PeriodConstraint:
     fired: tuple[int, ...]
     divides: int  # gcd of fired, 0 when nothing fired
 
-    def satisfied_by(self, period: int) -> bool:
-        return self.divides == 0 or self.divides % period == 0
-
 
 def circulant_period_filter(
     spec: CirculantSpec, params: TwoColorParams, t_max: int

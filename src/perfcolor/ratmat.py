@@ -160,9 +160,6 @@ class RationalMatrix:
         p = f.numerator
         return RationalMatrix._reduced(tuple(tuple(x * p for x in row) for row in self._ints), self._d * f.denominator)
 
-    def __rmul__(self, factor: RatLike) -> "RationalMatrix":
-        return self.scaled(factor)
-
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Exact product: with A = A'/da and B = B'/db, it is A'B' / (da db), reduced once.
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from perfcolor import cli, periodic
 from perfcolor.cli import main
 from perfcolor.coloring import Coloring, induced_parameters
-from perfcolor.filters import distance_power_check, drg_check, pair_color_feasible
+from perfcolor.filters import Side, distance_power_check, drg_check, row_distance_scan
 from perfcolor.graphs import cycle, distance_matrices, from_edges, petersen
 from perfcolor.ratmat import RationalMatrix
 
@@ -179,7 +179,7 @@ def test_filter_power_and_pair_scans_match_per_pair_checks(distance_scan, capsys
          "--coloring", files["coloring"], "--format", "json"],
     )
     expected = [
-        dict(u=u, v=v, i=i, j=j, **pair_color_feasible(m, s, u, v, i, j).to_json())
+        dict(u=u, v=v, i=i, j=j, **row_distance_scan([Side(m, s)], [(u, v, i, j)])[0].to_json())
         for u, v, i, j in scan_pairs(f)
     ]
     assert code == 0
@@ -247,23 +247,45 @@ def test_scan_rows_equal_single_pair_queries(tmp_path, capsys, name):
         assert scan == singles, argv
 
 
-@pytest.mark.parametrize("length", [9, 3])
-@pytest.mark.parametrize("which", ["pair", "power", "drg"])
-def test_filter_scan_rejects_coloring_of_wrong_length(tmp_path, capsys, which, length):
+def c6_scan_inputs(tmp_path, which):
+    """The C6 graph or matrix files of `filter <which>`, with a 2x2 S."""
     graph = write(tmp_path, "c6.json", cycle(6).to_json())
     m = write(tmp_path, "m.json", cycle(6).adjacency.to_json())
     s = write(tmp_path, "s.json", {"rows": 2, "cols": 2, "data": [[0, 2], [2, 0]]})
-    coloring = write(tmp_path, "f.json", {"k": 2, "colors": [1 + x % 2 for x in range(length)]})
-    inputs = {
+    return {
         "pair": ["--m", m, "--s", s],
         "power": ["--m", m, "--s", s, "--l", "2"],
         "drg": ["--graph", graph, "--s", s, "--radius", "1"],
     }[which]
-    code = main(["filter", which, *inputs, "--coloring", coloring, "--format", "json"])
+
+
+@pytest.mark.parametrize("length", [9, 3])
+@pytest.mark.parametrize("which", ["pair", "power", "drg"])
+def test_filter_scan_rejects_coloring_of_wrong_length(tmp_path, capsys, which, length):
+    coloring = write(tmp_path, "f.json", {"k": 2, "colors": [1 + x % 2 for x in range(length)]})
+    code = main(["filter", which, *c6_scan_inputs(tmp_path, which), "--coloring", coloring, "--format", "json"])
     captured = capsys.readouterr()
     assert code == 65
     assert captured.out == ""
     assert f"coloring has {length} entries but the graph has 6 vertices" in captured.err
+
+
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        (["--u", "0", "--v", "1", "--i", "0", "--j", "1"], "--i 0: color outside 1..2 for S with 2 rows"),
+        (["--u", "0", "--v", "1", "--i", "1", "--j", "3"], "--j 3: color outside 1..2 for S with 2 rows"),
+        (["--coloring", "THREE"], "coloring uses color 3, outside 1..2 for S with 2 rows"),
+    ],
+)
+@pytest.mark.parametrize("which", ["pair", "power", "drg"])
+def test_filter_color_outside_the_rows_of_s_is_malformed(tmp_path, capsys, which, colors, message):
+    # --i 0 was reported as row -1 of S, and color 3 of a scan as row 2
+    three = write(tmp_path, "f.json", {"k": 3, "colors": [1, 2, 3, 1, 2, 3]})
+    code = main(["filter", which, *c6_scan_inputs(tmp_path, which), *(three if a == "THREE" else a for a in colors)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (65, "")
+    assert captured.err == f"error: {message}\n"
 
 
 def test_filter_two_color_square_grid(capsys):
@@ -428,15 +450,33 @@ def test_circulant_enumerate_refuses_huge_period_before_building(capsys, monkeyp
         (["circulant", "enumerate", "--d", "1", "--T", "3000000", "--k", "1"], "circulant_enumerate"),
     ],
 )
-def test_out_of_memory_exits_66_not_rejected(argv, handler, capsys, monkeypatch):
+def test_out_of_memory_exits_66_not_rejected(argv, handler, capfd, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(cli, handler, exhausted)
     assert main(argv) == 66
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("out of memory: ")
+
+
+def test_out_of_memory_under_an_address_space_cap_exits_66():
+    # the message was printed, which allocates: MemoryError again, and exit 1, the code of a rejection
+    resource = pytest.importorskip("resource")
+    cap = 100 * 10**6
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["grid", "reject", "--grid", "square", "--b", "1", "--c", "1", "--window", "600"]
+    proc = subprocess.run([sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 66, proc.stderr
+    assert "out of memory: " in proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_circulant_enumerate_runs_past_the_old_gates(capsys):

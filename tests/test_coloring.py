@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,6 @@ from perfcolor.coloring import (
     partition_matrix,
     poly_lift,
     two_color_matrix,
-    two_color_params,
     verify_perfect,
 )
 from perfcolor.graphs import cycle
@@ -34,7 +35,6 @@ def test_coloring_validation():
     with pytest.raises(ValueError):
         Coloring((), 1)
     f = Coloring((1, 2, 1), 2)
-    assert f.color_class(1) == (0, 2)
     assert Coloring.from_json(f.to_json()) == f
 
 
@@ -124,32 +124,25 @@ def test_poly_lift_rejects_imperfect_input():
 def test_triple_coloring_round_trip():
     f = Coloring((1, 2, 3, 1, 2, 3), 3)
     triple = make_triple(cycle(6), f)
-    assert triple.coloring() == f
+    assert triple.p == partition_matrix(f)
 
 
 def test_two_color_params_extraction():
-    s = RationalMatrix([[0, 4], [3, 1]])
-    params = two_color_params(s, 4)
-    assert (params.b, params.c) == (4, 3)
+    params = TwoColorParams(Fraction(4), Fraction(3), Fraction(4))
+    assert (params.a, params.d) == (0, 1)
     assert params.second_eigenvalue == -3
-    assert params.matrix() == s
+    assert params.matrix() == RationalMatrix([[0, 4], [3, 1]])
 
 
 def test_two_color_params_structural_acceptance():
-    params = two_color_params(RationalMatrix([[4, 0], [2, 2]]), 4)
-    assert (params.b, params.c) == (0, 2)
-
-
-def test_two_color_params_row_sum_check():
-    with pytest.raises(ValueError):
-        two_color_params(RationalMatrix([[0, 4], [3, 2]]), 4)
+    params = TwoColorParams(Fraction(0), Fraction(2), Fraction(4))
+    assert params.matrix() == RationalMatrix([[4, 0], [2, 2]])
 
 
 def test_triangular_two_two_parameters():
-    params = two_color_params(RationalMatrix([[4, 2], [2, 4]]), 6)
-    assert (params.b, params.c) == (2, 2)
+    params = TwoColorParams(Fraction(2), Fraction(2), Fraction(6))
     assert params.second_eigenvalue == 2
-    assert two_color_matrix(2, 2, 6) == params.matrix()
+    assert two_color_matrix(2, 2, 6) == params.matrix() == RationalMatrix([[4, 2], [2, 4]])
 
 
 # --- properties ----------------------------------------------------------------
@@ -159,10 +152,9 @@ bc_values = st.integers(0, 8)
 
 @given(bc_values, bc_values, st.integers(0, 8))
 def test_row_distance_equals_twice_eigenvalue(b, c, r):
-    # holds for any 2x2 matrix with equal row sums, not only 0 <= b,c <= r
-    s = two_color_matrix(b, c, r)
-    params = two_color_params(s, r)
-    assert l1_row_distance(s, 0, 1) == 2 * abs(params.second_eigenvalue)
+    # d(S_1, S_2) = 2|r - b - c| for any 2x2 matrix with equal row sums, not only 0 <= b,c <= r
+    params = TwoColorParams(Fraction(b), Fraction(c), Fraction(r))
+    assert l1_row_distance(params.matrix(), 0, 1) == 2 * abs(params.second_eigenvalue)
 
 
 colorings_c6 = st.lists(st.integers(1, 3), min_size=6, max_size=6)

@@ -9,25 +9,19 @@ from perfcolor.coloring import (
     TwoColorParams,
     induced_parameters,
     make_triple,
-    two_color_matrix,
-    two_color_params,
 )
 from perfcolor.filters import (
     PairContext,
     Side,
-    VerdictStatus,
     distance_power_check,
     drg_check,
     drg_sides,
-    forced_distributions,
-    pair_color_feasible,
     row_distance_scan,
     simple_pair_bound,
     two_color_check,
     two_color_forced_sets,
 )
 from perfcolor.graphs import (
-    common_neighbor_count,
     cycle,
     distance_polynomials,
     intersection_array,
@@ -46,21 +40,20 @@ def test_pair_context_validation():
         PairContext(Fraction(4), 4, adjacent=True)
 
 
-# --- pair_color_feasible --------------------------------------------------------
+# --- the row-distance bound of M against S -----------------------------------------
 
 
 def test_same_color_always_feasible():
     m = cycle(5).adjacency
     s = RationalMatrix([[0, 2], [1, 1]])
-    for u in range(5):
-        for v in range(5):
-            assert pair_color_feasible(m, s, u, v, 2, 2).feasible
+    verdicts = row_distance_scan([Side(m, s)], [(u, v, 2, 2) for u in range(5) for v in range(5)])
+    assert len(verdicts) == 25 and all(verdict.feasible for verdict in verdicts)
 
 
 def test_same_vertex_different_colors_infeasible():
     m = cycle(5).adjacency
     s = RationalMatrix([[0, 2], [1, 1]])
-    verdict = pair_color_feasible(m, s, 3, 3, 1, 2)
+    [verdict] = row_distance_scan([Side(m, s)], [(3, 3, 1, 2)])
     assert verdict.infeasible
     assert verdict.lhs == 0
 
@@ -71,7 +64,7 @@ def test_square_torus_against_43_parameters():
     s = RationalMatrix([[0, 4], [3, 1]])
     u = 0  # (0,0)
     v = 1 * 5 + 1  # (1,1)
-    verdict = pair_color_feasible(torus.adjacency, s, u, v, 1, 2)
+    [verdict] = row_distance_scan([Side(torus.adjacency, s)], [(u, v, 1, 2)])
     assert verdict.infeasible
     assert (verdict.lhs, verdict.rhs) == (4, 6)
 
@@ -110,68 +103,11 @@ def test_simple_bound_consistent_with_pair_check(g):
     # via d([M]^u,[M]^v) = 2(r - h) both filters must agree on simple regular graphs
     r = regularity(g)
     s = RationalMatrix([[0, r], [1, r - 1]])
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v:
-                continue
-            h = common_neighbor_count(g, u, v)
-            adjacent = g.adjacency[u, v] == 1
-            ctx = PairContext(r, h, adjacent)
-            assert (
-                simple_pair_bound(ctx, s, 1, 2).status
-                == pair_color_feasible(g.adjacency, s, u, v, 1, 2).status
-            )
-
-
-# --- forced distributions -------------------------------------------------------
-
-
-def test_forced_distributions_equal_rows():
-    s = RationalMatrix([[1, 2], [1, 2]])
-    dist = forced_distributions(PairContext(Fraction(3), 3, adjacent=False), s, 1, 2)
-    assert dist is not None
-    assert dist.intersection == (1, 2)
-    assert dist.only_u == (0, 0)
-    assert dist.only_v == (0, 0)
-
-
-def test_forced_distributions_at_equality():
-    s = RationalMatrix([[0, 4], [3, 1]])
-    dist = forced_distributions(PairContext(Fraction(4), 1, adjacent=False), s, 1, 2)
-    assert dist is not None
-    assert dist.intersection == (0, 1)
-    assert dist.only_u == (0, 3)
-    assert dist.only_v == (3, 0)
-
-
-def test_forced_distributions_absent_off_equality():
-    s = RationalMatrix([[4, 2], [2, 4]])
-    assert forced_distributions(PairContext(Fraction(6), 2, adjacent=False), s, 1, 2) is None
-
-
-rationals = st.fractions(min_value=Fraction(0), max_value=Fraction(8), max_denominator=4)
-
-
-@given(st.lists(rationals, min_size=2, max_size=5), st.lists(rationals, min_size=2, max_size=5))
-def test_forced_distribution_invariants(row_i, row_j):
-    k = min(len(row_i), len(row_j))
-    row_i, row_j = row_i[:k], row_j[:k]
-    r = sum(row_i)
-    if sum(row_j) != r:
-        return
-    s = RationalMatrix([row_i, row_j])
-    d = l1_row_distance(s, 0, 1)
-    h_exact = r - d / 2
-    if h_exact < 0 or h_exact.denominator != 1:
-        return
-    h = int(h_exact)
-    dist = forced_distributions(PairContext(r, h, adjacent=False), s, 1, 2)
-    assert dist is not None
-    assert sum(dist.intersection) == h
-    assert sum(dist.only_u) == r - h
-    assert sum(dist.only_v) == r - h
-    assert tuple(a + b for a, b in zip(dist.intersection, dist.only_u)) == s.row(0)
-    assert tuple(a + b for a, b in zip(dist.intersection, dist.only_v)) == s.row(1)
+    nxg = nx.Graph([(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adjacency[u, v] == 1])
+    pairs = [(u, v, 1, 2) for u in range(g.n) for v in range(g.n) if u != v]
+    for (u, v, _, _), verdict in zip(pairs, row_distance_scan([Side(g.adjacency, s)], pairs)):
+        ctx = PairContext(r, len(list(nx.common_neighbors(nxg, u, v))), nxg.has_edge(u, v))
+        assert simple_pair_bound(ctx, s, 1, 2).status == verdict.status
 
 
 # --- two-color window -----------------------------------------------------------
@@ -220,12 +156,9 @@ bcr = st.fractions(min_value=Fraction(0), max_value=Fraction(8), max_denominator
 def test_two_color_agrees_with_simple_bound(b, c, r, h):
     if b > r or c > r or h > r:
         return
-    s = two_color_matrix(b, c, r)
+    params = TwoColorParams(b, c, r)
     ctx = PairContext(r, h, adjacent=False)
-    assert (
-        two_color_check(ctx, two_color_params(s, r)).status
-        == simple_pair_bound(ctx, s, 1, 2).status
-    )
+    assert two_color_check(ctx, params).status == simple_pair_bound(ctx, params.matrix(), 1, 2).status
 
 
 # --- forced side sets -----------------------------------------------------------
@@ -277,12 +210,8 @@ def test_forced_sets_nonadjacent_lower():
 def test_power_one_matches_pair_check():
     m = cycle(6).adjacency
     s = RationalMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    for u in range(6):
-        for v in range(6):
-            assert (
-                distance_power_check(m, s, 1, u, v, 1, 2).status
-                == pair_color_feasible(m, s, u, v, 1, 2).status
-            )
+    pairs = [(u, v, 1, 2) for u in range(6) for v in range(6)]
+    assert [distance_power_check(m, s, 1, *q) for q in pairs] == row_distance_scan([Side(m, s)], pairs)
 
 
 def test_power_check_exact_sides_on_c6():
@@ -296,8 +225,8 @@ def test_power_check_exact_sides_on_c6():
 
 
 def test_power_check_never_fires_on_verified_triples():
-    triple = make_triple(cycle(6), Coloring((1, 2, 3, 1, 2, 3), 3))
-    f = triple.coloring()
+    f = Coloring((1, 2, 3, 1, 2, 3), 3)
+    triple = make_triple(cycle(6), f)
     for l in range(1, 5):
         for u in range(6):
             for v in range(6):
@@ -416,7 +345,8 @@ def test_row_distance_scan_computes_each_distance_once(monkeypatch):
     assert len(graph_side) == 2 * 2 * len(pairs)
     assert len(calls) - len(graph_side) == 2 * 2 * 4
     calls.clear()
-    assert row_distance_scan([Side(g.adjacency, s)], pairs) == [pair_color_feasible(g.adjacency, s, *q) for q in pairs]
+    side = Side(g.adjacency, s)
+    assert row_distance_scan([side], pairs) == [row_distance_scan([side], [q])[0] for q in pairs]
     assert len(calls) == len(pairs) + 4 + 2 * len(pairs)  # the scan, then one pair per single query
 
 
@@ -437,5 +367,5 @@ def test_bad_colors_raise_on_every_query(monkeypatch):
             drg_check(cycle(5), s, 1, *pairs[-1])
     for _ in range(2):
         with pytest.raises(IndexError):
-            pair_color_feasible(cycle(5).adjacency, s, 0, 1, 3, 1)
+            row_distance_scan([Side(cycle(5).adjacency, s)], [(0, 1, 3, 1)])
     assert row_distance_scan(sides, [(0, 1, 1, 2)]) == list(drg_check(cycle(5), s, 1, 0, 1, 1, 2))

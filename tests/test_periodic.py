@@ -119,7 +119,6 @@ def test_period_filter_no_constraint():
     constraint = circulant_period_filter(spec, params(3, 3, 6), t_max=8)
     assert constraint.fired == ()
     assert constraint.divides == 0
-    assert constraint.satisfied_by(5)
 
 
 def test_period_filter_single_distance():
