@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -113,69 +114,30 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise CliDataError(f"expected 'x,y', got {text!r}") from exc
 
 
-def _emit(obj, args, text: str | None = None) -> None:
-    """Print ``obj`` as JSON, or ``text`` in text format; a closed stdout just ends the output."""
+def _write(out: str) -> None:
+    """Print ``out``; a closed stdout just ends the output."""
     try:
-        print(text if args.format == "text" and text is not None else _json_rows(obj), flush=True)
+        print(out, flush=True)
     except BrokenPipeError:  # fd 1 to the null device, so the exit flush stays quiet too
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
 
 
-def _verdict_row(verdict, **extra) -> dict:
-    row = dict(extra)
-    row.update(verdict.to_json())
-    return row
+def _emit(obj, args, text: str | None = None) -> None:
+    """Print ``obj`` as ``json.dumps(obj, indent=2)``, or ``text`` in text format."""
+    _write(text if args.format == "text" and text is not None else json.dumps(obj, indent=2))
 
 
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda x: "true" if x else "false",
-    type(None): lambda x: "null",
-}
+def _text_row(row: dict) -> str:
+    """The text form of a verdict row: its k=v fields, leaving out None values."""
+    return " ".join(f"{k}={v}" for k, v in row.items() if v is not None)
 
 
-def _json_rows(obj) -> str:
-    """``json.dumps(obj, indent=2)``, written directly for a non-empty list of rows of scalars.
-
-    With ``indent`` set the json module encodes in pure Python.  Scan rows
-    repeat most of their lines, so each distinct (key, type, value) line is
-    encoded once per call; the type is part of it because True == 1.
-    Anything else, such as a dict or a row holding a dict, is left to
-    ``json.dumps``.
-    """
-    if type(obj) is not list or not obj:
-        return json.dumps(obj, indent=2)
-    lines: dict = {}
-    objects = []
-    for row in obj:
-        if type(row) is not dict or not row:
-            return json.dumps(obj, indent=2)
-        out = []
-        for k, v in row.items():
-            encode = _JSON_SCALARS.get(type(v))
-            if encode is None:
-                return json.dumps(obj, indent=2)
-            line = lines.get((k, type(v), v))
-            if line is None:
-                if type(k) is not str:
-                    return json.dumps(obj, indent=2)
-                line = lines[k, type(v), v] = f"    {encode_basestring_ascii(k)}: {encode(v)}"
-            out.append(line)
-        objects.append(",\n".join(out))
-    return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]"
-
-
-def _finish_rows(rows: list[dict], args) -> int:
-    """Print verdict rows; exit with the code of the worst status, 0 for no rows."""
-    text = None
-    if args.format == "text":
-        text = "\n".join(" ".join(f"{k}={v}" for k, v in row.items() if v is not None) for row in rows)
-    _emit(rows, args, text)
-    codes = {_STATUS_EXITS[VerdictStatus(status)] for status in {row["status"] for row in rows}}
-    return EXIT_REJECTED if EXIT_REJECTED in codes else max(codes, default=EXIT_OK)
+def _finish_row(row: dict, args) -> int:
+    """Print a one-row result; exit with the code of its status."""
+    _emit([row], args, _text_row(row))
+    return _STATUS_EXITS[VerdictStatus(row["status"])]
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +221,62 @@ def _pair_scan(args) -> int:
             sides, keys = [Side(m**args.l, s**args.l)], [dict(l=args.l)]
         else:
             sides, keys = [Side(m, s)], [{}]
-    verdicts = iter(row_distance_scan(sides, pairs))
-    rows = [
-        _verdict_row(next(verdicts), u=u, v=v, i=i, j=j, **extra)
-        for u, v, i, j in pairs
-        for extra in keys
-    ]
-    return _finish_rows(rows, args)
+    # row distances are exact, so they may have more digits than the interpreter's cap on int to str
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.11+, and 3.10 from 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        verdicts = row_distance_scan(sides, pairs)
+        out = _scan_rows(pairs, verdicts, keys, args.format == "json")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    _write(out)
+    return EXIT_REJECTED if any(verdict.infeasible for verdict in verdicts) else EXIT_OK
+
+
+def _json_scalar(x: str | int | None) -> str:
+    """``json.dumps(x)`` for a str, an int or None."""
+    return "null" if x is None else encode_basestring_ascii(x) if type(x) is str else str(x)
+
+
+def _json_fields(row: dict) -> str:
+    """The lines of a row's fields inside ``json.dumps(rows, indent=2)``, for str, int and None values."""
+    return ",\n".join(f"    {encode_basestring_ascii(k)}: {_json_scalar(x)}" for k, x in row.items())
+
+
+def _scan_rows(pairs, verdicts, keys, as_json: bool) -> str:
+    """Scan rows {u, v, i, j, **keys[side], **verdict.to_json()}, pair-major and side-minor, as
+    ``json.dumps(rows, indent=2)`` or as ``_text_row`` lines.
+
+    A verdict's fields after j, its tail, are encoded once per side and verdict object, so most
+    rows cost only their u, v, i and j.
+    """
+    if as_json:
+        row = '  {{\n    "u": {},\n    "v": {},\n    "i": {},\n    "j": {},\n{}\n  }}'.format
+        encode = _json_fields
+    else:
+        row, encode = "u={} v={} i={} j={} {}".format, _text_row
+    tails = [{} for _ in keys]
+    rows = []
+    verdicts = iter(verdicts)
+    for u, v, i, j in pairs:
+        for key, tail_of in zip(keys, tails):
+            verdict = next(verdicts)
+            tail = tail_of.get(id(verdict))
+            if tail is None:
+                tail = tail_of[id(verdict)] = encode({**key, **verdict.to_json()})
+            rows.append(row(u, v, i, j, tail))
+    if not as_json:
+        return "\n".join(rows)
+    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
 
 
 def _cmd_filter_simple(args) -> int:
     s = _load(args.s, "matrix", RationalMatrix)
     ctx = PairContext(rat(args.r), args.h, args.adjacent)
-    rows = [
-        _verdict_row(simple_pair_bound(ctx, s, args.i, args.j), i=args.i, j=args.j, h=args.h)
-    ]
-    return _finish_rows(rows, args)
+    verdict = simple_pair_bound(ctx, s, args.i, args.j)
+    return _finish_row({"i": args.i, "j": args.j, "h": args.h, **verdict.to_json()}, args)
 
 
 def _cmd_filter_two_color(args) -> int:
@@ -283,15 +285,10 @@ def _cmd_filter_two_color(args) -> int:
     ctx = PairContext(params.r, args.h, args.adjacent)
     verdict = two_color_check(ctx, params)
     forced = two_color_forced_sets(ctx, params)
-    row = _verdict_row(verdict, b=str(params.b), c=str(params.c), h=args.h, adjacent=args.adjacent)
+    row = {"b": str(params.b), "c": str(params.c), "h": args.h, "adjacent": args.adjacent, **verdict.to_json()}
     if forced:
-        row["forced"] = {
-            "only_u_color": forced.only_u_color,
-            "only_v_color": forced.only_v_color,
-            "excludes_endpoints": forced.excludes_endpoints,
-            "bound": forced.bound,
-        }
-    return _finish_rows([row], args)
+        row["forced"] = asdict(forced)
+    return _finish_row(row, args)
 
 
 def _cmd_circulant_h(args) -> int:

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import TwoColorParams
-from .graphs import Graph, distance_matrices, distance_polynomials, intersection_array
+from .graphs import Graph, distance_polynomials, distance_table, intersection_array
 from .ratmat import RationalMatrix, l1_row_distance, rat
 
 __all__ = [
@@ -130,25 +131,37 @@ def row_distance_scan(
 ) -> list[FilterVerdict]:
     """The row-distance verdict of every side for every (u, v, i, j), pair-major, side-minor.
 
-    Per pair and side, d(X_u, X_v) is taken first, so a bad vertex is named
-    before a bad color.  d(Y_i, Y_j) is computed once per side and color pair
-    of this call; a computation that raises stores nothing.
+    d(X_u, X_v) is one integer sum over the integer rows of X, with no
+    ``Fraction``; d(Y_i, Y_j) is computed once per side and color pair of
+    this call, and one that raises stores nothing.  A bad vertex is named
+    before a bad color.  On each side, FEASIBLE verdicts with equal (lhs, rhs)
+    are one object; an INFEASIBLE verdict names its pair, so each is its own.
     """
-    tables = [{} for _ in sides]
+    # per side: X, its integer rows over d, Y, the wording, (rhs, rhs * d as p / q) by color
+    # pair, and FEASIBLE verdicts by (lhs * d, p, q)
+    scans = [(x, *x.integer_form(), y, wording, {}, {}) for x, y, wording in sides]
     verdicts = []
     for u, v, i, j in pairs:
-        for (x, y, wording), table in zip(sides, tables):
-            lhs = l1_row_distance(x, u, v)
-            rhs = table.get((i, j))
-            if rhs is None:
-                rhs = table[i, j] = l1_row_distance(y, i - 1, j - 1)
-            if lhs < rhs:
+        for x, ints, d, y, wording, rhs_of, feasible in scans:
+            if not (0 <= u < len(ints) and 0 <= v < len(ints)):
+                x.row(u), x.row(v)  # raises the IndexError that names the vertex
+            known = rhs_of.get((i, j))
+            if known is None:
+                rhs = l1_row_distance(y, i - 1, j - 1)
+                known = rhs_of[i, j] = (rhs, rhs.numerator * d, rhs.denominator)
+            rhs, p, q = known
+            lhs = sum(map(abs, map(sub, ints[u], ints[v])))
+            if lhs * q < p:
+                lhs = Fraction(lhs, d)
                 verdicts.append(FilterVerdict(
                     VerdictStatus.INFEASIBLE, lhs, rhs,
                     wording.format(u=u, v=v, i=i, j=j, lhs=lhs, rhs=rhs),
                 ))
             else:
-                verdicts.append(FilterVerdict(VerdictStatus.FEASIBLE, lhs, rhs))
+                verdict = feasible.get((lhs, p, q))
+                if verdict is None:
+                    verdict = feasible[lhs, p, q] = FilterVerdict(VerdictStatus.FEASIBLE, Fraction(lhs, d), rhs)
+                verdicts.append(verdict)
     return verdicts
 
 
@@ -249,28 +262,27 @@ def distance_power_check(
 def drg_sides(g: Graph, s: RationalMatrix, radius: int) -> tuple[Side, Side]:
     """The ball and sphere sides of a distance-regular graph at ``radius``.
 
-    The ball side is A_0 + ... + A_radius against ball[radius](S), the
-    sphere side A_radius against sphere[radius](S), where A_t indicates the
-    pairs at distance t and ball, sphere are the graph's distance
-    polynomials.  Raises unless g is distance-regular and radius is in
-    1..diameter.
+    The ball side is B, with B[u, v] = 1 iff dist(u, v) <= radius, against
+    ball[radius](S); the sphere side is A_radius against sphere[radius](S),
+    for the graph's distance polynomials ball and sphere.  One BFS gives the
+    distance-regularity check and both indicators; nothing is kept between
+    calls.  Raises unless g is distance-regular and radius is in 1..diameter.
     """
-    ia = intersection_array(g)
+    dist = distance_table(g) if g.simple else None
+    ia = intersection_array(g, dist)
     if ia is None:
         raise ValueError("graph is not distance-regular")
-    spheres = distance_matrices(g)
-    if not 1 <= radius < len(spheres):
-        raise ValueError(f"radius must be in 1..{len(spheres) - 1}")
+    if not 1 <= radius <= ia.d:
+        raise ValueError(f"radius must be in 1..{ia.d}")
     polynomials = distance_polynomials(ia)
-    ball = spheres[0]
-    for sphere in spheres[1 : radius + 1]:
-        ball = ball + sphere
+    ball = RationalMatrix.from_integer_form(tuple(tuple(int(x <= radius) for x in row) for row in dist))
+    sphere = RationalMatrix.from_integer_form(tuple(tuple(int(x == radius) for x in row) for row in dist))
     ball_wording, sphere_wording = (
         f"|{kind}_{radius}({{u}}) symdiff {kind}_{radius}({{v}})| = {{lhs}} < {{rhs}}" for kind in "BW"
     )
     return (
         Side(ball, polynomials.ball[radius](s), ball_wording),
-        Side(spheres[radius], polynomials.sphere[radius](s), sphere_wording),
+        Side(sphere, polynomials.sphere[radius](s), sphere_wording),
     )
 
 
@@ -282,7 +294,8 @@ def drg_check(
 
     |B_r(u) symdiff B_r(v)| must dominate the distance between rows i, j of
     the ball polynomial image of S, and likewise for spheres.  Returns the
-    (ball, sphere) verdicts.  Each call prepares the graph again, so a
-    caller with many pairs should scan ``drg_sides`` once.
+    (ball, sphere) verdicts of ``row_distance_scan`` over ``drg_sides``.
+    Each call runs the graph's BFS and evaluates both polynomials at S
+    again, so a caller with many pairs should scan ``drg_sides`` once.
     """
     return tuple(row_distance_scan(drg_sides(g, s, radius), [(u, v, i, j)]))

@@ -35,10 +35,10 @@ __all__ = [
     "cycle",
     "distance_matrices",
     "distance_polynomials",
+    "distance_table",
     "from_edges",
     "intersection_array",
     "petersen",
-    "regularity",
 ]
 
 ZERO = Fraction(0)
@@ -149,25 +149,12 @@ def petersen() -> Graph:
     return from_edges(10, edges, labels=labels)
 
 
-def regularity(g: Graph) -> Fraction | None:
-    """The common row sum r, or None when row sums differ."""
-    sums = g.adjacency.row_sums()
-    return sums[0] if all(s == sums[0] for s in sums) else None
-
-
-def _require_simple(g: Graph, op: str) -> None:
+def distance_table(g: Graph) -> list[list[int]]:
+    """All-pairs BFS distances of a simple graph; -1 marks unreachable pairs."""
     if not g.simple:
-        raise ValueError(f"{op} is defined for simple graphs only")
-
-
-def _unit_neighbors(g: Graph) -> list[list[int]]:
-    """For each vertex u, the vertices w with adjacency[u, w] == 1, in order."""
+        raise ValueError("distances are defined for simple graphs only")
     ints, d = g.adjacency.integer_form()
-    return [[w for w, a in enumerate(row) if a == d] for row in ints]
-
-
-def _bfs_distances(nbrs: list[list[int]]) -> list[list[int]]:
-    """All-pairs BFS distances over neighbor lists; -1 marks unreachable pairs."""
+    nbrs = [[w for w, a in enumerate(row) if a == d] for row in ints]
     out = []
     for s in range(len(nbrs)):
         dist = [-1] * len(nbrs)
@@ -185,8 +172,7 @@ def _bfs_distances(nbrs: list[list[int]]) -> list[list[int]]:
 
 def distance_matrices(g: Graph) -> tuple[RationalMatrix, ...]:
     """0/1 matrices A_0..A_d with A_r[u,v] = 1 iff dist(u,v) = r."""
-    _require_simple(g, "distance_matrices")
-    dist = _bfs_distances(_unit_neighbors(g))
+    dist = distance_table(g)
     d = max(max(row) for row in dist)
     if any(x < 0 for row in dist for x in row):
         raise ValueError("distance matrices require a connected graph")
@@ -228,18 +214,20 @@ class IntersectionArray:
         return self.b[0] - self.b_at(i) - self.c_at(i)
 
 
-def intersection_array(g: Graph) -> IntersectionArray | None:
+def intersection_array(g: Graph, dist: list[list[int]] | None = None) -> IntersectionArray | None:
     """Detect distance-regularity by definition-checking all vertex pairs.
 
     Returns None whenever the array does not exist, which covers
     non-simple, disconnected, and irregular inputs as well as genuinely
-    non-distance-regular graphs.
+    non-distance-regular graphs.  ``dist``, when given, is
+    ``distance_table(g)``, so a caller that needs both runs one BFS.
     """
-    if not g.simple or regularity(g) is None:
+    if not g.simple:
         return None
-    nbrs = _unit_neighbors(g)
-    dist = _bfs_distances(nbrs)
-    if any(x < 0 for row in dist for x in row):
+    if dist is None:
+        dist = distance_table(g)
+    nbrs = [[w for w, x in enumerate(row) if x == 1] for row in dist]
+    if len(set(map(len, nbrs))) > 1 or any(x < 0 for row in dist for x in row):
         return None
     d = max(max(row) for row in dist)
     if d == 0:

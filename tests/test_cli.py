@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from perfcolor import cli, periodic
 from perfcolor.cli import main
 from perfcolor.coloring import Coloring, induced_parameters
-from perfcolor.filters import Side, distance_power_check, drg_check, row_distance_scan
+from perfcolor.filters import Side, distance_power_check, drg_check, drg_sides, row_distance_scan
 from perfcolor.graphs import cycle, distance_matrices, from_edges, petersen
 from perfcolor.ratmat import RationalMatrix
 
@@ -380,8 +381,92 @@ def test_filter_output_is_byte_identical_to_json_dumps(tmp_path, capsys):
         [{"u": 0, "s": "x"}, {"u": 0, "s": "x"}, {"u": 0, 1: "x"}],
     ],
 )
-def test_json_row_writer_matches_json_dumps(rows):
-    assert cli._json_rows(rows) == json.dumps(rows, indent=2)
+def test_json_row_writer_matches_json_dumps(rows, capsys):
+    # every JSON result but the filter scans is written by _emit; the text form is ignored in JSON
+    cli._emit(rows, argparse.Namespace(format="json"), "the text form")
+    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+
+
+def scan_rows(sides, keys, pairs):
+    """The rows a scan prints, built from row_distance_scan itself."""
+    verdicts = iter(row_distance_scan(sides, pairs))
+    return [dict(u=u, v=v, i=i, j=j, **key, **next(verdicts).to_json()) for u, v, i, j in pairs for key in keys]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("which", ["pair", "power", "drg"])
+def test_scan_output_is_json_dumps_or_text_of_the_scan(tmp_path, capsys, which, fmt):
+    # a perfect and an imperfect coloring (INFEASIBLE rows), an S with denominators, one-pair
+    # queries, and for `pair` and `power` a one-vertex scan with no rows
+    g = cycle(6)
+    m = g.adjacency
+    files = {"graph": write(tmp_path, "g.json", g.to_json()), "m": write(tmp_path, "m.json", m.to_json())}
+    matrices = [
+        RationalMatrix([[0, 2], [2, 0]]),
+        RationalMatrix([[Fraction(1, 2), Fraction(3, 2)], [1, Fraction(4, 3)]]),
+    ]
+    cases = []  # (argv, sides, keys, pairs)
+    for n, s in enumerate(matrices):
+        s_file = write(tmp_path, f"s{n}.json", s.to_json())
+        if which == "pair":
+            leaves = [(["--m", files["m"], "--s", s_file], [Side(m, s)], [{}])]
+        elif which == "power":
+            leaves = [
+                (["--m", files["m"], "--s", s_file, "--l", str(l)], [Side(m**l, s**l)], [{"l": l}])
+                for l in (1, 2, 3)
+            ]
+        else:
+            leaves = [
+                (["--graph", files["graph"], "--s", s_file, "--radius", str(r)], drg_sides(g, s, r),
+                 [{"radius": r, "kind": kind} for kind in ("ball", "sphere")])
+                for r in (1, 2, 3)
+            ]
+        for colors in ((1, 2, 1, 2, 1, 2), (1, 2, 2, 1, 2, 1)):
+            f = Coloring(colors, 2)
+            coloring = ["--coloring", write(tmp_path, f"f{''.join(map(str, colors))}.json", f.to_json())]
+            cases += [(argv + coloring, sides, keys, scan_pairs(f)) for argv, sides, keys in leaves]
+        for u, v, i, j in ((0, 3, 1, 2), (2, 2, 2, 2), (5, 1, 2, 1)):
+            one = ["--u", str(u), "--v", str(v), "--i", str(i), "--j", str(j)]
+            cases += [(argv + one, sides, keys, [(u, v, i, j)]) for argv, sides, keys in leaves]
+    if which != "drg":
+        point = write(tmp_path, "point.json", {"data": [[0]]})
+        lone = ["--coloring", write(tmp_path, "f1.json", {"k": 1, "colors": [1]})]
+        argv = ["--m", point, "--s", point, *(["--l", "2"] if which == "power" else []), *lone]
+        cases.append((argv, [], [], []))
+    seen = set()
+    for argv, sides, keys, pairs in cases:
+        rows = scan_rows(sides, keys, pairs)
+        code, out = run(capsys, ["filter", which, *argv, "--format", fmt])
+        assert out == (json_rows(rows) if fmt == "json" else text_rows(rows)), argv
+        assert code == (1 if any(row["status"] == "infeasible" for row in rows) else 0), argv
+        seen.update(row["status"] for row in rows)
+        seen.update("fraction" for row in rows if "/" in row["rhs"])
+        seen.add(len(pairs))
+    assert {"feasible", "infeasible", "fraction", 1} <= seen
+    assert (0 in seen) == (which != "drg")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_scan_prints_row_distances_past_the_int_digit_limit(tmp_path, capsys, fmt):
+    # M^2 has 10^6000 on its diagonal: more digits than Python's default int-to-str limit of 4300
+    big = 10**3000
+    m = write(tmp_path, "m.json", {"data": [[0, big], [big, 0]]})
+    s = write(tmp_path, "s.json", {"data": [[0, 2], [2, 0]]})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, ["filter", "power", "--m", m, "--s", s, "--l", "2", "--coloring",
+                             write(tmp_path, "f.json", {"k": 2, "colors": [1, 2]}), "--format", fmt])
+    lhs = "2" + "0" * 6000
+    row = dict(u=0, v=1, i=1, j=2, l=2, status="feasible", lhs=lhs, rhs="8", violated=None)
+    assert (code, out) == (0, json_rows([row]) if fmt == "json" else text_rows([row]))
+    code, out = run(capsys, ["filter", "power", "--m", s, "--s", m, "--l", "2",
+                             "--u", "0", "--v", "1", "--i", "1", "--j", "2", "--format", fmt])
+    violated = f"d(M rows 0,1) = 8 < {lhs} = d(S rows 1,2)"
+    row = dict(u=0, v=1, i=1, j=2, l=2, status="infeasible", lhs="8", rhs=lhs, violated=violated)
+    assert (code, out) == (1, json_rows([row]) if fmt == "json" else text_rows([row]))
+    code, out, err = outcome(capsys, ["filter", "power", "--m", m, "--s", s, "--l", "2",
+                                      "--u", "0", "--v", "2", "--i", "1", "--j", "2", "--format", fmt])
+    assert (code, out, err) == (65, "", "invalid input: row index 2 out of range for 2x2 matrix\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_circulant_h(capsys):
@@ -1047,6 +1132,26 @@ def test_closed_stdout_keeps_the_verdict_exit_code(argv, capsys):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (outcome(capsys, argv)[0], b"")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_during_a_scan_keeps_the_verdict_exit_code(tmp_path, capsys, fmt):
+    # `filter drg --coloring ... | head -n 1`: the scan writes more than a pipe holds, and its
+    # reader leaves after the first line
+    argv = ["filter", "drg", "--graph", write(tmp_path, "c40.json", cycle(40).to_json()),
+            "--s", write(tmp_path, "s.json", {"data": [[0, 2], [2, 0]]}), "--radius", "1",
+            "--coloring", write(tmp_path, "f.json", {"k": 2, "colors": [1, 1, 2, 2] * 10}), "--format", fmt]
+    code, out, _ = outcome(capsys, argv)
+    assert code == 1 and len(out) > 2**16  # a pipe holds 64 KiB by default
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "perfcolor", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.readline().decode() == out.splitlines(keepends=True)[0]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 # --- the exit-code contract, over every leaf and option of the parser --------------

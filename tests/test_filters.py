@@ -26,7 +26,6 @@ from perfcolor.graphs import (
     distance_polynomials,
     intersection_array,
     petersen,
-    regularity,
 )
 from perfcolor.periodic import GridSpec, torus_quotient
 from perfcolor.ratmat import RationalMatrix, l1_row_distance
@@ -101,7 +100,7 @@ def test_simple_bound_row_sum_mismatch():
 @pytest.mark.parametrize("g", [cycle(6), petersen(), torus_quotient(GridSpec.square(), (4, 4))])
 def test_simple_bound_consistent_with_pair_check(g):
     # via d([M]^u,[M]^v) = 2(r - h) both filters must agree on simple regular graphs
-    r = regularity(g)
+    r = g.adjacency.row_sums()[0]
     s = RationalMatrix([[0, r], [1, r - 1]])
     nxg = nx.Graph([(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adjacency[u, v] == 1])
     pairs = [(u, v, 1, 2) for u in range(g.n) for v in range(g.n) if u != v]
@@ -329,8 +328,9 @@ def test_distance_regular_data_balls_and_images(g):
 
 
 def test_row_distance_scan_computes_each_distance_once(monkeypatch):
-    # one graph-side distance per (pair, side), one parameter-side distance per (side, color pair),
-    # and nothing kept from one scan to the next
+    # one parameter-side distance per (side, color pair), nothing kept from one scan to the next,
+    # and one verdict object per side and feasible (lhs, rhs); graph-side distances are integer
+    # sums that do not go through l1_row_distance
     g = petersen()
     s = RationalMatrix([[0, 3, 0], [1, 0, 2], [0, 1, 2]])
     sides = drg_sides(g, s, 2)
@@ -340,14 +340,22 @@ def test_row_distance_scan_computes_each_distance_once(monkeypatch):
     real = l1_row_distance
     monkeypatch.setattr("perfcolor.filters.l1_row_distance", lambda a, x, y: calls.append(a) or real(a, x, y))
     for _ in range(2):
-        assert row_distance_scan(sides, pairs) == expected
-    graph_side = [a for a in calls if a.rows == g.n]
-    assert len(graph_side) == 2 * 2 * len(pairs)
-    assert len(calls) - len(graph_side) == 2 * 2 * 4
+        scanned = row_distance_scan(sides, pairs)
+        assert scanned == expected
+    assert calls == [sides[0].params, sides[1].params] * 4 * 2  # per scan, both sides at each of 4 color pairs
+    for side in (0, 1):
+        shared = {}
+        for verdict in scanned[side::2]:
+            if verdict.feasible:
+                assert shared.setdefault((verdict.lhs, verdict.rhs), verdict) is verdict
+    feasible = [v for v in scanned if v.feasible]
+    assert len({id(v) for v in feasible}) == 1 + 4 < len(feasible)  # ball (0, 0); sphere (0, 0), (6, 0), (6, 4), (6, 6)
+    infeasible = [v for v in scanned if v.infeasible]
+    assert len({id(v) for v in infeasible}) == len(infeasible) == 3  # each names its pair
     calls.clear()
     side = Side(g.adjacency, s)
     assert row_distance_scan([side], pairs) == [row_distance_scan([side], [q])[0] for q in pairs]
-    assert len(calls) == len(pairs) + 4 + 2 * len(pairs)  # the scan, then one pair per single query
+    assert len(calls) == 4 + len(pairs)  # the scan, then one color pair per single query
 
 
 def test_bad_colors_raise_on_every_query(monkeypatch):

@@ -13,7 +13,6 @@ from perfcolor.graphs import (
     intersection_array,
     IntersectionArray,
     petersen,
-    regularity,
 )
 from perfcolor.ratmat import Polynomial, RationalMatrix, l1_row_distance
 
@@ -61,13 +60,6 @@ def test_graph_json_both_forms():
 def test_weighted_edges_accumulate():
     g = Graph.from_json({"n": 2, "simple": False, "edges": [[0, 1, "1/2"], [0, 1]]})
     assert g.adjacency[0, 1] == Fraction(3, 2)
-
-
-def test_regularity():
-    assert regularity(cycle(6)) == 2
-    assert regularity(petersen()) == 3
-    path3 = from_edges(3, [(0, 1), (1, 2)])
-    assert regularity(path3) is None
 
 
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
@@ -231,7 +223,7 @@ def test_distance_polynomials_of_a_rational_array():
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS)
 def test_row_distance_identity_on_regular_graphs(g):
     # d([M]^u, [M]^v) = 2(r - h) for simple r-regular graphs
-    r = regularity(g)
+    r = g.adjacency.row_sums()[0]
     nxg = to_networkx(g)
     for u in range(g.n):
         for v in range(g.n):
