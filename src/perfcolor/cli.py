@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
@@ -82,10 +83,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# While ``main`` runs: the interpreter's cap on int <-> decimal str digits that it found; input
+# files are read under it, and the rest of the command runs without it.
+_input_digits: int | None = None
+
+
+@contextmanager
+def _int_digits(limit: int | None):
+    """Run the block with the cap on int <-> decimal str digits at ``limit`` (0: no cap, None: as
+    it is), and yield the cap it replaced.  The cap exists from Python 3.11, and 3.10.7."""
+    if limit is None or not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield old
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _load(path: str, what: str, cls):
     """``cls.from_json`` of the JSON in ``path``; ``what`` names the kind in errors."""
     try:
-        with open(path) as fh:
+        with open(path) as fh, _int_digits(_input_digits):
             return cls.from_json(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliDataError(f"cannot read JSON from {path}: {exc}") from exc
@@ -221,17 +242,8 @@ def _pair_scan(args) -> int:
             sides, keys = [Side(m**args.l, s**args.l)], [dict(l=args.l)]
         else:
             sides, keys = [Side(m, s)], [{}]
-    # row distances are exact, so they may have more digits than the interpreter's cap on int to str
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.11+, and 3.10 from 3.10.7
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        verdicts = row_distance_scan(sides, pairs)
-        out = _scan_rows(pairs, verdicts, keys, args.format == "json")
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-    _write(out)
+    verdicts = row_distance_scan(sides, pairs)
+    _write(_scan_rows(pairs, verdicts, keys, args.format == "json"))
     return EXIT_REJECTED if any(verdict.infeasible for verdict in verdicts) else EXIT_OK
 
 
@@ -600,22 +612,33 @@ def _parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Results are exact, so they may have more digits than the interpreter's
+    cap on int <-> decimal str conversions: the command runs without the
+    cap, which is put back while input files are read and when ``main``
+    returns.
+    """
+    global _input_digits
     args = _parser().parse_args(argv)
-    try:
-        return args.run(args)
-    except CliDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MemoryError:
-        # print would allocate, raise MemoryError again and exit 1, the code of a rejection
-        os.write(2, b"out of memory: an allocation failed\n")
-        return EXIT_BUDGET
-    except (ValueError, IndexError, KeyError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with _int_digits(0) as _input_digits:
+        try:
+            return args.run(args)
+        except CliDataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except BudgetExceededError as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except MemoryError:
+            # print would allocate, raise MemoryError again and exit 1, the code of a rejection
+            os.write(2, b"out of memory: an allocation failed\n")
+            return EXIT_BUDGET
+        except (ValueError, IndexError, KeyError) as exc:
+            print(f"invalid input: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        finally:
+            _input_digits = None
 
 
 if __name__ == "__main__":

@@ -72,6 +72,10 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10**7
 
+# the subtree tables of one window search hold at most this many bits (4 MiB), an entry
+# counting its band and 1024 bits (128 bytes) for the dict slot and the int's header
+_TABLE_BITS = 1 << 25
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when a search or enumeration would exceed its node budget."""
@@ -537,6 +541,7 @@ class SearchStats:
     nodes: int
     complete: bool
     detail: str
+    skipped: int = 0  # of the nodes, those counted from a table of failed subtrees rather than walked
 
 
 @dataclass(frozen=True)
@@ -572,7 +577,8 @@ def _backtrack(
     all_colors: bool,
     find_all: bool,
     node_budget: int,
-) -> tuple[list[tuple[int, ...]], int, bool]:
+    prefix: int = 0,
+) -> tuple[list[tuple[int, ...]], int, bool, int]:
     """Color cells 0..n-1 in index order so that every constrained cell meets its row of S.
 
     ``cells[u]`` says whether cell u is constrained and lists (w - u,
@@ -638,8 +644,33 @@ def _backtrack(
     the per-cell slack lists the band replaced took 0.55-0.65 us at any
     width, and were built per pair on each search.
 
-    Returns (colorings, nodes expanded, search completed).
+    A window search that stops at its first coloring (no ``cycle``,
+    ``all_colors`` or ``find_all``) may keep tables of failed subtrees at
+    depths 1..``prefix``.  There the band before cell d determines the whole
+    subtree below d: the cells that left the back are never read again, the
+    band holds all that later colors read of cells 0..d-1, no other state
+    carries the prefix, and ``limits`` are fixed.  Two prefixes that leave
+    one band walk the same subtree node for node, and a subtree walked to its
+    end failed, or the search would have returned.  So when a path enters
+    depth d with a band already in d's table, the search adds the nodes of
+    that subtree instead of walking it again, and when they take it past the
+    budget it stops at ``node_budget + 1`` nodes, incomplete, as the walk
+    would have.  Nodes, colorings and the point where the budget stops the
+    search are those of the full walk; the nodes added from tables are
+    returned apart as skipped.  The table work runs only where a path enters
+    or leaves those depths: ``descend`` is 0 while the path is in them, so
+    each descent there takes the slower branch, and the backtrack test
+    ``u < prefix`` is ``u < 0`` when there are none.  The tables hold at
+    most ``_TABLE_BITS``; once they are full the search walks on without
+    them.  On a wide window few prefixes repeat (on the square grid only the
+    corners are unseen) and failures come soon after the prefix, so most
+    entries are subtrees of a few nodes: without the bound, square (4, 3) at
+    100x100 stored 416,620 entries, 110 MB, in its first 10**6 nodes.
+
+    Returns (colorings, nodes expanded, search completed, nodes skipped).
     """
+    if prefix and (cycle or all_colors or find_all):
+        raise ValueError("subtree tables need a window search that stops at its first coloring")
     n, k = len(cells), s.rows
     ints, denom = s.integer_form()
     if totals and len({total * denom for total in totals} | {sum(row) for row in ints}) != 1:
@@ -685,51 +716,84 @@ def _backtrack(
     found: list[tuple[int, ...]] = []
     nodes = 0
     if all_colors and k > n:
-        return found, nodes, True
+        return found, nodes, True, 0
     last = n - 1
+    room = _TABLE_BITS // (length * span + 1024)  # table entries left
+    prefix = min(prefix, last) if room else 0  # the depths 1..prefix keep tables of failed subtrees
+    tables: list[dict[int, int]] = [{} for _ in range(prefix)]  # tables[u]: band at depth u + 1 -> nodes
+    entered: list[tuple[int, int]] = [(0, 0)] * prefix  # entered[u]: (band, nodes) on entering depth u + 1
+    skipped = 0
+    descend = last if prefix == 0 else 0  # a descent from u < descend needs no table
     u = 0
     while True:
         c = color[u] + 1
         limit = limits[u]
-        if c <= limit:
-            color[u] = c
-            nodes += 1
-            if nodes > node_budget:
-                return found, nodes, False
-            x = band - delta[u][c]
-            if x & guards != guards:
-                continue
-            if all_colors and unused - (not used[c]) > last - u:
-                continue
-            if u < last:
-                if c < limit:
-                    kept[u] = band
-                if all_colors:
-                    if not used[c]:
-                        unused -= 1
-                    used[c] += 1
-                if u < park_below:
-                    parked[u] = x
-                if u < reenter:
-                    band = x >> span | fresh
-                else:
-                    band = x >> span | (parked[u - reenter] & cellmask) << head
-                u += 1
-                color[u] = 0
-                continue
+        if c > limit:  # back up; this branch comes first so that the loop's hot jumps stay short
+            u -= 1
+            if u < prefix:  # leaving depth u + 1, whose subtree failed
+                if u < 0:
+                    return found, nodes, True, skipped
+                after, start = entered[u]
+                tables[u][after] = nodes - start
+                room -= 1
+                if room:
+                    descend = 0
+                else:  # the tables are full: walk on without them
+                    prefix, descend = 0, last
+            band = kept[u]
+            if all_colors:
+                c = color[u]
+                used[c] -= 1
+                if not used[c]:
+                    unused += 1
+            continue
+        color[u] = c
+        nodes += 1
+        if nodes > node_budget:
+            return found, nodes, False, skipped
+        x = band - delta[u][c]
+        if x & guards != guards:
+            continue
+        if all_colors and unused - (not used[c]) > last - u:
+            continue
+        if u < descend:
+            if c < limit:
+                kept[u] = band
+            if all_colors:
+                if not used[c]:
+                    unused -= 1
+                used[c] += 1
+            if u < park_below:
+                parked[u] = x
+            if u < reenter:
+                band = x >> span | fresh
+            else:
+                band = x >> span | (parked[u - reenter] & cellmask) << head
+            u += 1
+            color[u] = 0
+            continue
+        if u == last:
             found.append(tuple(color))
             if not find_all:
-                return found, nodes, True
+                return found, nodes, True, skipped
             continue
-        u -= 1
-        if u < 0:
-            return found, nodes, True
-        band = kept[u]
-        if all_colors:
-            c = color[u]
-            used[c] -= 1
-            if not used[c]:
-                unused += 1
+        # u < prefix, in a window: depth u + 1 has a table
+        after = x >> span | fresh
+        seen = tables[u].get(after)
+        if seen is not None:
+            nodes += seen
+            skipped += seen
+            if nodes > node_budget:  # the walk would have stopped in that subtree, one node past the budget
+                return found, node_budget + 1, False, skipped - (nodes - node_budget - 1)
+            continue
+        entered[u] = (after, nodes)
+        if u + 1 == prefix:
+            descend = last
+        if c < limit:
+            kept[u] = band
+        band = after
+        u += 1
+        color[u] = 0
 
 
 def _quotient_cells(nbrs: Neighbors) -> list[Cell]:
@@ -751,7 +815,7 @@ def _quotient_colorings(
     """Colorings of a symmetric quotient (u's list is who sees u) in all k colors meeting S."""
     n, k = len(nbrs), s.rows
     totals = frozenset(sum(a for _, a in row) for row in nbrs)
-    found, nodes, complete = _backtrack(
+    found, nodes, complete, _ = _backtrack(
         s, _quotient_cells(nbrs), totals, [k] * n,
         cycle=n, all_colors=True, find_all=find_all, node_budget=node_budget,
     )
@@ -1010,6 +1074,15 @@ def patch_search(
     search is a proof of nonexistence (REJECTED).  A non-empty search says
     nothing about the plane and is reported INCONCLUSIVE.
 
+    Nothing prunes before the first interior cell, so the search walks all
+    k**first colorings of the cells before it, and many of them leave one
+    band: the band keeps only what interior cells see of those cells, and a
+    corner cell that no interior cell sees leaves no trace.  With two or
+    more colors the search keeps a table of failed subtrees at each depth
+    up to that cell and counts a repeated one from its table (see
+    ``_backtrack``), so the node count is that of the whole tree, repeats
+    included, and only the walk is shorter.
+
     For a (b, c) target the first interior cell's color is pinned to 1 and,
     when b != c, the swapped orientation (c, b) is searched as well; a plane
     coloring whose restriction colors that cell 2 turns into a valid
@@ -1036,22 +1109,23 @@ def patch_search(
             runs.append((two_color_matrix(c, b, spec.valency), True))
 
     first = next((u for u, (constrained, _) in enumerate(cells) if constrained), None)
-    total_nodes = 0
+    total_nodes = total_skipped = 0
     for s, pin_first in runs:
         limits = [s.rows] * len(cells)
         if pin_first and first is not None:
             limits[first] = 1
-        found, nodes, complete = _backtrack(
-            s, cells, totals, limits,
-            all_colors=False, find_all=False, node_budget=node_budget - total_nodes,
+        found, nodes, complete, skipped = _backtrack(
+            s, cells, totals, limits, all_colors=False, find_all=False,
+            node_budget=node_budget - total_nodes, prefix=(first or 0) if s.rows > 1 else 0,
         )
         total_nodes += nodes
+        total_skipped += skipped
         if found or not complete:
             what = "a valid window coloring exists" if found else "node budget exhausted"
             return SearchOutcome(
                 SearchStatus.INCONCLUSIVE,
                 (),
-                SearchStats(total_nodes, complete, f"patch {width}x{height}: {what}"),
+                SearchStats(total_nodes, complete, f"patch {width}x{height}: {what}", total_skipped),
             )
     return SearchOutcome(
         SearchStatus.REJECTED,
@@ -1060,6 +1134,7 @@ def patch_search(
             total_nodes,
             True,
             f"patch {width}x{height}: no valid window coloring in any orientation",
+            total_skipped,
         ),
     )
 

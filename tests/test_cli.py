@@ -469,6 +469,59 @@ def test_scan_prints_row_distances_past_the_int_digit_limit(tmp_path, capsys, fm
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+needs_digit_cap = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no cap on int to str digits"
+)
+
+
+@needs_digit_cap
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_one_row_filter_prints_results_past_the_int_digit_limit(tmp_path, capsys, fmt):
+    # R has as many digits as the cap allows on input; lhs = rhs = 2R has one more
+    limit = sys.get_int_max_str_digits()
+    r = "6" + "0" * (limit - 1)
+    s = tmp_path / "s.json"
+    s.write_text(f'{{"data": [[{r}, 0], [0, {r}]]}}')
+    code, out = run(capsys, ["filter", "simple", "--s", str(s), "--r", r, "--h", "0",
+                             "--i", "1", "--j", "2", "--format", fmt])
+    two_r = "12" + "0" * (limit - 1)
+    row = dict(i=1, j=2, h=0, status="feasible", lhs=two_r, rhs=two_r, violated=None)
+    assert (code, out) == (0, json_rows([row]) if fmt == "json" else text_rows([row]))
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_digit_cap
+@pytest.mark.parametrize("entry", ["1{}", '"1{}/3"'])
+def test_input_files_past_the_int_digit_limit_stay_malformed(tmp_path, capsys, entry):
+    limit = sys.get_int_max_str_digits()
+    s = tmp_path / "s.json"
+    big = entry.format("0" * limit)  # one digit past the cap, as an int or in a "p/q" string
+    s.write_text(f'{{"data": [[{big}, 0], [0, {big}]]}}')
+    code, out, err = outcome(capsys, ["filter", "simple", "--s", str(s), "--r", "1", "--h", "0",
+                                      "--i", "1", "--j", "2"])
+    assert (code, out) == (65, "")
+    assert err.startswith(f"error: bad matrix in {s}: Exceeds the limit ({limit} digits)")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_digit_cap
+def test_int_digit_limit_is_back_after_main_returns(tmp_path, capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    s = write(tmp_path, "s.json", {"data": [[0, 2], [2, 0]]})
+    argv = ["filter", "simple", "--s", s, "--r", "2", "--h", "0", "--i", "1", "--j", "2"]
+    assert outcome(capsys, argv)[0] == 0
+    assert outcome(capsys, [*argv[:-1], "3"])[0] == 65  # a color outside S
+    assert outcome(capsys, [*argv, "--no-such-flag"])[0] == 64
+
+    def fails(*_):
+        raise RuntimeError("a fault in the handler")
+
+    monkeypatch.setattr(cli, "simple_pair_bound", fails)
+    with pytest.raises(RuntimeError):
+        main(argv)
+    assert (sys.get_int_max_str_digits(), cli._input_digits) == (limit, None)
+
+
 def test_circulant_h(capsys):
     code, out = run(capsys, ["circulant", "h", "--d", "1,2,4", "--t", "3", "--format", "json"])
     assert code == 0

@@ -808,7 +808,12 @@ def test_patch_search_target_with_negative_entry_is_malformed():
 
 @pytest.mark.parametrize(
     "spec, target, side",
-    [(GridSpec.square(), (4, 3), 6), (GridSpec.triangular(), (3, 1), 5), (GridSpec.square(), (2, 2), 6)],
+    [
+        (GridSpec.square(), (4, 3), 6),
+        (GridSpec.triangular(), (3, 1), 5),
+        (GridSpec.square(), (2, 2), 6),
+        (GridSpec.triangular(), (1, 2), 6),  # most of its nodes are counted from subtree tables
+    ],
 )
 def test_patch_search_budget_stops_the_same_search(spec, target, side):
     # a window prepared only for the cells the budget reaches runs the same search
@@ -818,8 +823,56 @@ def test_patch_search_budget_stops_the_same_search(spec, target, side):
         outcome = patch_search(spec, target, (side, side), node_budget=budget)
         assert outcome.stats.nodes == min(budget + 1, full.stats.nodes)
         assert outcome.stats.complete == (budget >= full.stats.nodes)
+        assert 0 <= outcome.stats.skipped <= outcome.stats.nodes
         if outcome.stats.complete:
             assert outcome == full
+
+
+def test_patch_search_budget_inside_a_skipped_subtree():
+    # no constrained cell sees the corner cell of the triangular window, so the subtree under its
+    # second color repeats the one under its first and is counted from the depth-1 table; a budget
+    # that ends inside it stops at node budget + 1, as the walk would, with every node counted
+    spec, target, size = GridSpec.triangular(), (1, 2), (6, 6)
+    full = patch_search(spec, target, size).stats
+    assert (full.nodes, full.complete, full.skipped) == (4944, True, 3164)
+    for budget in range(full.nodes - 1500, full.nodes, 7):  # inside the second run's last skip
+        stats = patch_search(spec, target, size, node_budget=budget).stats
+        assert (stats.nodes, stats.complete) == (budget + 1, False)
+        assert stats.skipped == full.skipped - (full.nodes - budget - 1)
+
+
+@pytest.mark.parametrize("entries", [1, 2, 7, 100])
+def test_full_subtree_tables_leave_the_search_unchanged(monkeypatch, entries):
+    # once the tables hold their bound of entries they turn off, and the walk goes on in the same tree
+    searches = [(GridSpec.triangular(), (1, 2), 6), (GridSpec.square(), (4, 3), 8),
+                (GridSpec.triangular(), (3, 1), 6), (GridSpec.square(), (2, 2), 10)]
+    budgets = [periodic.DEFAULT_NODE_BUDGET, 0, 100, 2000, 4000]
+    for spec, target, side in searches:
+        expected = [patch_search(spec, target, (side, side), node_budget=b).stats for b in budgets]
+        band_bits = 8 * (2 * side + 3)  # two 4-bit fields a cell over the square band's 2 * side + 3 cells
+        with monkeypatch.context() as bounded:
+            bounded.setattr(periodic, "_TABLE_BITS", entries * (band_bits + 1024))
+            got = [patch_search(spec, target, (side, side), node_budget=b).stats for b in budgets]
+        assert [(s.nodes, s.complete) for s in got] == [(s.nodes, s.complete) for s in expected]
+        assert got[0].skipped < expected[0].skipped or got[0].skipped == expected[0].skipped == 0
+
+
+def test_skipped_nodes_come_only_from_window_refutations():
+    assert patch_search(GridSpec.triangular(), (2, 3), (8, 8)).stats.skipped > 0
+    witness_window = patch_search(GridSpec.square(), (2, 2), (12, 12))
+    assert (witness_window.status, witness_window.stats.skipped) == (SearchStatus.INCONCLUSIVE, 0)
+    assert patch_search(GridSpec.square(), RationalMatrix([[4]]), (12, 12)).stats.skipped == 0  # one color
+
+
+def test_backtrack_keeps_subtree_tables_only_where_they_are_exact():
+    # a quotient reads parked cells, the unused-color cut counts the colors a prefix used, and
+    # find_all goes on past colorings; in each the subtree below a band depends on more than the band
+    cells = [(True, ((0, 2),))] * 2
+    for flags in (dict(cycle=2, all_colors=False, find_all=False), dict(all_colors=True, find_all=False),
+                  dict(all_colors=False, find_all=True)):
+        with pytest.raises(ValueError, match="subtree tables"):
+            _backtrack(RationalMatrix([[1, 1], [1, 1]]), cells, frozenset({2}), [2, 2],
+                       node_budget=10, prefix=1, **flags)
 
 
 # --- the engine against a plain recursive search ----------------------------------------------
@@ -850,6 +903,8 @@ def test_backtrack_matches_reference_search(spec, data):
         # or all of them when the unused-color cut counts the cells left
         cells, totals = _window(spec, width, height, width * height if all_colors else budget + 1)
         cycle = 0
+        # subtree tables are exact at any depth of a window search that stops at its first coloring
+        prefix = 0 if all_colors or find_all else data.draw(st.integers(0, len(cells)), label="prefix")
     else:  # quotients of index up to 36: on the larger ones the engine's band wraps round the cycle
         a = data.draw(st.integers(1, 6), label="a")
         d = data.draw(st.integers(1, 6), label="d")
@@ -861,15 +916,17 @@ def test_backtrack_matches_reference_search(spec, data):
         limits = [k] * len(targets)
         cells, totals = _quotient_cells(_lattice_neighbors(spec, basis)), frozenset({r})
         cycle = len(cells)
+        prefix = 0
     allowed = [tuple(range(1, limit + 1)) for limit in limits]
     expected = reference_backtrack(
         rows, targets, flags, allowed, all_colors=all_colors, find_all=find_all, node_budget=budget
     )
-    got = _backtrack(
+    *got, skipped = _backtrack(
         RationalMatrix(rows), cells, totals, limits[: len(cells)],
-        cycle=cycle, all_colors=all_colors, find_all=find_all, node_budget=budget,
+        cycle=cycle, all_colors=all_colors, find_all=find_all, node_budget=budget, prefix=prefix,
     )
-    assert got == expected
+    assert tuple(got) == expected
+    assert 0 <= skipped <= got[1] and (prefix or not skipped)
 
 
 # --- search trees of the benchmark's grid corpus -------------------------------------------------
@@ -901,6 +958,7 @@ GRID_CORPUS = [
     *_refuted_patches("triangular", (3, 1), {5: 2260, 6: 5176, 7: 11516, 8: 26332}),
     *_refuted_patches("triangular", (5, 5), {4: 218, 5: 418, 6: 810, 7: 1586, 8: 3130}),
     *_refuted_patches("triangular", (6, 4), {5: 936, 6: 1880, 7: 3800, 8: 7652}),
+    *_refuted_patches("triangular", (2, 3), {8: 177108}),
     *_exhausted_tori("square", (4, 3), 46, 70),
     *_exhausted_tori("triangular", (3, 1), 108, 198),
     *_exhausted_tori("triangular", (5, 5), 74, 118),
@@ -930,6 +988,8 @@ def test_search_trees_of_the_grid_corpus(grid, bc, search, shape, status, nodes,
             outcome = torus_search(spec, shape, target, find_all=True)
         got = (outcome.status.value, outcome.stats.nodes, outcome.stats.complete, len(outcome.witnesses))
         assert got == (status, nodes, True, witnesses)
+        if search == "torus":  # quotient searches keep no subtree tables
+            assert outcome.stats.skipped == 0
 
 
 # --- grid rejection report ----------------------------------------------------------------------
