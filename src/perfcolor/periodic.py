@@ -571,13 +571,11 @@ def _backtrack(
     s: RationalMatrix,
     cells: list[Cell],
     totals: frozenset[int],
-    limits: list[int],
     *,
     cycle: int = 0,
-    all_colors: bool,
-    find_all: bool,
+    pin_first: bool = False,
+    find_all: bool = False,
     node_budget: int,
-    prefix: int = 0,
 ) -> tuple[list[tuple[int, ...]], int, bool, int]:
     """Color cells 0..n-1 in index order so that every constrained cell meets its row of S.
 
@@ -586,21 +584,22 @@ def _backtrack(
     quotient's ``cycle`` of cells the offsets are read modulo it, and in a
     window (``cycle`` 0) as they are.  Cells with equal entries may share
     one object, which is then prepared once.  ``totals``
-    holds the total weights the constrained cells see, and ``limits[u]``
-    the highest color cell u tries.  The engine reads this geometry as
-    given and never changes it, so one prepared shape serves several
-    searches.  A constrained cell of color i must see exactly s[i-1, j-1]
-    weight of color j; a colored one ends the branch when it sees too much
-    of some color.  Every total must equal each row sum of S; then a
-    complete coloring with no color over its target meets every row
-    exactly, so colors short of their target need no cut.  Cell u tries the
-    colors 1..limits[u] in order.  With ``all_colors`` a branch ends once
-    the unused colors outnumber the cells left.  Complete colorings are
-    collected, only the first unless ``find_all``.  Each color tried at a
-    cell is one node; the search stops after ``node_budget`` of them.  The
-    rows of S are scaled to integers by its denominator, and the weights
-    with them; a color counter per cell stands in for recursion, so no
-    window is too deep for the interpreter stack.
+    holds the total weights the constrained cells see.  The engine reads
+    this geometry as given and never changes it, so one prepared shape
+    serves several searches.  A constrained cell of color i must see exactly
+    s[i-1, j-1] weight of color j; a colored one ends the branch when it
+    sees too much of some color.  Every total must equal each row sum of S;
+    then a complete coloring with no color over its target meets every row
+    exactly, so colors short of their target need no cut.  Each cell tries
+    the colors 1..k in order, except that ``pin_first`` pins the first
+    constrained cell to color 1 (nothing is pinned if the cells stop before
+    one).  On a quotient (``cycle`` > 0) every coloring uses all k colors:
+    a branch ends once the unused colors outnumber the cells left.
+    Complete colorings are collected, only the first unless ``find_all``.
+    Each color tried at a cell is one node; the search stops after
+    ``node_budget`` of them.  The rows of S are scaled to integers by its
+    denominator, and the weights with them; a color counter per cell stands
+    in for recursion, so no window is too deep for the interpreter stack.
 
     The slack of every cell near the current one is packed into one
     integer, the band (broadword arithmetic, Knuth, TAOCP 7.1.3).  A cell
@@ -644,12 +643,15 @@ def _backtrack(
     the per-cell slack lists the band replaced took 0.55-0.65 us at any
     width, and were built per pair on each search.
 
-    A window search that stops at its first coloring (no ``cycle``,
-    ``all_colors`` or ``find_all``) may keep tables of failed subtrees at
-    depths 1..``prefix``.  There the band before cell d determines the whole
-    subtree below d: the cells that left the back are never read again, the
-    band holds all that later colors read of cells 0..d-1, no other state
-    carries the prefix, and ``limits`` are fixed.  Two prefixes that leave
+    Nothing prunes before the first constrained cell, so every coloring of
+    the cells before it is walked, and many leave one band.  A window search
+    (no ``cycle``) in two or more colors that stops at its first coloring
+    (no ``find_all``) keeps tables of failed subtrees at depths
+    1..``prefix``, up to that cell.  There the band before cell d determines
+    the whole subtree below d: the cells that left the back are never read
+    again, the band holds all that later colors read of cells 0..d-1, and no
+    other state carries the prefix, as a quotient's parked cells and its
+    all-colors cut would.  Two prefixes that leave
     one band walk the same subtree node for node, and a subtree walked to its
     end failed, or the search would have returned.  So when a path enters
     depth d with a band already in d's table, the search adds the nodes of
@@ -669,8 +671,6 @@ def _backtrack(
 
     Returns (colorings, nodes expanded, search completed, nodes skipped).
     """
-    if prefix and (cycle or all_colors or find_all):
-        raise ValueError("subtree tables need a window search that stops at its first coloring")
     n, k = len(cells), s.rows
     ints, denom = s.integer_form()
     if totals and len({total * denom for total in totals} | {sum(row) for row in ints}) != 1:
@@ -715,11 +715,17 @@ def _backtrack(
     unused = k  # colors with used[c] == 0
     found: list[tuple[int, ...]] = []
     nodes = 0
+    all_colors = cycle > 0
     if all_colors and k > n:
         return found, nodes, True, 0
+    first = next((u for u, (constrained, _) in enumerate(cells) if constrained), None)
+    limits = [k] * n  # limits[u]: the highest color cell u tries
+    if pin_first and first is not None:
+        limits[first] = 1
     last = n - 1
     room = _TABLE_BITS // (length * span + 1024)  # table entries left
-    prefix = min(prefix, last) if room else 0  # the depths 1..prefix keep tables of failed subtrees
+    # the depths 1..prefix keep tables of failed subtrees
+    prefix = first if first and room and k > 1 and not (cycle or find_all) else 0
     tables: list[dict[int, int]] = [{} for _ in range(prefix)]  # tables[u]: band at depth u + 1 -> nodes
     entered: list[tuple[int, int]] = [(0, 0)] * prefix  # entered[u]: (band, nodes) on entering depth u + 1
     skipped = 0
@@ -816,8 +822,7 @@ def _quotient_colorings(
     n, k = len(nbrs), s.rows
     totals = frozenset(sum(a for _, a in row) for row in nbrs)
     found, nodes, complete, _ = _backtrack(
-        s, _quotient_cells(nbrs), totals, [k] * n,
-        cycle=n, all_colors=True, find_all=find_all, node_budget=node_budget,
+        s, _quotient_cells(nbrs), totals, cycle=n, find_all=find_all, node_budget=node_budget
     )
     for colors in found:  # the engine's colorings meet S; a mismatch here is a fault in it
         if _class_sums(nbrs, 1, colors, k, s)[1] is not None:
@@ -1074,14 +1079,9 @@ def patch_search(
     search is a proof of nonexistence (REJECTED).  A non-empty search says
     nothing about the plane and is reported INCONCLUSIVE.
 
-    Nothing prunes before the first interior cell, so the search walks all
-    k**first colorings of the cells before it, and many of them leave one
-    band: the band keeps only what interior cells see of those cells, and a
-    corner cell that no interior cell sees leaves no trace.  With two or
-    more colors the search keeps a table of failed subtrees at each depth
-    up to that cell and counts a repeated one from its table (see
-    ``_backtrack``), so the node count is that of the whole tree, repeats
-    included, and only the walk is shorter.
+    The node count is that of the whole tree, including the failed subtrees
+    before the first interior cell that the engine counts from its tables
+    rather than walks again (see ``_backtrack``).
 
     For a (b, c) target the first interior cell's color is pinned to 1 and,
     when b != c, the swapped orientation (c, b) is searched as well; a plane
@@ -1108,15 +1108,10 @@ def patch_search(
         if b != c:
             runs.append((two_color_matrix(c, b, spec.valency), True))
 
-    first = next((u for u, (constrained, _) in enumerate(cells) if constrained), None)
     total_nodes = total_skipped = 0
     for s, pin_first in runs:
-        limits = [s.rows] * len(cells)
-        if pin_first and first is not None:
-            limits[first] = 1
         found, nodes, complete, skipped = _backtrack(
-            s, cells, totals, limits, all_colors=False, find_all=False,
-            node_budget=node_budget - total_nodes, prefix=(first or 0) if s.rows > 1 else 0,
+            s, cells, totals, pin_first=pin_first, node_budget=node_budget - total_nodes
         )
         total_nodes += nodes
         total_skipped += skipped
@@ -1186,16 +1181,15 @@ def periodic_coloring_canonical(
     coloring: Coloring,
     *,
     modulus: int,
-    use_symmetries: bool = True,
 ) -> tuple[int, ...]:
     """Canonical form of the plane coloring induced by a torus coloring.
 
     The torus coloring extends to the plane by periodicity; its orbit under
-    translations, color renamings, and (optionally) the lattice's point
-    symmetries is canonicalized as the least color sequence over a
-    modulus-by-modulus window.  Both periods must divide the modulus so the
-    window determines the coloring.  Two witnesses are the same pattern up
-    to those motions iff their canonical forms are equal.
+    translations, color renamings and the lattice's point symmetries is
+    canonicalized as the least color sequence over a modulus-by-modulus
+    window.  Both periods must divide the modulus so the window determines
+    the coloring.  Two witnesses are the same pattern up to those motions
+    iff their canonical forms are equal.
     """
     p, q = periods
     if modulus % p or modulus % q:
@@ -1205,9 +1199,8 @@ def periodic_coloring_canonical(
     def at(x: int, y: int) -> int:
         return colors[(x % p) * q + (y % q)]
 
-    transforms = offset_automorphisms(spec) if use_symmetries else (((1, 0), (0, 1)),)
     best: tuple[int, ...] | None = None
-    for (a, b), (c, d) in transforms:
+    for (a, b), (c, d) in offset_automorphisms(spec):
         for tx in range(p):
             for ty in range(q):
                 relabel: dict[int, int] = {}

@@ -27,7 +27,6 @@ __all__ = [
     "RationalMatrix",
     "l1_row_distance",
     "rat",
-    "rat_to_json",
 ]
 
 
@@ -46,11 +45,6 @@ def rat(x: RatLike) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-def rat_to_json(x: Fraction) -> int | str:
-    """Integer when exact, otherwise the canonical "p/q" string."""
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 class RationalMatrix:
@@ -231,7 +225,7 @@ class RationalMatrix:
 
 
 def _entry_json(a: int, d: int) -> int | str:
-    """rat_to_json of a / d, without building the Fraction."""
+    """a / d as JSON: an integer when exact, otherwise the canonical "p/q" string."""
     g = gcd(a, d)
     return a // g if g == d else f"{a // g}/{d // g}"
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from perfcolor.coloring import Coloring
 from perfcolor.ratmat import RationalMatrix
@@ -185,6 +186,23 @@ def rotation_renaming_canonical(colors: tuple[int, ...]) -> tuple[int, ...]:
     return min(
         normalized_coloring(colors[s:] + colors[:s]).colors for s in range(len(colors))
     )
+
+
+def translates_onto(first, second) -> bool:
+    """Whether a translation followed by a color renaming maps one doubly periodic coloring onto another.
+
+    Each is (periods, colors) of a p x q torus coloring extended to the
+    plane, cell (x, y) taking colors[(x % p) * q + y % q].  Both are periodic
+    on the lcm of their periods, so that window decides.
+    """
+    (p, q), colors = first
+    (pp, qq), others = second
+    cells = list(product(range(lcm(p, pp)), range(lcm(q, qq))))
+    for tx, ty in product(range(p), range(q)):
+        pairs = {(colors[(x + tx) % p * q + (y + ty) % q], others[x % pp * qq + y % qq]) for x, y in cells}
+        if len(pairs) == len(dict(pairs)) == len({b for _, b in pairs}):  # a renaming, one-to-one
+            return True
+    return False
 
 
 def brute_force_circulant_census(ds, period, k) -> list[tuple[tuple[int, ...], list[list[int]]]]:

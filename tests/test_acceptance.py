@@ -19,6 +19,7 @@ from helpers import (
     circulant_params_by_segment_count,
     grid_params_by_patch_count,
     normalized_coloring,
+    translates_onto,
 )
 from perfcolor.coloring import (
     Coloring,
@@ -250,7 +251,7 @@ def test_criterion_06_triangular_22_witness_and_uniqueness():
     )
 
     sym_classes = set()
-    translation_classes = set()
+    translation_classes = []  # one coloring of each class under translations and renamings
     count = 0
     for p in range(1, 5):
         for q in range(1, 5):
@@ -260,11 +261,8 @@ def test_criterion_06_triangular_22_witness_and_uniqueness():
                 sym_classes.add(
                     periodic_coloring_canonical(spec, (p, q), w, modulus=12)
                 )
-                translation_classes.add(
-                    periodic_coloring_canonical(
-                        spec, (p, q), w, modulus=12, use_symmetries=False
-                    )
-                )
+                if not any(translates_onto(seen, ((p, q), w.colors)) for seen in translation_classes):
+                    translation_classes.append(((p, q), w.colors))
     # One pattern up to translations, color swaps, and the lattice's point
     # symmetries.  The point symmetries are load-bearing: the same stripe
     # pattern appears rotated (along x at (4,1), along y at (1,4), along the

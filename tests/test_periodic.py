@@ -22,6 +22,7 @@ from helpers import (
     reference_backtrack,
     reference_census,
     rotation_renaming_canonical,
+    translates_onto,
     window_by_coordinates,
 )
 from perfcolor import periodic
@@ -738,17 +739,11 @@ def test_backtrack_requires_cell_weight_equal_to_row_sums():
     # a cell seeing weight 1 against a row summing to 2 could never meet it,
     # yet the engine only cuts colors over target, so it refuses such input
     with pytest.raises(ValueError, match="row sum"):
-        _backtrack(
-            RationalMatrix([[2]]), [(True, ((0, 1),))], frozenset({1}), [1],
-            all_colors=False, find_all=False, node_budget=10,
-        )
+        _backtrack(RationalMatrix([[2]]), [(True, ((0, 1),))], frozenset({1}), node_budget=10)
     # cells seeing totals 1 and 2 against rows summing to 1 and 2: not one common total
     cells = [(True, ((0, 1), (1, 1))), (True, ((0, 1),))]
     with pytest.raises(ValueError, match="row sum"):
-        _backtrack(
-            RationalMatrix([[1, 0], [0, 2]]), cells, frozenset({1, 2}),
-            [2, 2], all_colors=False, find_all=False, node_budget=10,
-        )
+        _backtrack(RationalMatrix([[1, 0], [0, 2]]), cells, frozenset({1, 2}), node_budget=10)
 
 
 def test_patch_search_budget_exhaustion():
@@ -798,8 +793,7 @@ def test_patch_search_target_with_negative_entry_is_malformed():
         lambda: torus_search(GridSpec.square(), (2, 2), (1, 7)),
         lambda: patch_search(GridSpec.square(), RationalMatrix([[5, -1], [2, 2]]), (4, 4)),
         lambda: _backtrack(  # a negative entry would borrow across the engine's packed fields
-            RationalMatrix([[5, -1], [2, 2]]), [(False, ())], frozenset(), [2],
-            all_colors=False, find_all=False, node_budget=10,
+            RationalMatrix([[5, -1], [2, 2]]), [(False, ())], frozenset(), node_budget=10
         ),
     ):
         with pytest.raises(ValueError, match="negative"):
@@ -864,17 +858,6 @@ def test_skipped_nodes_come_only_from_window_refutations():
     assert patch_search(GridSpec.square(), RationalMatrix([[4]]), (12, 12)).stats.skipped == 0  # one color
 
 
-def test_backtrack_keeps_subtree_tables_only_where_they_are_exact():
-    # a quotient reads parked cells, the unused-color cut counts the colors a prefix used, and
-    # find_all goes on past colorings; in each the subtree below a band depends on more than the band
-    cells = [(True, ((0, 2),))] * 2
-    for flags in (dict(cycle=2, all_colors=False, find_all=False), dict(all_colors=True, find_all=False),
-                  dict(all_colors=False, find_all=True)):
-        with pytest.raises(ValueError, match="subtree tables"):
-            _backtrack(RationalMatrix([[1, 1], [1, 1]]), cells, frozenset({2}), [2, 2],
-                       node_budget=10, prefix=1, **flags)
-
-
 # --- the engine against a plain recursive search ----------------------------------------------
 
 
@@ -890,21 +873,15 @@ def test_backtrack_matches_reference_search(spec, data):
     denom = data.draw(st.sampled_from([1, 2, 3]), label="denominator")
     rows = [[Fraction(x, denom) for x in row] for row in target_rows(data, k, denom * r)]
     budget = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 1500)), label="budget")
-    all_colors = data.draw(st.booleans(), label="all_colors")
     find_all = data.draw(st.booleans(), label="find_all")
+    pin_first = data.draw(st.booleans(), label="pin_first")
     if data.draw(st.booleans(), label="window"):
         width = data.draw(st.integers(1, 5), label="width")
         height = data.draw(st.integers(1, 20 // width), label="height")
         flags, interior, targets = window_by_coordinates(spec.offsets, width, height)
-        limits = [k] * (width * height)
-        if interior and data.draw(st.booleans(), label="pin"):
-            limits[interior[0]] = 1
-        # the engine gets the window prepared for the cells its budget reaches,
-        # or all of them when the unused-color cut counts the cells left
-        cells, totals = _window(spec, width, height, width * height if all_colors else budget + 1)
+        # the engine gets the window prepared for the cells its budget reaches
+        cells, totals = _window(spec, width, height, budget + 1)
         cycle = 0
-        # subtree tables are exact at any depth of a window search that stops at its first coloring
-        prefix = 0 if all_colors or find_all else data.draw(st.integers(0, len(cells)), label="prefix")
     else:  # quotients of index up to 36: on the larger ones the engine's band wraps round the cycle
         a = data.draw(st.integers(1, 6), label="a")
         d = data.draw(st.integers(1, 6), label="d")
@@ -913,20 +890,22 @@ def test_backtrack_matches_reference_search(spec, data):
             budget = min(budget, 300)
         targets = lattice_neighbor_counts(spec.offsets, basis)
         flags = [True] * len(targets)
-        limits = [k] * len(targets)
+        interior = [0]  # every cell is constrained
         cells, totals = _quotient_cells(_lattice_neighbors(spec, basis)), frozenset({r})
         cycle = len(cells)
-        prefix = 0
-    allowed = [tuple(range(1, limit + 1)) for limit in limits]
+    allowed = [tuple(range(1, k + 1))] * len(targets)
+    if pin_first and interior:
+        allowed[interior[0]] = (1,)
     expected = reference_backtrack(
-        rows, targets, flags, allowed, all_colors=all_colors, find_all=find_all, node_budget=budget
+        rows, targets, flags, allowed, all_colors=cycle > 0, find_all=find_all, node_budget=budget
     )
     *got, skipped = _backtrack(
-        RationalMatrix(rows), cells, totals, limits[: len(cells)],
-        cycle=cycle, all_colors=all_colors, find_all=find_all, node_budget=budget, prefix=prefix,
+        RationalMatrix(rows), cells, totals,
+        cycle=cycle, pin_first=pin_first, find_all=find_all, node_budget=budget,
     )
     assert tuple(got) == expected
-    assert 0 <= skipped <= got[1] and (prefix or not skipped)
+    tables = not cycle and not find_all and k > 1  # a window search in 2+ colors for one coloring
+    assert 0 <= skipped <= got[1] and (tables or not skipped)
 
 
 # --- search trees of the benchmark's grid corpus -------------------------------------------------
@@ -1268,20 +1247,19 @@ def test_canonical_form_identifies_rotated_stripes():
         periodic_coloring_canonical(tri, (1, 4), y_stripes, modulus=4),
     }
     assert len(with_sym) == 1
-    translation_only = {
-        periodic_coloring_canonical(tri, (4, 1), x_stripes, modulus=4, use_symmetries=False),
-        periodic_coloring_canonical(tri, (1, 4), y_stripes, modulus=4, use_symmetries=False),
-    }
-    assert len(translation_only) == 2
+    # no translation followed by a renaming turns one stripe direction into the other
+    assert not translates_onto(((4, 1), x_stripes.colors), ((1, 4), y_stripes.colors))
+    assert not translates_onto(((1, 4), y_stripes.colors), ((4, 1), x_stripes.colors))
 
 
 def test_canonical_form_translation_invariant():
     tri = GridSpec.triangular()
     base = Coloring((1, 1, 2, 2), 2)
     shifted = Coloring((2, 1, 1, 2), 2)  # same stripes, phase moved by one
+    assert translates_onto(((4, 1), base.colors), ((4, 1), shifted.colors))
     assert periodic_coloring_canonical(
-        tri, (4, 1), base, modulus=4, use_symmetries=False
-    ) == periodic_coloring_canonical(tri, (4, 1), shifted, modulus=4, use_symmetries=False)
+        tri, (4, 1), base, modulus=4
+    ) == periodic_coloring_canonical(tri, (4, 1), shifted, modulus=4)
 
 
 def test_canonical_form_modulus_check():
