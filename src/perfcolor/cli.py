@@ -108,7 +108,7 @@ def _load(path: str, what: str, cls):
     try:
         with open(path) as fh, _int_digits(_input_digits):
             return cls.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliDataError(f"cannot read JSON from {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise CliDataError(f"bad {what} in {path}: {exc}") from exc

@@ -170,10 +170,7 @@ def circulant_period_filter(
         h = circulant_h(spec, t)
         if bc > 4 * spec.m - h or bc < h or (t in spec.ds and bc < h + 2):
             fired.append(t)
-    divides = 0
-    for t in fired:
-        divides = gcd(divides, t)
-    return PeriodConstraint(tuple(fired), divides)
+    return PeriodConstraint(tuple(fired), gcd(*fired))
 
 
 def _circulant_neighbors(spec: CirculantSpec, period: int) -> Neighbors:
@@ -407,47 +404,29 @@ def grid_h(spec: GridSpec, delta: tuple[int, int]) -> tuple[int, bool]:
 # --- integer lattice helpers ------------------------------------------------
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
 def _lattice_basis(vectors: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Row-style Hermite basis of the sublattice of Z^2 generated by the vectors.
 
-    Returns [] (rank 0), [(a, b)] (rank 1), or [(a, b), (0, d)] with a, d > 0.
+    One Euclidean row reduction: a pivot (a, b) and a tail d, both 0 at first.
+    Each vector (x, y) runs Euclid with the pivot on first coordinates,
+    carrying second coordinates along, until x is 0; the pivot is then the
+    gcd row and the y left over joins d by gcd.  Each step is unimodular, so
+    (a, b) and (0, d) span the lattice of the vectors read.  At the end a is
+    made positive and b is reduced mod d.  Returns [] (rank 0), [(a, b)] or
+    [(0, d)] (rank 1), or [(a, b), (0, d)] with a, d > 0 and 0 <= b < d:
+    the normal form, so equal lattices give equal bases.
     """
-    pivot: tuple[int, int] | None = None
-    tail = 0  # generator of the y-only rows
-    for vec in vectors:
-        x, y = vec
-        if x == 0 and y == 0:
-            continue
-        if x == 0:
-            tail = gcd(tail, abs(y))
-            continue
-        if pivot is None:
-            pivot = (x, y)
-            continue
-        px, py = pivot
-        g, s, t = _ext_gcd(px, x)
-        new_pivot = (g, s * py + t * y)
-        leftover_y = (px // g) * y - (x // g) * py
-        tail = gcd(tail, abs(leftover_y))
-        pivot = new_pivot
-    basis: list[tuple[int, int]] = []
-    if pivot is not None:
-        a, b = pivot
-        if a < 0:
-            a, b = -a, -b
-        if tail:
-            b %= tail
-        basis.append((a, b))
-    if tail:
-        basis.append((0, tail))
-    return basis
+    a = b = d = 0
+    for x, y in vectors:
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        d = gcd(d, y)
+    if a < 0:
+        a, b = -a, -b
+    if d:
+        b %= d
+    return ([(a, b)] if a else []) + ([(0, d)] if d else [])
 
 
 def _lattice_neighbors(spec: GridSpec, basis: list[tuple[int, int]]) -> Neighbors:

@@ -134,21 +134,6 @@ class RationalMatrix:
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(sum(row), self._d) for row in self._ints)
 
-    def _combine(self, other: "RationalMatrix", op, what: str) -> "RationalMatrix":
-        """Entrywise op over the common denominator of self and other."""
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch in matrix {what}")
-        d = lcm(self._d, other._d)
-        fa, fb = d // self._d, d // other._d
-        rows = zip(self._ints, other._ints)
-        return RationalMatrix._reduced(tuple(tuple(op(x * fa, y * fb) for x, y in zip(*r)) for r in rows), d)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, add, "addition")
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, sub, "subtraction")
-
     def scaled(self, factor: RatLike) -> "RationalMatrix":
         f = rat(factor)
         p = f.numerator

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .coloring import TwoColorParams, induced_parameters
 from .filters import PairContext, two_color_check
@@ -125,7 +126,7 @@ def triangular_22_witness() -> ReproItem:
     )
 
 
-def triangular_22_uniqueness(max_period: int = 4) -> ReproItem:
+def triangular_22_uniqueness() -> ReproItem:
     """All small-period (2,2)-colorings are one pattern up to lattice motions.
 
     Equivalence used: translations, color renaming, and the point
@@ -135,11 +136,12 @@ def triangular_22_uniqueness(max_period: int = 4) -> ReproItem:
     translates of one another.
     """
     spec = GridSpec.triangular()
-    modulus = 12  # lcm of 1..4
+    periods = range(1, 5)
+    modulus = lcm(*periods)
     forms = set()
     count = 0
-    for p in range(1, max_period + 1):
-        for q in range(1, max_period + 1):
+    for p in periods:
+        for q in periods:
             outcome = torus_search(spec, (p, q), (2, 2), find_all=True)
             for w in outcome.witnesses:
                 count += 1

@@ -335,6 +335,28 @@ def lattice_neighbor_counts(offsets, basis) -> list[list[tuple[int, int]]]:
     return out
 
 
+def lattice_points_by_walking(vectors, radius) -> set[tuple[int, int]]:
+    """Points with |x|, |y| <= radius that a walk of steps +-v, v in vectors, reaches from the
+    origin without leaving that box: each is in the lattice the vectors generate.
+
+    Conversely, a lattice point is a sum of such steps, and by the Steinitz lemma (constant 2 in
+    the plane) the steps can be ordered so that every partial sum stays within 2 max|v| + 1, in
+    max norm, of the segment to the point.  So every lattice point at least that far inside the
+    box is found.
+    """
+    steps = {(sx * x, sx * y) for x, y in vectors for sx in (1, -1) if (x, y) != (0, 0)}
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for dx, dy in steps:
+            point = (x + dx, y + dy)
+            if abs(point[0]) <= radius and abs(point[1]) <= radius and point not in seen:
+                seen.add(point)
+                frontier.append(point)
+    return seen
+
+
 def reference_backtrack(rows, affected, constrained, allowed, *, all_colors, find_all, node_budget):
     """(colorings, nodes, complete) of a plain recursive search by the engine's stated rule.
 

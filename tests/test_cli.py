@@ -784,6 +784,25 @@ def test_booleans_in_a_matrix_file_are_malformed(tmp_path, capsys, obj, message)
     assert f"error: bad matrix in {bad}: {message}" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["matrix --s", "matrix --m", "graph", "coloring"])
+def test_input_files_nested_too_deeply_are_malformed(c4_files, tmp_path, capsys, kind):
+    # json raised RecursionError past ~1,000 levels, and it escaped as a traceback with exit 1
+    graph, alt, s = c4_files
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"data": ' + "[" * 1100 + "]" * 1100 + "}")
+    argv = {
+        "matrix --s": ["filter", "simple", "--s", str(deep), "--r", "2", "--h", "0", "--i", "1", "--j", "2"],
+        "matrix --m": ["filter", "pair", "--m", str(deep), "--s", s, "--u", "0", "--v", "1", "--i", "1", "--j", "2"],
+        "graph": ["verify", "--graph", str(deep), "--coloring", alt],
+        "coloring": ["verify", "--graph", graph, "--coloring", str(deep)],
+    }[kind]
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the json module's depth limit differs between Python versions: past it, the file cannot be read
+    assert captured.err.startswith("error: ") and str(deep) in captured.err
+
+
 def test_verify_float_colors_are_malformed(c4_files, tmp_path, capsys):
     # float colors passed Coloring's checks, and verify died indexing by one
     graph, _, _ = c4_files

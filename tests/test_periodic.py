@@ -18,6 +18,7 @@ from helpers import (
     grid_h_by_counting,
     grid_params_by_patch_count,
     lattice_neighbor_counts,
+    lattice_points_by_walking,
     normalized_coloring,
     reference_backtrack,
     reference_census,
@@ -565,6 +566,38 @@ def test_lattice_basis_shapes():
     assert _lattice_basis([(0, 3)]) == [(0, 3)]
     basis = _lattice_basis([(1, 1), (1, -1)])
     assert basis[0][0] * basis[1][1] == 2  # index-2 sublattice
+
+
+def reduce_modulo_echelon_basis(basis, vector):
+    """The remainder of the vector after each basis row, in order, clears what it can."""
+    x, y = vector
+    for bx, by in basis:
+        if bx:
+            q, x = divmod(x, bx)
+            y -= q * by
+        else:
+            y %= by
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5))
+def test_lattice_basis_is_the_normal_form_of_the_generated_lattice(vectors):
+    basis = _lattice_basis(vectors)
+    if len(basis) == 2:
+        (a, b), (zero, d) = basis
+        assert a > 0 and zero == 0 and d > 0 and 0 <= b < d
+    elif basis:
+        ((a, b),) = basis
+        assert a > 0 or (a == 0 and b > 0)
+    # the inputs lie in the basis's lattice
+    for vector in vectors:
+        assert reduce_modulo_echelon_basis(basis, vector) == (0, 0)
+    # and the basis vectors in the inputs' lattice, found by an independent walk over a box
+    reach = max((abs(c) for v in basis for c in v), default=0)
+    margin = 2 * max((abs(c) for v in vectors for c in v), default=0) + 1
+    points = lattice_points_by_walking(vectors, reach + margin)
+    assert all(v in points for v in basis)
 
 
 # --- quotient soundness oracle ------------------------------------------------------------
