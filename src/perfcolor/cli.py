@@ -173,33 +173,23 @@ def _show_graph(g: Graph, args) -> int:
 def _cmd_verify(args) -> int:
     g = _load(args.graph, "graph", Graph)
     f = _load(args.coloring, "coloring", Coloring)
-    if args.s:
+    if args.s:  # each vertex against the row of S for its color
         s = _load(args.s, "matrix", RationalMatrix)
-        triple = make_triple(g, f, s)
-        result = verify_perfect(triple)
-        obj = {
-            "perfect": result.ok,
-            "witness": list(result.witness) if result.witness else None,
-            "s": s.to_json(),
-        }
-        text = (
-            "perfect"
-            if result.ok
-            else f"not perfect: row sums differ at vertex {result.witness[0]}, color {result.witness[1]}"
-        )
-        _emit(obj, args, text)
-        return EXIT_OK if result.ok else EXIT_REJECTED
-    s = induced_parameters(g, f)
-    if s is not None:
-        _emit({"perfect": True, "witness": None, "s": s.to_json()}, args, "perfect")
-        return EXIT_OK
-    witness = imperfection_witness(g, f)
-    _emit(
-        {"perfect": False, "witness": list(witness), "s": None},
-        args,
-        f"not perfect: class sums differ at vertex {witness[0]}, color {witness[1]}",
-    )
-    return EXIT_REJECTED
+        witness = verify_perfect(make_triple(g, f, s)).witness
+        sums = "row"
+    else:  # each vertex against the lowest vertex of its color
+        s = induced_parameters(g, f)
+        witness = None if s is not None else imperfection_witness(g, f)
+        sums = "class"
+    perfect = witness is None
+    obj = {
+        "perfect": perfect,
+        "witness": None if perfect else list(witness),
+        "s": None if s is None else s.to_json(),
+    }
+    text = "perfect" if perfect else f"not perfect: {sums} sums differ at vertex {witness[0]}, color {witness[1]}"
+    _emit(obj, args, text)
+    return EXIT_OK if perfect else EXIT_REJECTED
 
 
 def _requested_pairs(args, n: int, k: int) -> list[tuple[int, int, int, int]]:

@@ -11,7 +11,7 @@ are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -151,13 +151,15 @@ def imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int] | None:
 class PerfectColoringTriple:
     """Matrices (M, P, S) with M n-by-n, P an n-by-k partition matrix, S k-by-k.
 
-    Construction checks shapes and the partition structure of P; whether
+    Construction checks shapes and the partition structure of P, and keeps
+    the color of each vertex, the column of the 1 in its row of P; whether
     M P = P S actually holds is the job of verify_perfect.
     """
 
     m: RationalMatrix
     p: RationalMatrix
     s: RationalMatrix
+    colors: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.m.is_square:
@@ -170,26 +172,16 @@ class PerfectColoringTriple:
         for v, row in enumerate(ints):
             if row.count(d) != 1 or row.count(0) != len(row) - 1:
                 raise ValueError(f"row {v} of P must contain exactly one 1 and zeroes")
+        object.__setattr__(self, "colors", tuple(row.index(d) + 1 for row in ints))
 
     @property
     def k(self) -> int:
         return self.s.rows
 
 
-def _partition_colors(p: RationalMatrix) -> tuple[int, ...]:
-    """The color of each vertex: the column of the 1 in its row of the partition matrix p."""
-    ints, d = p.integer_form()
-    return tuple(row.index(d) + 1 for row in ints)
-
-
-def make_triple(g: Graph | RationalMatrix, f: Coloring, s: RationalMatrix | None = None) -> PerfectColoringTriple:
-    """Assemble (M, P, S) from a graph and coloring; S defaults to the induced matrix."""
-    graph = g if isinstance(g, Graph) else Graph(g)
-    if s is None:
-        s = induced_parameters(graph, f)
-        if s is None:
-            raise ValueError("coloring is not perfect and no parameter matrix was given")
-    return PerfectColoringTriple(graph.adjacency, partition_matrix(f), s)
+def make_triple(g: Graph, f: Coloring, s: RationalMatrix) -> PerfectColoringTriple:
+    """Assemble (M, P, S) from a graph, a coloring and a parameter matrix."""
+    return PerfectColoringTriple(g.adjacency, partition_matrix(f), s)
 
 
 @dataclass(frozen=True)
@@ -197,24 +189,20 @@ class VerifyResult:
     ok: bool
     witness: tuple[int, int] | None  # (vertex, color), color 1-based
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_perfect(triple: PerfectColoringTriple) -> VerifyResult:
     """Check M P = P S exactly; on failure report the first differing cell.
 
     Row v of M P holds the class sums of row v of M, and row v of P S is row
     f(v) of S, so the check compares the two without forming either product.
-    Colors are read from the rows of P, so a color no vertex has is allowed.
-    The witness is chosen at the lowest vertex index, then lowest color, so
-    the result does not depend on evaluation order.
+    Colors are those the triple read from the rows of P, so a color no vertex
+    has is allowed.  The witness is chosen at the lowest vertex index, then
+    lowest color, so the result does not depend on evaluation order.
     """
-    colors = _partition_colors(triple.p)
-    rows, mismatch, _ = _class_sums(*_sparse_rows(triple.m), colors, triple.k, triple.s)
+    rows, mismatch, _ = _class_sums(*_sparse_rows(triple.m), triple.colors, triple.k, triple.s)
     if mismatch is None:
         return VerifyResult(True, None)
-    return VerifyResult(False, _first_difference(rows, mismatch, colors))
+    return VerifyResult(False, _first_difference(rows, mismatch, triple.colors))
 
 
 def poly_lift(triple: PerfectColoringTriple, p: Polynomial) -> PerfectColoringTriple:

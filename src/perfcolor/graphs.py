@@ -221,24 +221,19 @@ def intersection_array(g: Graph, dist: list[list[int]] | None = None) -> Interse
     non-simple, disconnected, and irregular inputs as well as genuinely
     non-distance-regular graphs.  ``dist``, when given, is
     ``distance_table(g)``, so a caller that needs both runs one BFS.
+    The pair (c_r, b_r) seen first at distance r must hold for every pair
+    at that distance; at r = 0 it is (0, deg u), so regularity is one case.
     """
     if not g.simple:
         return None
     if dist is None:
         dist = distance_table(g)
+    if any(x < 0 for row in dist for x in row):
+        return None
     nbrs = [[w for w, x in enumerate(row) if x == 1] for row in dist]
-    if len(set(map(len, nbrs))) > 1 or any(x < 0 for row in dist for x in row):
-        return None
-    d = max(max(row) for row in dist)
-    if d == 0:
-        return None
-    b: list[int | None] = [None] * d
-    c: list[int | None] = [None] * d
-    b[0] = len(nbrs[0])
+    steps: dict[int, tuple[int, int]] = {}  # r -> (c_r, b_r)
     for dist_u in dist:
         for r, nbrs_v in zip(dist_u, nbrs):
-            if r == 0:
-                continue
             # a neighbor w of v has dist(u, w) in r-1..r+1
             closer = farther = 0
             for w in nbrs_v:
@@ -247,20 +242,14 @@ def intersection_array(g: Graph, dist: list[list[int]] | None = None) -> Interse
                     closer += 1
                 elif x > r:
                     farther += 1
-            if c[r - 1] is None:
-                c[r - 1] = closer
-            elif c[r - 1] != closer:
+            step = (closer, farther)
+            if steps.setdefault(r, step) != step:
                 return None
-            if r < d:
-                if b[r] is None:
-                    b[r] = farther
-                elif b[r] != farther:
-                    return None
-            elif farther != 0:
-                return None
-    if any(x is None for x in b) or any(x is None for x in c):
+    d = len(steps) - 1  # BFS distances fill 0..d
+    if d == 0:
         return None
-    return IntersectionArray(tuple(map(Fraction, b)), tuple(map(Fraction, c)))
+    c, b = zip(*(steps[r] for r in range(d + 1)))  # c_0..c_d and b_0..b_d
+    return IntersectionArray(tuple(map(Fraction, b[:d])), tuple(map(Fraction, c[1:])))
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,6 @@ class RationalMatrix:
             raise ValueError("matrix must have at least one row and one column")
         return cls._reduced(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return len(self._ints)

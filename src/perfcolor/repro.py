@@ -15,6 +15,7 @@ from .coloring import TwoColorParams, induced_parameters
 from .filters import PairContext, two_color_check
 from .periodic import (
     CirculantSpec,
+    EnumeratedColoring,
     GridSpec,
     SearchStatus,
     circulant_enumerate,
@@ -178,14 +179,17 @@ def circulant_period_constraints() -> ReproItem:
     )
 
 
-def circulant_period3_census() -> ReproItem:
-    spec = CirculantSpec((1, 2, 4))
-    found = circulant_enumerate(spec, 3, 2)
+def _period3_census() -> tuple[tuple[EnumeratedColoring, ...], set[tuple[Fraction, Fraction]]]:
+    """The period-3 census of C(1,2,4) in at most two colors, and its two-color (b, c), larger first."""
+    found = circulant_enumerate(CirculantSpec((1, 2, 4)), 3, 2)
+    pairs = {tuple(sorted((e.s[0, 1], e.s[1, 0]), reverse=True)) for e in found if e.coloring.k == 2}
+    return found, pairs
+
+
+def circulant_period3_census(
+    found: tuple[EnumeratedColoring, ...], pairs: set[tuple[Fraction, Fraction]]
+) -> ReproItem:
     mono = [e for e in found if e.coloring.k == 1]
-    two = [e for e in found if e.coloring.k == 2]
-    pairs = {
-        tuple(sorted((e.s[0, 1], e.s[1, 0]), reverse=True)) for e in two
-    }
     ok = len(found) == 2 and len(mono) == 1 and pairs == {(Fraction(6), Fraction(3))}
     return ReproItem(
         "C(1,2,4): period-3 colorings are the monochromatic one and a (6,3)-coloring",
@@ -194,19 +198,14 @@ def circulant_period3_census() -> ReproItem:
     )
 
 
-def circulant_seven_nonexistent() -> ReproItem:
-    """Combine the period constraint with the period-3 census.
+def circulant_seven_nonexistent(census: set[tuple[Fraction, Fraction]]) -> ReproItem:
+    """Combine the period constraint with the period-3 census's two-color (b, c).
 
     A (b,c)-coloring with b+c < 4 or b+c > 8 must have period dividing 3,
     hence be 3-periodic, hence appear in the period-3 census.  None of the
     seven pairs does, so none of those colorings exists in C(1,2,4).
     """
     spec = CirculantSpec((1, 2, 4))
-    census = {
-        tuple(sorted((e.s[0, 1], e.s[1, 0]), reverse=True))
-        for e in circulant_enumerate(spec, 3, 2)
-        if e.coloring.k == 2
-    }
     failures = []
     for b, c in SEVEN_ABSENT_PAIRS:
         constraint = circulant_period_filter(spec, _params(b, c, 6), t_max=3)
@@ -222,6 +221,7 @@ def circulant_seven_nonexistent() -> ReproItem:
 
 
 def run_suite(max_patch_side: int = 8) -> list[ReproItem]:
+    found, pairs = _period3_census()
     return [
         square_grid_diagonal_rejection(),
         square_grid_patch_rejection(max_patch_side),
@@ -231,6 +231,6 @@ def run_suite(max_patch_side: int = 8) -> list[ReproItem]:
         triangular_22_uniqueness(),
         circulant_common_neighbors(),
         circulant_period_constraints(),
-        circulant_period3_census(),
-        circulant_seven_nonexistent(),
+        circulant_period3_census(found, pairs),
+        circulant_seven_nonexistent(pairs),
     ]

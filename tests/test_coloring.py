@@ -19,6 +19,8 @@ from perfcolor.coloring import (
 from perfcolor.graphs import cycle
 from perfcolor.ratmat import Polynomial, RationalMatrix, l1_row_distance
 
+C6_THREE_COLORS = RationalMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # S of colors 1, 2, 3 around C6
+
 
 def test_coloring_colors_must_be_integers():
     # 1.0 == 1, so float colors passed the range checks, and indexing by them failed later
@@ -86,7 +88,7 @@ def test_triple_structure_validation():
 
 
 def test_verify_perfect_and_witness():
-    triple = make_triple(cycle(4), Coloring((1, 2, 1, 2), 2))
+    triple = make_triple(cycle(4), Coloring((1, 2, 1, 2), 2), RationalMatrix([[0, 2], [2, 0]]))
     assert verify_perfect(triple).ok
     bad = PerfectColoringTriple(
         triple.m, triple.p, RationalMatrix([[1, 1], [1, 1]])
@@ -97,13 +99,13 @@ def test_verify_perfect_and_witness():
 
 
 def test_squared_triple_still_verifies():
-    triple = make_triple(cycle(4), Coloring((1, 2, 1, 2), 2))
+    triple = make_triple(cycle(4), Coloring((1, 2, 1, 2), 2), RationalMatrix([[0, 2], [2, 0]]))
     squared = PerfectColoringTriple(triple.m**2, triple.p, triple.s**2)
     assert verify_perfect(squared).ok
 
 
 def test_poly_lift_examples():
-    triple = make_triple(cycle(6), Coloring((1, 2, 3, 1, 2, 3), 3))
+    triple = make_triple(cycle(6), Coloring((1, 2, 3, 1, 2, 3), 3), C6_THREE_COLORS)
     assert poly_lift(triple, Polynomial.x()) == triple
     const = poly_lift(triple, Polynomial([1]))
     assert const.m == RationalMatrix.identity(6)
@@ -123,8 +125,9 @@ def test_poly_lift_rejects_imperfect_input():
 
 def test_triple_coloring_round_trip():
     f = Coloring((1, 2, 3, 1, 2, 3), 3)
-    triple = make_triple(cycle(6), f)
+    triple = make_triple(cycle(6), f, C6_THREE_COLORS)
     assert triple.p == partition_matrix(f)
+    assert triple.colors == f.colors
 
 
 def test_two_color_params_extraction():
@@ -178,9 +181,10 @@ def test_poly_lift_composes(colors, coeffs):
     used = sorted(set(colors))
     f = Coloring(tuple(used.index(c) + 1 for c in colors), len(used))
     g = cycle(6)
-    if induced_parameters(g, f) is None:
+    s = induced_parameters(g, f)
+    if s is None:
         return
-    triple = make_triple(g, f)
+    triple = make_triple(g, f, s)
     p = Polynomial(coeffs)
     q = Polynomial([1, -1])  # q(x) = 1 - x, so q(p(M)) = (1 - p)(M)
     nested = poly_lift(poly_lift(triple, p), q)

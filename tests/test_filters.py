@@ -214,7 +214,8 @@ def test_power_one_matches_pair_check():
 
 
 def test_power_check_exact_sides_on_c6():
-    triple = make_triple(cycle(6), Coloring((1, 2, 3, 1, 2, 3), 3))
+    s = RationalMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    triple = make_triple(cycle(6), Coloring((1, 2, 3, 1, 2, 3), 3), s)
     verdict = distance_power_check(triple.m, triple.s, 2, 0, 1, 1, 2)
     assert verdict.feasible
     # by hand: rows of M^2 are (2,0,1,0,1,0) and (0,2,0,1,0,1), distance 8;
@@ -225,7 +226,7 @@ def test_power_check_exact_sides_on_c6():
 
 def test_power_check_never_fires_on_verified_triples():
     f = Coloring((1, 2, 3, 1, 2, 3), 3)
-    triple = make_triple(cycle(6), f)
+    triple = make_triple(cycle(6), f, induced_parameters(cycle(6), f))
     for l in range(1, 5):
         for u in range(6):
             for v in range(6):

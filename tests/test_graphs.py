@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -98,10 +99,18 @@ def test_c6_antipodal_matching():
 
 
 def brute_force_intersection_array(g: Graph):
-    """Definition oracle: collect (closer, same, farther) counts per distance."""
+    """Definition oracle: collect (closer, farther) counts per distance.
+
+    None when they vary within a distance, and for a disconnected graph or a
+    single vertex, which have no array.
+    """
     nxg = to_networkx(g)
+    if not nx.is_connected(nxg):
+        return None
     lengths = dict(nx.all_pairs_shortest_path_length(nxg))
     d = max(max(row.values()) for row in lengths.values())
+    if d == 0:
+        return None
     b = {}
     c = {}
     for u in range(g.n):
@@ -148,6 +157,54 @@ def test_not_distance_regular():
     assert intersection_array(chorded) is None
     path3 = from_edges(3, [(0, 1), (1, 2)])
     assert intersection_array(path3) is None  # irregular
+
+
+def from_networkx(nxg: nx.Graph) -> Graph:
+    nxg = nx.convert_node_labels_to_integers(nxg)
+    return from_edges(nxg.number_of_nodes(), list(nxg.edges))
+
+
+def assert_intersection_array_matches_the_oracle(g: Graph):
+    oracle = brute_force_intersection_array(g)
+    ia = intersection_array(g)
+    assert (ia and (ia.b, ia.c)) == oracle
+    return oracle
+
+
+def test_intersection_array_matches_the_oracle_on_cycles_and_complete_graphs():
+    for g in [*map(cycle, range(3, 41)), *map(complete, range(1, 9))]:
+        assert assert_intersection_array_matches_the_oracle(g) is not None or g.n == 1
+
+
+NAMED_NETWORKX_GRAPHS = [
+    # distance-regular
+    "octahedral_graph", "cubical_graph", "dodecahedral_graph", "icosahedral_graph", "heawood_graph",
+    "desargues_graph", "pappus_graph",
+    # not distance-regular: the first five are regular
+    "moebius_kantor_graph", "truncated_tetrahedron_graph", "frucht_graph", "chvatal_graph", "tutte_graph",
+    "krackhardt_kite_graph", "house_graph", "bull_graph",
+]
+
+
+@pytest.mark.parametrize("name", NAMED_NETWORKX_GRAPHS)
+def test_intersection_array_matches_the_oracle_on_named_graphs(name):
+    nxg = getattr(nx, name)()
+    oracle = assert_intersection_array_matches_the_oracle(from_networkx(nxg))
+    assert (oracle is not None) == nx.is_distance_regular(nxg)
+
+
+def test_intersection_array_matches_the_oracle_on_random_graphs():
+    # G(n, p) graphs, many of them disconnected or irregular, and random 3- and 4-regular graphs
+    graphs = [nx.gnp_random_graph(2 + seed % 11, (1, 3, 5, 8, 9)[seed % 5] / 10, seed=seed) for seed in range(400)]
+    graphs += [nx.random_regular_graph(3 + seed % 2, 6 + 2 * (seed % 5), seed=seed) for seed in range(100)]
+    outcomes = Counter()
+    for nxg in graphs:
+        oracle = assert_intersection_array_matches_the_oracle(from_networkx(nxg))
+        outcomes[nx.is_connected(nxg), nx.is_regular(nxg), oracle is not None] += 1
+    # every kind of graph occurs: disconnected, irregular, regular but not distance-regular, distance-regular
+    assert outcomes.keys() >= {
+        (False, False, False), (False, True, False), (True, False, False), (True, True, False), (True, True, True)
+    }
 
 
 def test_intersection_array_validation():

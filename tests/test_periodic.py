@@ -28,6 +28,7 @@ from helpers import (
 )
 from perfcolor import periodic
 from perfcolor.coloring import Coloring, TwoColorParams, induced_parameters
+from perfcolor.filters import PairContext, two_color_check
 from perfcolor.periodic import (
     BudgetExceededError,
     CirculantSpec,
@@ -173,6 +174,21 @@ def test_period_filter_matches_a_scan_of_every_shift(ds):
         assert every.fired == tuple(t for t in every.fired if t <= top)
         for t_max in (1, max(ds), top, top + 3):
             assert circulant_period_filter(spec, p, t_max) == _period_filter_every_shift(spec, p, t_max)
+
+
+@pytest.mark.parametrize("ds", [ds for size in range(1, 6) for ds in combinations(range(1, 6), size)], ids=str)
+def test_period_filter_fires_where_the_two_color_window_is_infeasible(ds):
+    # circulant_period_filter re-codes two_color_check's window on integers; the two must agree
+    spec = CirculantSpec(ds)
+    r = spec.valency
+    top = 2 * max(ds)
+    for b, c in product(range(r + 1), repeat=2):
+        p = params(b, c, r)
+        window = tuple(
+            t for t in range(1, top + 1)
+            if two_color_check(PairContext(Fraction(r), circulant_h(spec, t), t in ds), p).infeasible
+        )
+        assert circulant_period_filter(spec, p, top).fired == window
 
 
 # --- circulant quotients -------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_swap_matrix_is_involution():
 
 def test_zero_matrix_annihilates():
     a = RationalMatrix([[1, 2], [3, 4]])
-    zero = RationalMatrix.zeros(2, 2)
+    zero = RationalMatrix([[0, 0], [0, 0]])
     assert a * zero == zero
     assert zero * a == zero
 
@@ -292,7 +292,7 @@ def assert_canonical(m):
 @given(small_matrices(), small_matrices(), fractions, st.integers(0, 4), small_polys)
 def test_every_operation_keeps_the_reduced_integer_form(a, b, f, e, p):
     for m in (a, b, a.scaled(f), a.scaled(0), a * b, a**e, p(a),
-              RationalMatrix.identity(3), RationalMatrix.zeros(2, 3)):
+              RationalMatrix.identity(3), RationalMatrix([[0, 0, 0], [0, 0, 0]])):
         assert_canonical(m)
 
 
