@@ -242,9 +242,9 @@ def _json_scalar(x: str | int | None) -> str:
     return "null" if x is None else encode_basestring_ascii(x) if type(x) is str else str(x)
 
 
-def _json_fields(row: dict) -> str:
+def _json_fields(row: dict, pad: str = "    ") -> str:
     """The lines of a row's fields inside ``json.dumps(rows, indent=2)``, for str, int and None values."""
-    return ",\n".join(f"    {encode_basestring_ascii(k)}: {_json_scalar(x)}" for k, x in row.items())
+    return ",\n".join(f"{pad}{encode_basestring_ascii(k)}: {_json_scalar(x)}" for k, x in row.items())
 
 
 def _scan_rows(pairs, verdicts, keys, as_json: bool) -> str:
@@ -358,28 +358,29 @@ def _cmd_grid_reject(args) -> int:
     spec = _grid_spec(args)
     params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
     report = grid_reject_2color(spec, params, window=args.window, node_budget=args.node_budget)
-    obj = {
-        "status": report.verdict.status.value,
-        "violated": report.verdict.violated,
-        "note": report.note,
-        "monochromatic": [list(d) for d in report.monochromatic],
-        "deltas": [
-            dict(delta=list(d.delta), h=d.h, adjacent=d.adjacent, **d.verdict.to_json())
-            for d in report.per_delta
-        ],
-    }
-    lines = [f"overall: {report.verdict.status.value}"]
-    if report.verdict.violated:
-        lines.append(report.verdict.violated)
+    verdict = report.verdict
+    if args.format == "json":  # as json.dumps(..., indent=2), a verdict's fields encoded once per object
+        head = {"status": verdict.status.value, "violated": verdict.violated, "note": report.note,
+                "monochromatic": [list(d) for d in report.monochromatic]}
+        row = ('    {{\n      "delta": [\n        {},\n        {}\n      ],\n'
+               '      "h": {},\n      "adjacent": {},\n{}\n    }}')
+        tail_of = {}  # the differences of one (h, adjacent) class share one verdict object
+        rows = []
+        for (dx, dy), h, adjacent, v in report.per_delta:
+            if id(v) not in tail_of:
+                tail_of[id(v)] = _json_fields(v.to_json(), " " * 6)
+            rows.append(row.format(dx, dy, h, "true" if adjacent else "false", tail_of[id(v)]))
+        _write(json.dumps(head, indent=2)[:-2] + ',\n  "deltas": [\n' + ",\n".join(rows) + "\n  ]\n}")
+        return _STATUS_EXITS[verdict.status]
+    lines = [f"overall: {verdict.status.value}"]
+    if verdict.violated:
+        lines.append(verdict.violated)
     if report.note:
         lines.append(report.note)
-    for d in report.per_delta:
-        if d.verdict.infeasible:
-            lines.append(
-                f"delta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
-            )
-    _emit(obj, args, "\n".join(lines))
-    return _STATUS_EXITS[report.verdict.status]
+    lines += [f"delta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
+              for d in report.per_delta if d.verdict.infeasible]
+    _write("\n".join(lines))
+    return _STATUS_EXITS[verdict.status]
 
 
 def _cmd_torus_search(args) -> int:

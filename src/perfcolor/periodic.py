@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .coloring import Coloring, Neighbors, TwoColorParams, _class_sums, two_color_matrix
 from .filters import FilterVerdict, PairContext, VerdictStatus, two_color_check
@@ -239,13 +240,13 @@ def circulant_enumerate(
     earlier one.  A rotation starting mid-run loses to the one a step
     earlier, which has the longer leading run, so the least rotation starts
     at a run start, even when its run wraps past position 0, and is
-    followed.  The class sums of a kept string, checked again by the kernel
-    behind ``induced_parameters``, give its S.  Each color tried at a
-    position is one node, and so is each rotation compared at a position or
-    across the wrap; past ``node_budget`` of them the census raises
-    ``BudgetExceededError``, never returning part of its entries.  Coloring
-    every position 1 takes ``period`` nodes, so a longer period is refused
-    before anything is built.
+    followed.  The integer class sums of a kept string, checked again by the
+    kernel behind ``induced_parameters``, are its S, taken without coercion.
+    Each color tried at a position is one node, and so is each rotation
+    compared at a position or across the wrap; past ``node_budget`` of them
+    the census raises ``BudgetExceededError``, never returning part of its
+    entries.  Coloring every position 1 takes ``period`` nodes, so a longer
+    period is refused before anything is built.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -295,10 +296,11 @@ def circulant_enumerate(
                 if name < c:
                     break
             if name >= c:
-                rows, mismatch, _ = _class_sums(neighbors, 1, color, top[p])
+                rows, mismatch, d = _class_sums(neighbors, 1, color, top[p])
                 if mismatch is not None:  # the vertex checks passed this string
                     raise AssertionError(f"census kept a coloring with unequal class sums: {color}")
-                found.append(EnumeratedColoring(Coloring(color, top[p]), RationalMatrix(rows)))
+                matrix = RationalMatrix.from_integer_form(tuple(map(tuple, rows)), d)
+                found.append(EnumeratedColoring(Coloring(color, top[p]), matrix))
             p -= 1
         elif next_color[p] <= k and next_color[p] <= top[p] + 1:
             nodes += 1
@@ -874,8 +876,9 @@ def torus_search(
 # --- two-color rejection over a window of differences -------------------------
 
 
-@dataclass(frozen=True)
-class DeltaVerdict:
+class DeltaVerdict(NamedTuple):
+    """The window verdict of one difference; the differences of one (h, adjacent) class share it."""
+
     delta: tuple[int, int]
     h: int
     adjacent: bool
@@ -901,33 +904,29 @@ def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> lis
     return list(Counter(residues).values())
 
 
-def _subset_sums(sizes: list[int]) -> set[int]:
-    sums = {0}
-    for s in sizes:
-        sums |= {x + s for x in sums}
-    return sums
-
-
-_DeltaTable = tuple[tuple[tuple[int, int], int, bool, PairContext], ...]
-
-
 @lru_cache(maxsize=8)
-def _delta_table(spec: GridSpec, window: int) -> _DeltaTable:
-    """(delta, h, adjacent, pair context) for one delta of each +-pair within the window.
+def _delta_table(spec: GridSpec, window: int | None) -> tuple[tuple[PairContext, ...], tuple[tuple, ...]]:
+    """(pair contexts, rows): one context per (h, adjacent) class, in order of first
+    appearance, and a row (delta, h, adjacent, class index) for one delta of each
+    +-pair within the window (None: twice the offsets' radius).
 
-    Every (b, c) asked about on one grid and window reads the same table of
-    2*window*(window + 1) rows, so the tables of the last eight grids and
-    windows are kept.
+    The two-color window check reads a difference only through its class, so
+    the 2*window*(window + 1) rows share the classes' contexts.  Every (b, c)
+    asked about on one grid and window reads the same table, so the tables of
+    the last eight grids and windows are kept, the default one under None.
     """
+    if window is None:
+        window = 2 * spec.radius
     r = Fraction(spec.valency)
-    table = []
+    classes: dict[tuple[int, bool], int] = {}
+    rows = []
     for dx in range(0, window + 1):
         for dy in range(-window, window + 1):
             if dx == 0 and dy <= 0:
                 continue  # one representative per +-delta pair
-            h, adjacent = grid_h(spec, (dx, dy))
-            table.append(((dx, dy), h, adjacent, PairContext(r, h, adjacent)))
-    return tuple(table)
+            key = h, adjacent = grid_h(spec, (dx, dy))
+            rows.append(((dx, dy), h, adjacent, classes.setdefault(key, len(classes))))
+    return tuple(PairContext(r, h, adjacent) for h, adjacent in classes), tuple(rows)
 
 
 def grid_reject_2color(
@@ -942,7 +941,9 @@ def grid_reject_2color(
     Every difference delta in the window gets the two-color window check;
     an INFEASIBLE delta means x and x+delta share a color in every perfect
     (b,c)-coloring, i.e. the coloring is invariant under translation by
-    delta.  Consequences drawn from the invariant directions:
+    delta.  The check reads delta only through its (h, adjacent) class, so
+    it runs once per class, and the deltas of a class share its one verdict
+    object.  Consequences drawn from the invariant directions:
 
     * full-rank direction lattice: the coloring factors through the finite
       quotient, which is searched outright, unpinned, for the parameters;
@@ -959,26 +960,21 @@ def grid_reject_2color(
     (``_target_matrix``), r is the valency and b, c lie in 0..r.
     ``window`` (default twice the offsets' radius) must be at least 1.  The
     tables of differences of the last eight grids and windows asked about
-    are kept, so the calls for every (b, c) on one grid read one table.
+    are kept, one pair context per class, so the calls for every (b, c) on
+    one grid read one table.
     """
     _check_two_color_target(params, spec.valency)
     _check_node_budget(node_budget)
     b, c = params.b, params.c
-    if window is None:
-        window = 2 * spec.radius
-    if window < 1:
+    if window is not None and window < 1:
         raise ValueError(f"the window must be at least 1, not {window}")
-    per_delta = []
-    mono = []
-    table = _delta_table(spec, window)
-    for delta, h, adjacent, ctx in table:
-        verdict = two_color_check(ctx, params)
-        per_delta.append(DeltaVerdict(delta, h, adjacent, verdict))
-        if verdict.infeasible:
-            mono.append(delta)
+    contexts, rows = _delta_table(spec, window)
+    verdicts = [two_color_check(ctx, params) for ctx in contexts]
+    per_delta = tuple([DeltaVerdict(delta, h, adjacent, verdicts[k]) for delta, h, adjacent, k in rows])
+    mono = tuple([delta for delta, _, _, k in rows if verdicts[k].infeasible])
 
     def report(verdict: FilterVerdict, note: str | None = None) -> GridRejectReport:
-        return GridRejectReport(verdict, tuple(per_delta), tuple(mono), note)
+        return GridRejectReport(verdict, per_delta, mono, note)
 
     if not mono:
         return report(FilterVerdict(VerdictStatus.FEASIBLE))
@@ -1021,7 +1017,9 @@ def grid_reject_2color(
     # rank 1: per-vertex neighbor classes along the invariant direction
     g = basis[0]
     sizes = _coset_sizes(spec.offsets, g)
-    sums = _subset_sums(sizes)
+    sums = {0}  # the sums of subsets of the classes
+    for size in sizes:
+        sums |= {x + size for x in sums}
     for name, value in (("b", b), ("c", c)):
         if value.denominator != 1 or int(value) not in sums:
             return report(

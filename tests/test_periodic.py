@@ -1229,7 +1229,7 @@ def test_window_matches_coordinate_oracle(spec):
                 assert totals == frozenset(seen[w] for w in interior)
 
 
-@pytest.mark.parametrize("spec", [GridSpec.square(), GridSpec.triangular()], ids=["square", "triangular"])
+@pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
 def test_grid_reject_window_verdicts_follow_the_rule(spec):
     r = Fraction(spec.valency)
     values = [Fraction(n, 2) for n in range(2 * spec.valency + 1)]  # 0, 1/2, 1, ..., r
@@ -1265,6 +1265,38 @@ def test_grid_reject_window_verdicts_follow_the_rule(spec):
             ]
             assert got == expected
             assert all(type(x) is Fraction for _, lhs, rhs, _ in got for x in (lhs, rhs))
+
+
+@pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
+def test_grid_reject_checks_each_h_adjacent_class_once(spec, monkeypatch):
+    # the window check reads a difference only through (h, adjacent): it runs once per
+    # class and call, and the differences of one class share its verdict object
+    calls = []
+    check = periodic.two_color_check
+
+    def counted(ctx, p):
+        calls.append((ctx.h, ctx.adjacent))
+        return check(ctx, p)
+
+    monkeypatch.setattr(periodic, "two_color_check", counted)
+    r = spec.valency
+    for window in (1, 2, 3, 4):
+        deltas = [(dx, dy) for dx in range(window + 1) for dy in range(-window, window + 1)
+                  if dx > 0 or dy > 0]
+        classes = {delta: grid_h_by_counting(spec.offsets, delta) for delta in deltas}
+        for b, c in product(range(r + 1), repeat=2):
+            calls.clear()
+            report = grid_reject_2color(spec, params(b, c, r), window=window, node_budget=0)
+            assert sorted(calls) == sorted(set(classes.values()))
+            verdict_of = {}
+            for d in report.per_delta:
+                assert (d.h, d.adjacent) == classes[d.delta]
+                assert verdict_of.setdefault((d.h, d.adjacent), d.verdict) is d.verdict
+            assert len({id(verdict) for verdict in verdict_of.values()}) == len(verdict_of)
+    if spec.radius == 1:  # the default window: 12 differences in 4 classes
+        calls.clear()
+        assert len(grid_reject_2color(spec, params(1, 1, r)).per_delta) == 12
+        assert len(calls) == 4
 
 
 def test_grid_reject_reads_one_delta_table_per_grid_and_window():
