@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
@@ -137,8 +138,15 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 def _write(out: str) -> None:
     """Print ``out``; a closed stdout just ends the output."""
+    _write_parts((out,))
+
+
+def _write_parts(parts: Iterable[str]) -> None:
+    """Print the parts one after another as they are made; a closed stdout just ends the output."""
     try:
-        print(out, flush=True)
+        for part in parts:
+            sys.stdout.write(part)
+        print(flush=True)
     except BrokenPipeError:  # fd 1 to the null device, so the exit flush stays quiet too
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -364,13 +372,19 @@ def _cmd_grid_reject(args) -> int:
                 "monochromatic": [list(d) for d in report.monochromatic]}
         row = ('    {{\n      "delta": [\n        {},\n        {}\n      ],\n'
                '      "h": {},\n      "adjacent": {},\n{}\n    }}')
-        tail_of = {}  # the differences of one (h, adjacent) class share one verdict object
-        rows = []
-        for (dx, dy), h, adjacent, v in report.per_delta:
-            if id(v) not in tail_of:
-                tail_of[id(v)] = _json_fields(v.to_json(), " " * 6)
-            rows.append(row.format(dx, dy, h, "true" if adjacent else "false", tail_of[id(v)]))
-        _write(json.dumps(head, indent=2)[:-2] + ',\n  "deltas": [\n' + ",\n".join(rows) + "\n  ]\n}")
+
+        def parts():  # written as they are made, so the output is never held whole
+            yield json.dumps(head, indent=2)[:-2] + ',\n  "deltas": [\n'
+            tail_of = {}  # the differences of one (h, adjacent) class share one verdict object
+            comma = ""
+            for (dx, dy), h, adjacent, v in report.per_delta:
+                if id(v) not in tail_of:
+                    tail_of[id(v)] = _json_fields(v.to_json(), " " * 6)
+                yield comma + row.format(dx, dy, h, "true" if adjacent else "false", tail_of[id(v)])
+                comma = ",\n"
+            yield "\n  ]\n}"
+
+        _write_parts(parts())
         return _STATUS_EXITS[verdict.status]
     lines = [f"overall: {verdict.status.value}"]
     if verdict.violated:

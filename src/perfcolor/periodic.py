@@ -33,6 +33,7 @@ search at fixed periods is only INCONCLUSIVE.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -452,23 +453,66 @@ def _lattice_neighbors(spec: GridSpec, basis: list[tuple[int, int]]) -> Neighbor
 # a cell for ``_backtrack``: (constrained, ((w - u, weight) for each constrained w that sees u))
 Cell = tuple[bool, tuple[tuple[int, int], ...]]
 
+# the window and quotient caches each keep this many shapes, a shape keeps the engine's
+# plans for this many targets S, and a quotient is kept only up to this many cells
+_KEPT_SHAPES = 64
+_KEPT_PLANS = 8
+_KEPT_QUOTIENT_CELLS = 256
 
-def _window(spec: GridSpec, width: int, height: int, cells: int) -> tuple[list[Cell], frozenset[int]]:
-    """A width x height window prepared for ``_backtrack``, for its first ``cells`` cells.
 
-    Returns, for each of those cells u, whether it is constrained and the
-    pairs (w - u, 1) of the constrained cells w that see it, and the set of
-    total weights the constrained cells see.  Cell (x, y) is u = y*width + x,
-    and offset (ox, oy) leads to u + oy*width + ox.  A cell is constrained
-    when it lies at least the offsets' x and y reach from each side, and then
-    every cell it sees is inside.  Which seers are constrained depends only
-    on how near each border the cell lies, so a cell's entry is built once
-    per column and class of rows, and equal entries are one shared tuple;
-    the totals are those of the whole window.
+@dataclass(frozen=True, eq=False)
+class _Shape:
+    """The geometry of one window or quotient, prepared for ``_backtrack``.
+
+    The cells are laid down in runs of one line: ``order`` lists (line,
+    count) pairs, each putting the cells of ``lines[line]`` down count
+    times, so a window keeps one line per class of rows and never a list
+    of its cells.  Equal cells are one shared tuple.  ``totals`` holds the
+    total weights the constrained cells see, and ``first`` is the first
+    constrained cell (None if there is none).  On a quotient ``cycle`` is
+    its number of cells, and the engine reads offsets modulo it.
+    ``plans`` keeps the engine's packing of the shape for each S it was
+    searched with (``_plan``), at most ``_KEPT_PLANS`` of them, the oldest
+    dropped first.  A shape is hashed and compared by identity.
+    """
+
+    lines: tuple[tuple[Cell, ...], ...]
+    order: tuple[tuple[int, int], ...]
+    totals: frozenset[int]
+    first: int | None
+    cycle: int = 0
+    plans: dict = field(default_factory=dict, repr=False)
+
+
+def _laid(lines: Sequence[Sequence], order: tuple[tuple[int, int], ...], n: int) -> list:
+    """The first n entries of ``lines`` laid down in ``order``, as ``_Shape`` lays its cells."""
+    run = len(lines[0])
+    laid: list = []
+    for line, count in order:  # as many runs as reach n, none once it is reached
+        laid += lines[line] * min(count, -(-(n - len(laid)) // run))
+    del laid[n:]
+    return laid
+
+
+@lru_cache(maxsize=_KEPT_SHAPES)
+def _window(spec: GridSpec, width: int, height: int) -> _Shape:
+    """A width x height window prepared for ``_backtrack``.
+
+    Each cell u says whether it is constrained and lists the pairs (w - u,
+    1) of the constrained cells w that see it; the totals are the weights
+    the constrained cells see.  Cell (x, y) is u = y*width + x, and offset
+    (ox, oy) leads to u + oy*width + ox.  A cell is constrained when it lies
+    at least the offsets' x and y reach from each side, and then every cell
+    it sees is inside.  Which seers are constrained depends only on how near
+    each border the cell lies, so a cell's entry is built once per class of
+    columns and of rows, and a row is a line of the shape, one per class of
+    rows.  Rows at least twice the reach from both borders form one class,
+    laid down as one run, so a tall window costs no more than a short one.
+    The last ``_KEPT_SHAPES`` windows are kept: the searches of every S on
+    one window, in both orientations, read one shape.
     """
     reach_x = max(abs(ox) for ox, _ in spec.offsets)
     reach_y = max(abs(oy) for _, oy in spec.offsets)
-    cells = min(cells, width * height)
     offsets = sorted(spec.offsets)
     seers = [-(oy * width + ox) for ox, oy in offsets]  # w - u for the w that sees u through each offset
 
@@ -479,22 +523,29 @@ def _window(spec: GridSpec, width: int, height: int, cells: int) -> tuple[list[C
     xs, ys = [ox for ox, _ in offsets], [oy for _, oy in offsets]
     kinds: dict = {}  # the distinct column classes, numbered
     column_kind = [kinds.setdefault(inside(x, reach_x, width, xs), len(kinds)) for x in range(width)]
+    near = 2 * reach_y  # rows near..height-near-1 see no border: one run
+    runs = [(y, 1) for y in range(min(near, height))]
+    if height > 2 * near:
+        runs.append((near, height - 2 * near))
+    runs += [(y, 1) for y in range(max(near, height - near), height)]
     shared: dict = {}
-    lines: dict = {}  # the cells of a row, by row class
-    prepared: list[Cell] = []
-    for y in range((cells + width - 1) // width):
+    numbers: dict = {}  # row class -> line
+    lines: list[tuple[Cell, ...]] = []
+    order = []
+    for y, count in runs:
         row = inside(y, reach_y, height, ys)
-        if row not in lines:
+        if row not in numbers:
             by_kind = []
             for column in kinds:
                 sees = zip(seers, column[1], row[1])
                 cell = (column[0] and row[0], tuple((d, 1) for d, in_x, in_y in sees if in_x and in_y))
                 by_kind.append(shared.setdefault(cell, cell))
-            lines[row] = list(map(by_kind.__getitem__, column_kind))
-        prepared += lines[row]
-    del prepared[cells:]
-    has_interior = width > 2 * reach_x and height > 2 * reach_y
-    return prepared, frozenset({spec.valency} if has_interior else ())
+            numbers[row] = len(lines)
+            lines.append(tuple(map(by_kind.__getitem__, column_kind)))
+        order.append((numbers[row], count))
+    if width > 2 * reach_x and height > 2 * reach_y:  # (reach_x, reach_y) is the first constrained cell
+        return _Shape(tuple(lines), tuple(order), frozenset({spec.valency}), reach_y * width + reach_x)
+    return _Shape(tuple(lines), tuple(order), frozenset(), None)
 
 
 def torus_quotient(spec: GridSpec, periods: tuple[int, int]) -> Graph:
@@ -548,28 +599,78 @@ class SearchOutcome:
         }
 
 
+def _plan(shape: _Shape, ints: tuple[tuple[int, ...], ...], denom: int) -> tuple:
+    """The engine's packing of ``shape`` for S = ints / denom: see ``_backtrack``.
+
+    Returns the lines of deltas ([0, delta of color 1, ..., delta of color
+    k] for each cell of each line), the band's length in cells, the bits of
+    a cell, the guard bits of the band, the band before any color, one
+    cell's mask, the front cell's place and a fresh cell there.  Every delta
+    of a distinct cell is packed once, and the lines of deltas share them as
+    the shape's lines share cells.  The band holds the offsets of the whole
+    shape, so a window laid down only up to a budget is packed as the whole
+    window and searched in the same bands.
+    """
+    k, cycle = len(ints), shape.cycle
+    top = max(shape.totals, default=0) * denom
+    width = top.bit_length() + 1
+    guard = 1 << width - 1
+    span = k * width  # the bits of one cell
+    cut = [sum((top - x) << j * width for j, x in enumerate(row)) for row in ints]  # top minus each row
+    distinct = {id(cell): cell for line in shape.lines for cell in line}
+    offsets = [d for _, seers in distinct.values() for d, _ in seers]
+    back, front = -min([0, *offsets]), max([0, *offsets])
+    length = back + front + 1
+    if cycle and length > cycle:
+        length = cycle
+    own = back * span  # the current cell's place in the band
+
+    def deltas(cell: Cell) -> list[int]:  # [0, delta of color 1, ..., delta of color k]
+        constrained, seers = cell
+        unit = 0
+        for d, weight in seers:
+            unit += weight * denom << (d + back) % (cycle or length) * span
+        cuts = cut if constrained else [0] * k
+        return [0] + [(low << own) + (unit << c * width) for c, low in enumerate(cuts)]
+
+    prepared = {key: deltas(cell) for key, cell in distinct.items()}
+    repunit = ((1 << length * span) - 1) // ((1 << span) - 1)  # bit 0 of every cell
+    unseen = sum((guard + top) << j * width for j in range(k))  # a cell no colored cell moved
+    head = (length - 1) * span
+    guards = repunit * sum(guard << j * width for j in range(k))
+    lines = [list(map(prepared.__getitem__, map(id, line))) for line in shape.lines]
+    return lines, length, span, guards, repunit * unseen, (1 << span) - 1, head, unseen << head
+
+
 def _backtrack(
     s: RationalMatrix,
-    cells: list[Cell],
-    totals: frozenset[int],
+    shape: _Shape,
     *,
-    cycle: int = 0,
     pin_first: bool = False,
     find_all: bool = False,
     node_budget: int,
 ) -> tuple[list[tuple[int, ...]], int, bool, int]:
-    """Color cells 0..n-1 in index order so that every constrained cell meets its row of S.
+    """Color the cells of ``shape`` in index order so that every constrained cell meets its row of S.
 
-    ``cells[u]`` says whether cell u is constrained and lists (w - u,
-    weight) for each constrained cell w that sees u, one pair per w; on a
-    quotient's ``cycle`` of cells the offsets are read modulo it, and in a
-    window (``cycle`` 0) as they are.  Cells with equal entries may share
-    one object, which is then prepared once.  ``totals``
-    holds the total weights the constrained cells see.  The engine reads
-    this geometry as given and never changes it, so one prepared shape
-    serves several searches.  A constrained cell of color i must see exactly
-    s[i-1, j-1] weight of color j; a colored one ends the branch when it
-    sees too much of some color.  Every total must equal each row sum of S;
+    Cell u says whether it is constrained and lists (w - u, weight) for
+    each constrained cell w that sees u, one pair per w; on a quotient's
+    ``cycle`` of cells the offsets are read modulo it, and in a window
+    (``cycle`` 0) as they are.  Cells with equal entries may share one
+    object, which is then prepared once.  The shape's ``totals`` hold the
+    total weights the constrained cells see.  The engine never changes the
+    shape's geometry.  What it derives from the shape and S, the packed
+    deltas of each distinct cell and the band's layout below, is the
+    shape's plan for S (``_plan``): it is built on the first search of that
+    shape and S and kept on the shape, so a later search only lays the
+    deltas down for its cells and runs.  A window search reaches cell u
+    only after a node at each of cells 0..u, so only its first
+    ``node_budget + 1`` cells are laid down; the band is that of the whole
+    window, so a search cut short by its budget walks the first nodes of
+    the whole search, table for table.
+
+    A constrained cell of color i must see exactly s[i-1, j-1] weight of
+    color j; a colored one ends the branch when it sees too much of some
+    color.  Every total must equal each row sum of S;
     then a complete coloring with no color over its target meets every row
     exactly, so colors short of their target need no cut.  Each cell tries
     the colors 1..k in order, except that ``pin_first`` pins the first
@@ -652,41 +753,23 @@ def _backtrack(
 
     Returns (colorings, nodes expanded, search completed, nodes skipped).
     """
-    n, k = len(cells), s.rows
+    k = s.rows
     ints, denom = s.integer_form()
+    totals, cycle = shape.totals, shape.cycle
     if totals and len({total * denom for total in totals} | {sum(row) for row in ints}) != 1:
         raise ValueError("every constrained cell must see a total weight equal to each row sum of S")
     if min(min(row) for row in ints) < 0:
         raise ValueError("every entry of S must be non-negative")
-    top = max(totals, default=0) * denom
-    width = top.bit_length() + 1
-    guard = 1 << width - 1
-    span = k * width  # the bits of one cell
-    cut = [sum((top - x) << j * width for j, x in enumerate(row)) for row in ints]  # top minus each row
-    distinct = dict(zip(map(id, cells), cells))
-    offsets = [d for _, seers in distinct.values() for d, _ in seers]
-    back, front = -min([0, *offsets]), max([0, *offsets])
-    length = back + front + 1
-    if cycle and length > cycle:
-        length = cycle
-    own = back * span  # the current cell's place in the band
-
-    def deltas(cell: Cell) -> list[int]:  # [0, delta of color 1, ..., delta of color k]
-        constrained, seers = cell
-        unit = 0
-        for d, weight in seers:
-            unit += weight * denom << (d + back) % (cycle or length) * span
-        cuts = cut if constrained else [0] * k
-        return [0] + [(low << own) + (unit << c * width) for c, low in enumerate(cuts)]
-
-    prepared = {key: deltas(cell) for key, cell in distinct.items()}
-    delta = list(map(prepared.__getitem__, map(id, cells)))
-    repunit = ((1 << length * span) - 1) // ((1 << span) - 1)  # bit 0 of every cell
-    guards = repunit * sum(guard << j * width for j in range(k))
-    unseen = sum((guard + top) << j * width for j in range(k))  # a cell no colored cell moved
-    band = repunit * unseen
-    cellmask, head = (1 << span) - 1, (length - 1) * span  # one cell; the front cell's place
-    fresh = unseen << head
+    plan = shape.plans.get((ints, denom))
+    if plan is None:
+        if len(shape.plans) == _KEPT_PLANS:
+            del shape.plans[next(iter(shape.plans))]
+        plan = shape.plans[ints, denom] = _plan(shape, ints, denom)
+    lines, length, span, guards, band, cellmask, head, fresh = plan
+    n = len(lines[0]) * sum(count for _, count in shape.order)
+    if not cycle:
+        n = min(n, node_budget + 1)
+    delta = _laid(lines, shape.order, n)
     reenter = cycle - length if cycle else n  # the first depth whose next cell comes back in
     park_below = n - 1 - reenter  # the depths whose parked x a later depth reads
     kept = [0] * n  # kept[u]: the band before u's color, while u has colors left
@@ -699,7 +782,7 @@ def _backtrack(
     all_colors = cycle > 0
     if all_colors and k > n:
         return found, nodes, True, 0
-    first = next((u for u, (constrained, _) in enumerate(cells) if constrained), None)
+    first = shape.first if shape.first is not None and shape.first < n else None  # if laid down
     limits = [k] * n  # limits[u]: the highest color cell u tries
     if pin_first and first is not None:
         limits[first] = 1
@@ -783,28 +866,36 @@ def _backtrack(
         color[u] = 0
 
 
-def _quotient_cells(nbrs: Neighbors) -> list[Cell]:
-    """A symmetric quotient's neighbor lists (u's list is who sees u) as ``_backtrack`` cells.
+@lru_cache(maxsize=_KEPT_SHAPES)
+def _quotient(spec: GridSpec, basis: tuple[tuple[int, int], ...]) -> tuple[Neighbors, _Shape]:
+    """The grid's quotient by the lattice with Hermite basis ``basis``: neighbor lists and shape.
 
-    Each offset w - u is the residue modulo the cycle nearest to zero, and
-    equal cells are one shared tuple.
+    Vertex u's list is who sees u, as the quotient is symmetric.  The shape
+    is one line of every cell; each offset w - u is the residue modulo the
+    cycle nearest to zero, and equal cells are one shared tuple.
     """
+    nbrs = _lattice_neighbors(spec, basis)
     n = len(nbrs)
     half = n // 2
     shared: dict[Cell, Cell] = {}
     cells = ((True, tuple(((w - u + half) % n - half, a) for w, a in row)) for u, row in enumerate(nbrs))
-    return [shared.setdefault(cell, cell) for cell in cells]
+    line = tuple(shared.setdefault(cell, cell) for cell in cells)
+    return nbrs, _Shape((line,), ((0, 1),), frozenset(sum(a for _, a in row) for row in nbrs), 0, n)
 
 
 def _quotient_colorings(
-    nbrs: Neighbors, s: RationalMatrix, *, find_all: bool, node_budget: int
+    spec: GridSpec, basis: tuple[tuple[int, int], ...], s: RationalMatrix, *, find_all: bool, node_budget: int
 ) -> tuple[list[Coloring], int, bool]:
-    """Colorings of a symmetric quotient (u's list is who sees u) in all k colors meeting S."""
-    n, k = len(nbrs), s.rows
-    totals = frozenset(sum(a for _, a in row) for row in nbrs)
-    found, nodes, complete, _ = _backtrack(
-        s, _quotient_cells(nbrs), totals, cycle=n, find_all=find_all, node_budget=node_budget
-    )
+    """Colorings in all k colors meeting S of the grid's quotient by the lattice with Hermite basis ``basis``.
+
+    The last ``_KEPT_SHAPES`` quotients of at most ``_KEPT_QUOTIENT_CELLS``
+    cells are kept, neighbor lists and shape; those grow with the cells, so
+    a larger quotient is built for its search alone.
+    """
+    (a, _), (_, d) = basis
+    nbrs, shape = (_quotient if a * d <= _KEPT_QUOTIENT_CELLS else _quotient.__wrapped__)(spec, basis)
+    k = s.rows
+    found, nodes, complete, _ = _backtrack(s, shape, find_all=find_all, node_budget=node_budget)
     for colors in found:  # the engine's colorings meet S; a mismatch here is a fault in it
         if _class_sums(nbrs, 1, colors, k, s)[1] is not None:
             raise AssertionError(f"search returned a coloring that misses S: {colors}")
@@ -821,14 +912,13 @@ def _target_matrix(
     else:
         b, c = target
         s = two_color_matrix(b, c, valency)
-    if any(total != valency for total in s.row_sums()):
+    ints, d = s.integer_form()
+    if any(sum(row) != valency * d for row in ints):
         raise ValueError(f"target rows must sum to the valency {valency}")
-    for i in range(s.rows):  # rows summing to the valency and no entry below 0: all in 0..valency
-        for j in range(s.cols):
-            if s[i, j] < 0:
-                raise ValueError(
-                    f"target entry {s[i, j]} in row {i + 1}, column {j + 1} is negative"
-                )
+    for i, row in enumerate(ints):  # rows summing to the valency and no entry below 0: all in 0..valency
+        for j, x in enumerate(row):
+            if x < 0:
+                raise ValueError(f"target entry {s[i, j]} in row {i + 1}, column {j + 1} is negative")
     return s
 
 
@@ -864,7 +954,7 @@ def torus_search(
             f"a {p}x{q} torus has {p * q} cells, over the node budget of {node_budget}"
         )
     witnesses, nodes, complete = _quotient_colorings(
-        _lattice_neighbors(spec, [(p, 0), (0, q)]), s, find_all=find_all, node_budget=node_budget
+        spec, ((p, 0), (0, q)), s, find_all=find_all, node_budget=node_budget
     )
     detail = f"torus {periods[0]}x{periods[1]}, {len(witnesses)} witness(es)"
     if not complete:
@@ -990,7 +1080,7 @@ def grid_reject_2color(
                 f"over the node budget of {node_budget}",
             )
         witnesses, _, complete = _quotient_colorings(
-            _lattice_neighbors(spec, basis), params.matrix(), find_all=False, node_budget=node_budget
+            spec, tuple(basis), params.matrix(), find_all=False, node_budget=node_budget
         )
         if witnesses:
             return report(
@@ -1064,31 +1154,31 @@ def patch_search(
     when b != c, the swapped orientation (c, b) is searched as well; a plane
     coloring whose restriction colors that cell 2 turns into a valid
     pinned coloring of the swapped orientation, so the pair of runs is
-    still exhaustive.  Explicit matrix targets are searched unpinned.
+    still exhaustive.  The swapped matrix is S with its rows and columns
+    swapped.  Explicit matrix targets are searched unpinned.
+
+    Both runs read one window shape, kept between calls with the engine's
+    plan for each S (see ``_window`` and ``_backtrack``), and each lays
+    down only the cells its budget reaches.
     """
     width, height = size
     if width < 1 or height < 1:
         raise ValueError("patch dimensions must be positive")
     _check_node_budget(node_budget)
-    # a search reaches cell u only after a node at each of cells 0..u, so the
-    # budget reaches cells 0..node_budget and the window is prepared for those
-    cells, totals = _window(spec, width, height, node_budget + 1)
-    if not totals:
+    shape = _window(spec, width, height)
+    if not shape.totals:
         raise ValueError("patch too small: no cell has its whole neighborhood inside")
 
     s = _target_matrix(target, spec.valency)
-    if isinstance(target, RationalMatrix):
-        runs = [(s, False)]
-    else:
-        b, c = s[0, 1], s[1, 0]
-        runs = [(s, True)]
-        if b != c:
-            runs.append((two_color_matrix(c, b, spec.valency), True))
+    runs = [(s, not isinstance(target, RationalMatrix))]
+    ints, d = s.integer_form()
+    if runs[0][1] and ints[0][1] != ints[1][0]:  # b != c: (c, b) is S with rows and columns swapped
+        runs.append((RationalMatrix.from_integer_form(tuple(row[::-1] for row in ints[::-1]), d), True))
 
     total_nodes = total_skipped = 0
     for s, pin_first in runs:
         found, nodes, complete, skipped = _backtrack(
-            s, cells, totals, pin_first=pin_first, node_budget=node_budget - total_nodes
+            s, shape, pin_first=pin_first, node_budget=node_budget - total_nodes
         )
         total_nodes += nodes
         total_skipped += skipped

@@ -1,4 +1,6 @@
+import pickle
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -32,15 +34,18 @@ from perfcolor.filters import PairContext, two_color_check
 from perfcolor.periodic import (
     BudgetExceededError,
     CirculantSpec,
+    DEFAULT_NODE_BUDGET,
     GridSpec,
     PeriodConstraint,
     SearchStatus,
+    _Shape,
     _backtrack,
     _coset_sizes,
     _delta_table,
+    _laid,
     _lattice_basis,
     _lattice_neighbors,
-    _quotient_cells,
+    _quotient,
     _window,
     circulant_enumerate,
     circulant_h,
@@ -55,6 +60,12 @@ from perfcolor.periodic import (
     torus_search,
 )
 from perfcolor.ratmat import RationalMatrix
+
+
+def line_shape(cells, totals):
+    """Explicit window cells as a ``_backtrack`` shape of one line."""
+    first = next((u for u, (constrained, _) in enumerate(cells) if constrained), None)
+    return _Shape((tuple(cells),), ((0, 1),), frozenset(totals), first)
 
 
 def params(b, c, r):
@@ -788,11 +799,11 @@ def test_backtrack_requires_cell_weight_equal_to_row_sums():
     # a cell seeing weight 1 against a row summing to 2 could never meet it,
     # yet the engine only cuts colors over target, so it refuses such input
     with pytest.raises(ValueError, match="row sum"):
-        _backtrack(RationalMatrix([[2]]), [(True, ((0, 1),))], frozenset({1}), node_budget=10)
+        _backtrack(RationalMatrix([[2]]), line_shape([(True, ((0, 1),))], {1}), node_budget=10)
     # cells seeing totals 1 and 2 against rows summing to 1 and 2: not one common total
     cells = [(True, ((0, 1), (1, 1))), (True, ((0, 1),))]
     with pytest.raises(ValueError, match="row sum"):
-        _backtrack(RationalMatrix([[1, 0], [0, 2]]), cells, frozenset({1, 2}), node_budget=10)
+        _backtrack(RationalMatrix([[1, 0], [0, 2]]), line_shape(cells, {1, 2}), node_budget=10)
 
 
 def test_patch_search_budget_exhaustion():
@@ -842,7 +853,7 @@ def test_patch_search_target_with_negative_entry_is_malformed():
         lambda: torus_search(GridSpec.square(), (2, 2), (1, 7)),
         lambda: patch_search(GridSpec.square(), RationalMatrix([[5, -1], [2, 2]]), (4, 4)),
         lambda: _backtrack(  # a negative entry would borrow across the engine's packed fields
-            RationalMatrix([[5, -1], [2, 2]]), [(False, ())], frozenset(), node_budget=10
+            RationalMatrix([[5, -1], [2, 2]]), line_shape([(False, ())], ()), node_budget=10
         ),
     ):
         with pytest.raises(ValueError, match="negative"):
@@ -928,9 +939,7 @@ def test_backtrack_matches_reference_search(spec, data):
         width = data.draw(st.integers(1, 5), label="width")
         height = data.draw(st.integers(1, 20 // width), label="height")
         flags, interior, targets = window_by_coordinates(spec.offsets, width, height)
-        # the engine gets the window prepared for the cells its budget reaches
-        cells, totals = _window(spec, width, height, budget + 1)
-        cycle = 0
+        shape = _window(spec, width, height)  # the engine lays down the cells its budget reaches
     else:  # quotients of index up to 36: on the larger ones the engine's band wraps round the cycle
         a = data.draw(st.integers(1, 6), label="a")
         d = data.draw(st.integers(1, 6), label="d")
@@ -940,20 +949,19 @@ def test_backtrack_matches_reference_search(spec, data):
         targets = lattice_neighbor_counts(spec.offsets, basis)
         flags = [True] * len(targets)
         interior = [0]  # every cell is constrained
-        cells, totals = _quotient_cells(_lattice_neighbors(spec, basis)), frozenset({r})
-        cycle = len(cells)
+        shape = _quotient(spec, tuple(basis))[1]
+        assert shape.totals == frozenset({r})
     allowed = [tuple(range(1, k + 1))] * len(targets)
     if pin_first and interior:
         allowed[interior[0]] = (1,)
     expected = reference_backtrack(
-        rows, targets, flags, allowed, all_colors=cycle > 0, find_all=find_all, node_budget=budget
+        rows, targets, flags, allowed, all_colors=shape.cycle > 0, find_all=find_all, node_budget=budget
     )
     *got, skipped = _backtrack(
-        RationalMatrix(rows), cells, totals,
-        cycle=cycle, pin_first=pin_first, find_all=find_all, node_budget=budget,
+        RationalMatrix(rows), shape, pin_first=pin_first, find_all=find_all, node_budget=budget
     )
     assert tuple(got) == expected
-    tables = not cycle and not find_all and k > 1  # a window search in 2+ colors for one coloring
+    tables = not shape.cycle and not find_all and k > 1  # a window search in 2+ colors for one coloring
     assert 0 <= skipped <= got[1] and (tables or not skipped)
 
 
@@ -1220,13 +1228,15 @@ def test_window_matches_coordinate_oracle(spec):
         for height in range(1, 10):
             flags, interior, targets = window_by_coordinates(spec.offsets, width, height)
             seen = Counter(w for column in targets for w, _ in column)
+            shape = _window(spec, width, height)
+            assert shape.totals == frozenset(seen[w] for w in interior)
+            assert shape.first == (interior[0] if interior else None)
             for prefix in range(1, width * height + 2):
-                cells, totals = _window(spec, width, height, prefix)
+                cells = _laid(shape.lines, shape.order, prefix)
                 assert [constrained for constrained, _ in cells] == flags[:prefix]
                 affected = [Counter((u + d, weight) for d, weight in seers) for u, (_, seers) in enumerate(cells)]
                 assert affected == list(map(Counter, targets[:prefix]))
                 assert len({id(cell) for cell in cells}) == len(set(cells))
-                assert totals == frozenset(seen[w] for w in interior)
 
 
 @pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
@@ -1309,6 +1319,144 @@ def test_grid_reject_reads_one_delta_table_per_grid_and_window():
             (delta, *grid_h(spec, delta)) for delta in deltas
         ]
     assert (_delta_table.cache_info().misses, _delta_table.cache_info().hits) == (1, 35)
+
+
+# --- shapes kept between searches ---------------------------------------------------------------
+
+
+def clear_shape_caches():
+    """Drop every kept window, quotient and difference table, and with them the engine's plans."""
+    for cache in (_window, _quotient, _delta_table):
+        cache.cache_clear()
+
+
+# (search, grid, (b, c), window or periods, nodes of the complete search: find_all for tori)
+PINNED_SEARCHES = [
+    ("patch", "square", (4, 3), (8, 8), 9588),
+    ("patch", "triangular", (3, 1), (8, 8), 26332),
+    ("patch", "triangular", (5, 5), (6, 6), 810),
+    ("patch", "square", (2, 2), (12, 12), 13585),
+    ("torus", "triangular", (3, 3), (4, 5), 3546),
+    ("torus", "square", (4, 3), (4, 4), 46),
+    ("torus", "triangular", (2, 2), (4, 4), 494),
+]
+
+
+@st.composite
+def shape_searches(draw):
+    """A patch, torus or grid reject call as (search, grid, (b, c), shape, budget, find_all)."""
+    if draw(st.booleans()):  # a pinned search, at a budget of 1 or just short of its whole tree
+        search, grid, bc, shape, nodes = draw(st.sampled_from(PINNED_SEARCHES))
+        budget = draw(st.sampled_from([1, nodes - 2, nodes - 1, nodes, DEFAULT_NODE_BUDGET]))
+        bc = bc[::-1] if draw(st.booleans()) else bc
+    else:
+        search = draw(st.sampled_from(["patch", "torus", "reject"]))
+        grid = draw(st.sampled_from(["square", "triangular"]))
+        r = 4 if grid == "square" else 6
+        bc = (draw(st.integers(0, r)), draw(st.integers(0, r)))
+        if search == "patch":
+            shape = (draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+        elif search == "torus":
+            shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+        else:
+            shape = draw(st.sampled_from([None, 1, 2, 3]))
+        budget = draw(st.one_of(st.sampled_from([0, 1, 2, DEFAULT_NODE_BUDGET]), st.integers(0, 3000)))
+    return search, grid, bc, shape, budget, search == "torus" and draw(st.booleans())
+
+
+def run_shape_search(call):
+    search, grid, (b, c), shape, budget, find_all = call
+    spec = getattr(GridSpec, grid)()
+    if search == "patch":
+        return patch_search(spec, (b, c), shape, node_budget=budget)
+    if search == "torus":
+        try:
+            return torus_search(spec, shape, (b, c), find_all=find_all, node_budget=budget)
+        except BudgetExceededError as exc:
+            return str(exc)
+    return grid_reject_2color(spec, params(b, c, spec.valency), window=shape, node_budget=budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(shape_searches(), min_size=1, max_size=6))
+def test_kept_shapes_search_as_cleared_caches_do(calls):
+    # the calls run in drawn order on whatever the caches hold; each must give what it gives
+    # on caches cleared just before it
+    kept = [run_shape_search(call) for call in calls]
+    for call, got in zip(calls, kept):
+        clear_shape_caches()
+        assert run_shape_search(call) == got, call
+
+
+def test_a_kept_shape_is_unchanged_by_its_searches():
+    spec = GridSpec.triangular()
+    clear_shape_caches()
+    window = _window(spec, 7, 7)
+    quotient = _quotient(spec, ((4, 0), (0, 5)))
+
+    def searches():
+        assert patch_search(spec, (3, 1), (7, 7)).stats.nodes == 11516
+        assert patch_search(spec, (1, 3), (7, 7), node_budget=100).stats.nodes == 101
+        assert patch_search(spec, RationalMatrix([[6]]), (7, 7)).stats.nodes == 49
+        assert torus_search(spec, (4, 5), (3, 3), find_all=True).stats.nodes == 3546
+        assert torus_search(spec, (4, 5), (3, 3), node_budget=25).stats.nodes == 26
+
+    def frozen():  # every byte of both shapes, their plans and the quotient's neighbor lists
+        return pickle.dumps([(s.lines, s.order, s.totals, s.cycle, s.plans) for s in (window, quotient[1])]
+                            + [quotient[0]])
+
+    searches()  # the first searches pack the plans
+    assert len(window.plans) == 3 and len(quotient[1].plans) == 1
+    before = frozen()
+    searches()
+    assert frozen() == before
+    assert _window(spec, 7, 7) is window and _quotient(spec, ((4, 0), (0, 5))) is quotient
+
+
+def test_each_shape_is_prepared_once(monkeypatch):
+    clear_shape_caches()
+    built = []
+    neighbors = periodic._lattice_neighbors
+
+    def counted(spec, basis):
+        built.append(basis)
+        return neighbors(spec, basis)
+
+    monkeypatch.setattr(periodic, "_lattice_neighbors", counted)
+    spec = GridSpec.square()
+    for _ in range(3):
+        assert patch_search(spec, (4, 3), (6, 6)).status is SearchStatus.REJECTED
+        assert torus_search(spec, (4, 4), (4, 3)).stats.nodes == 46
+        assert torus_search(spec, (4, 4), (3, 4), find_all=True).stats.nodes == 46
+        assert grid_reject_2color(spec, params(4, 3, 4)).verdict.infeasible  # the index-2 quotient
+        # 400 cells: over the quotients kept, so built for each search
+        assert torus_search(spec, (20, 20), (4, 3), find_all=True).stats.nodes == 5976
+    assert _window.cache_info().misses == 1
+    assert len(_window(spec, 6, 6).plans) == 2  # (4, 3) and the swapped (3, 4)
+    assert built == [((4, 0), (0, 4)), ((1, 1), (0, 2))] + [((20, 0), (0, 20))] * 3
+    assert _quotient.cache_info().currsize == 2
+
+
+def test_a_window_search_keeps_no_memory_per_cell():
+    # the searches lay down a million cells and keep only lines of a thousand: a row of cells
+    # and its deltas for each class of rows.  Under the offsets +-(1, 0) alone each row is a
+    # path; S sends color 1 to 2, 2 to 3 and 3 to 1, so two neighboring constrained cells never
+    # both meet their rows, and the search is refuted in 21 nodes
+    clear_shape_caches()
+    rows = GridSpec.parse("1,0")
+    cycle3 = RationalMatrix([[0, 2, 0], [0, 0, 2], [2, 0, 0]])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        refuted = patch_search(rows, cycle3, (1000, 1000), node_budget=10**6)
+        budgeted = patch_search(GridSpec.square(), (4, 3), (1000, 1000), node_budget=3000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (refuted.status, refuted.stats.nodes) == (SearchStatus.REJECTED, 21)
+    assert (budgeted.stats.nodes, budgeted.stats.complete) == (3001, False)
+    assert kept - start < 1 << 20
+    assert len(_window(GridSpec.square(), 1000, 1000).lines) == 5
 
 
 # --- symmetries and canonical forms ---------------------------------------------------------------
