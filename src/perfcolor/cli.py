@@ -16,7 +16,8 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 
 from . import repro
@@ -136,16 +137,10 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise CliDataError(f"expected 'x,y', got {text!r}") from exc
 
 
-def _write(out: str) -> None:
-    """Print ``out``; a closed stdout just ends the output."""
-    _write_parts((out,))
-
-
-def _write_parts(parts: Iterable[str]) -> None:
+def _write(parts: Iterable[str]) -> None:
     """Print the parts one after another as they are made; a closed stdout just ends the output."""
     try:
-        for part in parts:
-            sys.stdout.write(part)
+        sys.stdout.writelines(parts)
         print(flush=True)
     except BrokenPipeError:  # fd 1 to the null device, so the exit flush stays quiet too
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -155,7 +150,7 @@ def _write_parts(parts: Iterable[str]) -> None:
 
 def _emit(obj, args, text: str | None = None) -> None:
     """Print ``obj`` as ``json.dumps(obj, indent=2)``, or ``text`` in text format."""
-    _write(text if args.format == "text" and text is not None else json.dumps(obj, indent=2))
+    _write((text if args.format == "text" and text is not None else json.dumps(obj, indent=2),))
 
 
 def _text_row(row: dict) -> str:
@@ -240,8 +235,13 @@ def _pair_scan(args) -> int:
             sides, keys = [Side(m**args.l, s**args.l)], [dict(l=args.l)]
         else:
             sides, keys = [Side(m, s)], [{}]
-    verdicts = row_distance_scan(sides, pairs)
-    _write(_scan_rows(pairs, verdicts, keys, args.format == "json"))
+    verdicts = row_distance_scan(sides, pairs)  # a list: the rows' tails are kept by id()
+    if args.format == "json":
+        row = '  {{\n    "u": {},\n    "v": {},\n    "i": {},\n    "j": {},\n{}\n  }}'.format
+        rows = _verdict_rows(product(pairs, keys), verdicts, row, _json_fields, ",\n")
+        _write(chain(("[\n",), rows, ("\n]",)) if pairs else ("[]",))
+    else:
+        _write(_verdict_rows(product(pairs, keys), verdicts, "u={} v={} i={} j={} {}".format, _text_row, "\n"))
     return EXIT_REJECTED if any(verdict.infeasible for verdict in verdicts) else EXIT_OK
 
 
@@ -255,31 +255,23 @@ def _json_fields(row: dict, pad: str = "    ") -> str:
     return ",\n".join(f"{pad}{encode_basestring_ascii(k)}: {_json_scalar(x)}" for k, x in row.items())
 
 
-def _scan_rows(pairs, verdicts, keys, as_json: bool) -> str:
-    """Scan rows {u, v, i, j, **keys[side], **verdict.to_json()}, pair-major and side-minor, as
-    ``json.dumps(rows, indent=2)`` or as ``_text_row`` lines.
+def _verdict_rows(rows, verdicts, row, encode, sep: str):
+    """``row(*lead, tail)`` for each (lead, key) of ``rows`` and its verdict, ``sep`` between rows,
+    where the tail is ``encode({**key, **verdict.to_json()})``: a table written as it is made.
 
-    A verdict's fields after j, its tail, are encoded once per side and verdict object, so most
-    rows cost only their u, v, i and j.
+    A tail is encoded once per (key, verdict) object, so most rows cost only their lead.  The
+    objects are told apart by id(), which is sound only while they live: every verdict must be
+    held elsewhere (a list, a report) until the table ends, and each key must be one shared dict,
+    not a literal per row, whose id a later row's literal could reuse.
     """
-    if as_json:
-        row = '  {{\n    "u": {},\n    "v": {},\n    "i": {},\n    "j": {},\n{}\n  }}'.format
-        encode = _json_fields
-    else:
-        row, encode = "u={} v={} i={} j={} {}".format, _text_row
-    tails = [{} for _ in keys]
-    rows = []
-    verdicts = iter(verdicts)
-    for u, v, i, j in pairs:
-        for key, tail_of in zip(keys, tails):
-            verdict = next(verdicts)
-            tail = tail_of.get(id(verdict))
-            if tail is None:
-                tail = tail_of[id(verdict)] = encode({**key, **verdict.to_json()})
-            rows.append(row(u, v, i, j, tail))
-    if not as_json:
-        return "\n".join(rows)
-    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
+    tails = {}
+    between = ""
+    for (lead, key), verdict in zip(rows, verdicts):
+        tail = tails.get((id(key), id(verdict)))
+        if tail is None:
+            tail = tails[id(key), id(verdict)] = encode({**key, **verdict.to_json()})
+        yield between + row(*lead, tail)
+        between = sep
 
 
 def _cmd_filter_simple(args) -> int:
@@ -367,33 +359,26 @@ def _cmd_grid_reject(args) -> int:
     params = TwoColorParams(rat(args.b), rat(args.c), Fraction(spec.valency))
     report = grid_reject_2color(spec, params, window=args.window, node_budget=args.node_budget)
     verdict = report.verdict
-    if args.format == "json":  # as json.dumps(..., indent=2), a verdict's fields encoded once per object
+    if args.format == "json":  # as json.dumps(..., indent=2)
         head = {"status": verdict.status.value, "violated": verdict.violated, "note": report.note,
                 "monochromatic": [list(d) for d in report.monochromatic]}
         row = ('    {{\n      "delta": [\n        {},\n        {}\n      ],\n'
                '      "h": {},\n      "adjacent": {},\n{}\n    }}')
-
-        def parts():  # written as they are made, so the output is never held whole
-            yield json.dumps(head, indent=2)[:-2] + ',\n  "deltas": [\n'
-            tail_of = {}  # the differences of one (h, adjacent) class share one verdict object
-            comma = ""
-            for (dx, dy), h, adjacent, v in report.per_delta:
-                if id(v) not in tail_of:
-                    tail_of[id(v)] = _json_fields(v.to_json(), " " * 6)
-                yield comma + row.format(dx, dy, h, "true" if adjacent else "false", tail_of[id(v)])
-                comma = ",\n"
-            yield "\n  ]\n}"
-
-        _write_parts(parts())
-        return _STATUS_EXITS[verdict.status]
-    lines = [f"overall: {verdict.status.value}"]
-    if verdict.violated:
-        lines.append(verdict.violated)
-    if report.note:
-        lines.append(report.note)
-    lines += [f"delta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
-              for d in report.per_delta if d.verdict.infeasible]
-    _write("\n".join(lines))
+        encode = partial(_json_fields, pad=" " * 6)
+        no_key = {}  # one dict, so that its id is the same in every row
+        rows = (((*d.delta, d.h, "true" if d.adjacent else "false"), no_key) for d in report.per_delta)
+        _write(chain(
+            (json.dumps(head, indent=2)[:-2] + ',\n  "deltas": [\n',),
+            _verdict_rows(rows, (d.verdict for d in report.per_delta), row.format, encode, ",\n"),
+            ("\n  ]\n}",),
+        ))
+    else:
+        lines = [f"overall: {verdict.status.value}", *filter(None, (verdict.violated, report.note))]
+        _write(chain(
+            ("\n".join(lines),),
+            (f"\ndelta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
+             for d in report.per_delta if d.verdict.infeasible),
+        ))
     return _STATUS_EXITS[verdict.status]
 
 
@@ -473,8 +458,9 @@ def _add_common(sub: argparse.ArgumentParser, run, node_budget: bool = False) ->
             type=_node_budget,
             default=DEFAULT_NODE_BUDGET,
             help="node cap: one per color tried at a cell or census position and per rotation a "
-            "census compares at a position. A longer census period, a torus or grid reject "
-            "quotient with more vertices, or a circulant quotient of over N entries is refused",
+            "census compares at a position. A census period over N, a torus of over N cells, or a "
+            "circulant quotient of over N entries is refused (exit 66); a grid reject quotient of "
+            "over N vertices is reported inconclusive (exit 2)",
         )
     sub.set_defaults(run=run)
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from perfcolor import cli, periodic
 from perfcolor.cli import main
-from perfcolor.coloring import Coloring, induced_parameters
+from perfcolor.coloring import Coloring, TwoColorParams, induced_parameters
 from perfcolor.filters import Side, distance_power_check, drg_check, drg_sides, row_distance_scan
 from perfcolor.graphs import cycle, distance_matrices, from_edges, petersen
 from perfcolor.ratmat import RationalMatrix
@@ -617,6 +617,28 @@ def test_out_of_memory_under_an_address_space_cap_exits_66():
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+def test_scan_under_an_address_space_cap_is_written_whole(tmp_path, capsys):
+    # the C300 scan writes 16 MB of JSON; holding it whole before printing exhausted 80 MB
+    resource = pytest.importorskip("resource")
+    cap = 80 * 10**6
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = ["filter", "drg", "--graph", write(tmp_path, "c300.json", cycle(300).to_json()),
+            "--s", write(tmp_path, "s.json", {"data": [[0, 2], [2, 0]]}), "--radius", "1",
+            "--coloring", write(tmp_path, "f.json", {"k": 2, "colors": [1, 1, 2, 2] * 75}), "--format", "json"]
+    code, out, _ = outcome(capsys, argv)
+    assert code == 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stdout == out
+
+
 def test_circulant_enumerate_runs_past_the_old_gates(capsys):
     code, out = run(capsys, ["circulant", "enumerate", "--d", "1", "--T", "2000", "--k", "1", "--format", "json"])
     assert code == 0
@@ -644,6 +666,45 @@ def test_grid_reject_square_43(capsys):
     payload = json.loads(out)
     diag = next(d for d in payload["deltas"] if d["delta"] == [1, 1])
     assert (diag["lhs"], diag["rhs"]) == ("7", "6")
+
+
+@pytest.mark.parametrize(
+    "grid, b, c, budget",
+    [
+        (["--grid", "square"], 2, 2, None),  # feasible
+        (["--grid", "square"], 4, 3, None),  # infeasible through the index-2 quotient
+        (["--grid", "square"], 4, 3, 1),  # that quotient over the budget: inconclusive
+        (["--grid", "square"], 4, 4, None),  # feasible, with a witness on the quotient
+        (["--grid", "triangular"], 1, 1, None),
+        (["--grid", "triangular"], 6, 6, None),
+        (["--offsets", "1,0;0,1;1,2"], 1, 2, None),  # infeasible by rank 1
+        (["--offsets", "1,0;0,1;1,2"], 0, 3, None),  # rank 1, inconclusive
+        (["--offsets", "1,0;0,1;1,2"], 1, 1, 1),
+    ],
+)
+def test_grid_reject_output_is_json_dumps_or_text_of_the_report(capsys, grid, b, c, budget):
+    spec = periodic.GridSpec.parse(grid[1]) if grid[0] == "--offsets" else (
+        periodic.GridSpec.square() if grid[1] == "square" else periodic.GridSpec.triangular())
+    params = TwoColorParams(Fraction(b), Fraction(c), Fraction(spec.valency))
+    budget_argv = [] if budget is None else ["--node-budget", str(budget)]
+    budget_kw = {} if budget is None else {"node_budget": budget}
+    for window in (None, 1, 2, 3, 4):
+        report = periodic.grid_reject_2color(spec, params, window=window, **budget_kw)
+        verdict = report.verdict
+        obj = {
+            "status": verdict.status.value, "violated": verdict.violated, "note": report.note,
+            "monochromatic": [list(d) for d in report.monochromatic],
+            "deltas": [{"delta": list(d.delta), "h": d.h, "adjacent": d.adjacent, **d.verdict.to_json()}
+                       for d in report.per_delta],
+        }
+        lines = [f"overall: {verdict.status.value}", *filter(None, [verdict.violated, report.note])]
+        lines += [f"delta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
+                  for d in report.per_delta if d.verdict.infeasible]
+        code = {"feasible": 0, "infeasible": 1, "inconclusive": 2}[verdict.status.value]
+        argv = ["grid", "reject", *grid, "--b", str(b), "--c", str(c), *budget_argv,
+                *([] if window is None else ["--window", str(window)])]
+        assert run(capsys, [*argv, "--format", "json"]) == (code, json.dumps(obj, indent=2) + "\n"), argv
+        assert run(capsys, argv) == (code, "\n".join(lines) + "\n"), argv
 
 
 def test_grid_torus_search(capsys):
