@@ -55,6 +55,14 @@ class Coloring:
         if used != set(range(1, self.k + 1)):
             raise ValueError("every color in 1..k must be used by some vertex")
 
+    @classmethod
+    def _unchecked(cls, colors: tuple[int, ...], k: int) -> "Coloring":
+        """The coloring of ``colors`` in 1..k, each used, without the input checks: for colorings a search made."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "colors", colors)
+        object.__setattr__(f, "k", k)
+        return f
+
     @property
     def n(self) -> int:
         return len(self.colors)

@@ -162,15 +162,18 @@ def circulant_period_filter(
     their gcd.  As in the searches (``_target_matrix``), r is 2m and b, c lie in
     0..r; t_max is at least 1.  Past 2 max(D) no shift fires: there h = 0,
     t is no connection length, and 0 <= b+c <= 4m, so the scan stops there.
+    b+c is read once as num/den, den > 0, and each bound x is compared as
+    x * den with num, in integers.
     """
     if t_max < 1:
         raise ValueError("t_max must be a positive integer")
     _check_two_color_target(params, spec.valency)
-    bc = params.b + params.c
+    bc = params.b_plus_c
+    num, den = bc.numerator, bc.denominator
     fired = []
     for t in range(1, min(t_max, 2 * max(spec.ds)) + 1):
         h = circulant_h(spec, t)
-        if bc > 4 * spec.m - h or bc < h or (t in spec.ds and bc < h + 2):
+        if num > (4 * spec.m - h) * den or num < h * den or (t in spec.ds and num < (h + 2) * den):
             fired.append(t)
     return PeriodConstraint(tuple(fired), gcd(*fired))
 
@@ -217,37 +220,52 @@ def circulant_enumerate(
     colored in that form, smallest color first, so entries come out in
     order.  A vertex is checked once it and its neighbors are colored: its
     color-wise neighbor counts must equal those of the first checked vertex
-    of its color.  Each position holds a tuple of the vertices completed
-    there, each with the positions it sees (one seen a times is listed a
-    times); positions that complete none share the empty tuple.  The counts
-    are one integer: position w, once colored, holds code[w] = 1 << width *
-    color[w], so the sum of the codes a vertex sees holds its count of color
-    c in field c, and a color's row is the first such sum.  A field is
-    width = valency.bit_length() bits and a count is at most the valency, so
-    no field carries into the next, and sums are only compared for equality,
-    never subtracted, so unlike ``_backtrack``'s fields they need no guard
-    bit: a check is one sum and one integer compare.  The rows set while
-    coloring a position go on one stack of (position, color) pairs, popped
-    when the position is undone.  A prefix that passes is also compared
-    with each rotation s that starts at a run start (color[s-1] !=
-    color[s]) and has so far renamed, by first appearance, to the prefix
-    itself.  At p, rotation s names color[p] as at its last position q in
-    s..p-1 (color[q-s]) or, if new, one above the colors before p-s; below
-    color[p-s], every completion has a smaller rotation and the branch is
-    cut; above it, s is dropped.  A complete string carries the rotations
-    still followed, least first, on through the wrap positions 0..s-1 by
-    the same rule: one naming below the string rejects it, and one renaming
-    to the string itself accepts it, since every later rotation repeats an
-    earlier one.  A rotation starting mid-run loses to the one a step
-    earlier, which has the longer leading run, so the least rotation starts
-    at a run start, even when its run wraps past position 0, and is
-    followed.  The integer class sums of a kept string, checked again by the
-    kernel behind ``induced_parameters``, are its S, taken without coercion.
-    Each color tried at a position is one node, and so is each rotation
-    compared at a position or across the wrap; past ``node_budget`` of them
-    the census raises ``BudgetExceededError``, never returning part of its
-    entries.  Coloring every position 1 takes ``period`` nodes, so a longer
-    period is refused before anything is built.
+    of its color, that color's row.
+
+    The counts of the vertices near position p are one integer, the band,
+    as in ``_backtrack``: each neighbor of a vertex lies within ``reach``,
+    the largest min(r, period - r) over the residues r of the offsets, so
+    the band holds the vertices p - reach .. p + reach, cyclically, and the
+    whole cycle when period <= 2 reach + 1.  A vertex takes one field of
+    ``width = valency.bit_length()`` bits per color.  A count is at most the
+    valency, so no field carries into the next, and counts are only
+    compared for equality, never subtracted, so unlike ``_backtrack``'s
+    fields they need no guard bit.  The circulant is translation-invariant,
+    so coloring p with c adds one pattern, whatever p is: a unit in field c
+    of each vertex that sees p.  Each position holds (x - p, the place of
+    x's fields) for each vertex x it completes, and a check is ``band >>
+    place & mask`` compared with a row; equal tuples of checks are one
+    object, shared by the positions in mid-cycle.  Moving on to p + 1
+    shifts the back vertex out and takes p + 1 + reach in at the front,
+    with no counts on its first entry.  A vertex whose neighbors wrap past
+    position 0 enters again: it is parked when it leaves the back and read
+    back at the front, as ``_backtrack`` parks a quotient's cells, with no
+    undo, since no color moves it while it is out and every path to its
+    re-entry parked it.  The band on entering each position is kept for its
+    next color, and the rows set at a position go on one stack of
+    (position, color) pairs, popped when the position is undone.
+
+    A prefix that passes is also compared with each rotation s that starts
+    at a run start (color[s-1] != color[s]) and has so far renamed, by first
+    appearance, to the prefix itself.  At p, rotation s names color[p] as at
+    its last position q in s..p-1 (color[q-s]) or, if new, one above the
+    colors before p-s; below color[p-s], every completion has a smaller
+    rotation and the branch is cut; above it, s is dropped.  A complete
+    string carries the rotations still followed, least first, on through
+    the wrap positions 0..s-1 by the same rule: one naming below the string
+    rejects it, and one renaming to the string itself accepts it, since
+    every later rotation repeats an earlier one.  A rotation starting
+    mid-run loses to the one a step earlier, which has the longer leading
+    run, so the least rotation starts at a run start, even when its run
+    wraps past position 0, and is followed.  The integer class sums of a
+    kept string, checked again by the kernel behind ``induced_parameters``,
+    are its S, taken without coercion, and its ``Coloring`` is not validated
+    again.  Each color tried at a position is one node, and so is each
+    rotation compared at a position or across the wrap; past
+    ``node_budget`` of them the census raises ``BudgetExceededError``,
+    never returning part of its entries.  Coloring every position 1 takes
+    ``period`` nodes, so a longer period is refused before anything is
+    built.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -256,17 +274,27 @@ def circulant_enumerate(
     if period > node_budget:
         raise BudgetExceededError(f"the census needs more than {node_budget} nodes")
     neighbors = _circulant_neighbors(spec, period)
-    # checks[p]: (x, the positions x sees, one per unit of multiplicity) for each
-    # vertex x whose neighbors are all colored once position p is; x sees the
-    # translates by x of the positions 0 sees
-    offsets = [r for r, a in neighbors[0] for _ in range(a)]
-    at = list(range(period))
-    checks: list[tuple[tuple[int, tuple[int, ...]], ...]] = [()] * period
-    for x, sees in enumerate(zip(*(at[r:] + at[:r] for r in offsets))):
-        q = neighbors[x][-1][0]
-        checks[x if x > q else q] += ((x, sees),)
+    reach = max(min(r, period - r) for r, _ in neighbors[0])
+    length = min(2 * reach + 1, period)  # the band's vertices: p - reach .. p + reach
     width = spec.valency.bit_length()  # a field holds one color's count, at most the valency
-    code = [0] * period  # code[w] = 1 << width * color[w]: field c of a sum counts color c
+    span = k * width  # the bits of one vertex
+    mask = (1 << span) - 1
+    head = (length - 1) * span  # the front vertex's place
+    reenter = period - length  # the first depth whose next vertex comes back in
+    # coloring p adds a unit in field c of p - r, at (reach - r) % period in the band, per residue r
+    unit = sum(a << (reach - r) % period * span for r, a in neighbors[0])
+    add = [0] + [unit << c * width for c in range(k)]
+    # checks[p]: (x - p, place) for each vertex x completed at p, its neighbors
+    # and itself colored, interned once all of its vertices x <= p are in
+    checks: list[tuple[tuple[int, int], ...]] = [()] * period
+    shared: dict = {}
+    for x, seen_by in enumerate(neighbors):
+        q = seen_by[-1][0]
+        p = x if x > q else q
+        checks[p] += ((x - p, (x - p + reach) % period * span),)
+        checks[x] = shared.setdefault(checks[x], checks[x])
+    band = [0] * (period + 1)  # band[p]: the band on entering p
+    parked = [0] * period  # parked[p]: the fields of vertex p - reach, shifted out on leaving p
     color = [0] * period
     top = [0] * (period + 1)  # top[p]: highest color at positions before p
     next_color = [1] * period
@@ -275,7 +303,6 @@ def circulant_enumerate(
     follow: list[tuple[int, ...]] = [()] * (period + 1)  # rotations s renaming s..p-1 as 0..p-s-1
     last = [-1] * (k + 1)  # last[c]: the latest position of color c before p
     before = [0] * period  # before[p]: last[color[p]] when position p was colored
-    code_of = code.__getitem__
     found = []
     nodes = 0
     p = 0
@@ -301,23 +328,24 @@ def circulant_enumerate(
                 if mismatch is not None:  # the vertex checks passed this string
                     raise AssertionError(f"census kept a coloring with unequal class sums: {color}")
                 matrix = RationalMatrix.from_integer_form(tuple(map(tuple, rows)), d)
-                found.append(EnumeratedColoring(Coloring(color, top[p]), matrix))
+                found.append(EnumeratedColoring(Coloring._unchecked(tuple(color), top[p]), matrix))
             p -= 1
         elif next_color[p] <= k and next_color[p] <= top[p] + 1:
             nodes += 1
             c = next_color[p]
             next_color[p] = c + 1
             color[p] = c
-            code[p] = 1 << width * c
+            x = band[p] + add[c]
             before[p] = seen = last[c]
             top[p + 1] = c if c > top[p] else top[p]
-            for x, sees in checks[p]:
-                counts = sum(map(code_of, sees))
-                if row[color[x]] != counts:
-                    if row[color[x]] is not None:
+            for rel, place in checks[p]:
+                counts = x >> place & mask
+                i = color[p + rel]
+                if row[i] != counts:
+                    if row[i] is not None:
                         break
-                    row[color[x]] = counts
-                    rows_set.append((p, color[x]))
+                    row[i] = counts
+                    rows_set.append((p, i))
             else:
                 kept = []
                 for s in follow[p]:  # rotation s names c as at its last position, or anew
@@ -332,6 +360,11 @@ def circulant_enumerate(
                         kept.append(p)
                     follow[p + 1] = tuple(kept)
                     last[c] = p
+                    parked[p] = x & mask
+                    if p < reenter:
+                        band[p + 1] = x >> span
+                    else:
+                        band[p + 1] = x >> span | parked[p - reenter] << head
                     p += 1
                     continue
         else:

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     brute_force_circulant_census,
@@ -461,6 +461,42 @@ def test_enumerate_matches_brute_force_census(ds):
     for k, max_period in ((2, 10), (3, 6)):
         for period in range(1, max_period + 1):
             assert _census(spec, period, k) == brute_force_circulant_census(ds, period, k)
+
+
+@st.composite
+def census_shapes(draw):
+    """(connection multiset, period, k) with k^(period-1) at most 4096.
+
+    Lengths are drawn past the period, at multiples of it (loops) and at
+    half of it, where d and -d meet, and are repeated.
+    """
+    k = draw(st.integers(1, 3))
+    period = draw(st.integers(1, (20, 12, 8)[k - 1]))
+    special = [period, 2 * period] + ([period // 2, 3 * period // 2] if period % 2 == 0 else [])
+    length = st.one_of(st.integers(1, 3 * period + 2), st.sampled_from(special))
+    ds = draw(st.lists(length, min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from(ds), max_size=2))
+    return tuple(ds + repeats), period, k
+
+
+@settings(max_examples=120, deadline=None)
+@given(census_shapes())
+@example(((1,), 12, 2))  # a band of 3 of the 12 vertices, parking those that wrap
+@example(((1, 5, 5), 12, 2))  # a band of 11 of 12
+@example(((2, 6), 12, 2))  # d = 6 meets -d: the whole cycle
+@example(((3, 7, 7), 5, 3))  # the whole cycle, 7 past the period
+@example(((4, 8), 4, 3))  # only loops: a band of one vertex
+@example(((1, 9, 18), 9, 2))  # loops and a band of 3 of 9
+def test_enumerate_matches_reference_census_on_drawn_multisets(shape):
+    # the band holds p - reach .. p + reach (reach the largest min(d, -d) mod T),
+    # or the whole cycle when T <= 2 reach + 1: both regimes, repeated lengths,
+    # loops (d = 0 mod T) and d = -d (mod T), against the census that checks
+    # whole neighbor lists and breaks rotation at the leaves
+    ds, period, k = shape
+    census = _census(CirculantSpec(ds), period, k)
+    assert census == reference_census(ds, period, k)[0]
+    if k**period <= 4096:
+        assert census == brute_force_circulant_census(ds, period, k)
 
 
 @pytest.mark.parametrize("ds", [(1, 2, 4), (1, 3, 5)])
