@@ -599,19 +599,22 @@ def test_out_of_memory_exits_66_not_rejected(argv, handler, capfd, monkeypatch):
     assert captured.err.startswith("out of memory: ")
 
 
-def test_out_of_memory_under_an_address_space_cap_exits_66():
-    # the message was printed, which allocates: MemoryError again, and exit 1, the code of a rejection
+def run_capped(argv: list[str], cap: int) -> subprocess.CompletedProcess:
+    """``perfcolor argv`` in a child process with ``cap`` bytes of address space."""
     resource = pytest.importorskip("resource")
-    cap = 100 * 10**6
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["grid", "reject", "--grid", "square", "--b", "1", "--c", "1", "--window", "600"]
-    proc = subprocess.run([sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True,
                           env=env, preexec_fn=limit, timeout=120)
+
+
+def test_out_of_memory_under_an_address_space_cap_exits_66():
+    # the message was printed, which allocates: MemoryError again, and exit 1, the code of a rejection
+    proc = run_capped(["grid", "reject", "--grid", "square", "--b", "1", "--c", "1", "--window", "600"], 100 * 10**6)
     assert proc.returncode == 66, proc.stderr
     assert "out of memory: " in proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
@@ -619,24 +622,24 @@ def test_out_of_memory_under_an_address_space_cap_exits_66():
 
 def test_scan_under_an_address_space_cap_is_written_whole(tmp_path, capsys):
     # the C300 scan writes 16 MB of JSON; holding it whole before printing exhausted 80 MB
-    resource = pytest.importorskip("resource")
-    cap = 80 * 10**6
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
     argv = ["filter", "drg", "--graph", write(tmp_path, "c300.json", cycle(300).to_json()),
             "--s", write(tmp_path, "s.json", {"data": [[0, 2], [2, 0]]}), "--radius", "1",
             "--coloring", write(tmp_path, "f.json", {"k": 2, "colors": [1, 1, 2, 2] * 75}), "--format", "json"]
     code, out, _ = outcome(capsys, argv)
     assert code == 1
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True,
-                          env=env, preexec_fn=limit, timeout=120)
+    proc = run_capped(argv, 80 * 10**6)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     assert proc.stdout == out
+
+
+def test_census_with_a_long_connection_under_an_address_space_cap():
+    # reach 10,000 makes the census band 20,001 vertices (60 kbit) wide: one band
+    # kept per depth needed about 225 MB at T = 30,000, one band undone on backtrack fits
+    proc = run_capped(["circulant", "enumerate", "--d", "1,10000", "--T", "30000", "--k", "1", "--format", "json"],
+                      100 * 10**6)
+    assert proc.returncode == 0, proc.stderr
+    assert [e["coloring"]["colors"] for e in json.loads(proc.stdout)] == [[1] * 30000]
 
 
 def test_circulant_enumerate_runs_past_the_old_gates(capsys):
