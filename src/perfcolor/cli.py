@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, product
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import repro
@@ -235,7 +235,7 @@ def _pair_scan(args) -> int:
             sides, keys = [Side(m**args.l, s**args.l)], [dict(l=args.l)]
         else:
             sides, keys = [Side(m, s)], [{}]
-    verdicts = row_distance_scan(sides, pairs)  # a list: the rows' tails are kept by id()
+    verdicts = row_distance_scan(sides, pairs)  # a list: the FEASIBLE rows' tails are kept by id()
     if args.format == "json":
         row = '  {{\n    "u": {},\n    "v": {},\n    "i": {},\n    "j": {},\n{}\n  }}'.format
         rows = _verdict_rows(product(pairs, keys), verdicts, row, _json_fields, ",\n")
@@ -259,17 +259,19 @@ def _verdict_rows(rows, verdicts, row, encode, sep: str):
     """``row(*lead, tail)`` for each (lead, key) of ``rows`` and its verdict, ``sep`` between rows,
     where the tail is ``encode({**key, **verdict.to_json()})``: a table written as it is made.
 
-    A tail is encoded once per (key, verdict) object, so most rows cost only their lead.  The
-    objects are told apart by id(), which is sound only while they live: every verdict must be
-    held elsewhere (a list, a report) until the table ends, and each key must be one shared dict,
-    not a literal per row, whose id a later row's literal could reuse.
+    A FEASIBLE verdict's tail is encoded once per (key, verdict) object, so most rows cost only
+    their lead; an INFEASIBLE one names its pair and never recurs, so its tail is not kept.  The
+    objects are told apart by id(), sound only while they live: every verdict must be held in a
+    list until the table ends, and each key must be one shared dict, not a literal per row.
     """
     tails = {}
     between = ""
     for (lead, key), verdict in zip(rows, verdicts):
         tail = tails.get((id(key), id(verdict)))
         if tail is None:
-            tail = tails[id(key), id(verdict)] = encode({**key, **verdict.to_json()})
+            tail = encode({**key, **verdict.to_json()})
+            if verdict.feasible:
+                tails[id(key), id(verdict)] = tail
         yield between + row(*lead, tail)
         between = sep
 
@@ -362,22 +364,22 @@ def _cmd_grid_reject(args) -> int:
     if args.format == "json":  # as json.dumps(..., indent=2)
         head = {"status": verdict.status.value, "violated": verdict.violated, "note": report.note,
                 "monochromatic": [list(d) for d in report.monochromatic]}
-        row = ('    {{\n      "delta": [\n        {},\n        {}\n      ],\n'
-               '      "h": {},\n      "adjacent": {},\n{}\n    }}')
         encode = partial(_json_fields, pad=" " * 6)
-        no_key = {}  # one dict, so that its id is the same in every row
-        rows = (((*d.delta, d.h, "true" if d.adjacent else "false"), no_key) for d in report.per_delta)
+        tails = [f'      "h": {c.h},\n      "adjacent": {json.dumps(c.adjacent)},\n' + encode(c.verdict.to_json())
+                 for c in report.classes]  # a row's fields after its delta, encoded once per class
+        row = '{}    {{\n      "delta": [\n        {},\n        {}\n      ],\n{}\n    }}'.format
+        seps = chain(("",), repeat(",\n"))
         _write(chain(
             (json.dumps(head, indent=2)[:-2] + ',\n  "deltas": [\n',),
-            _verdict_rows(rows, (d.verdict for d in report.per_delta), row.format, encode, ",\n"),
+            (row(sep, dx, dy, tails[k]) for sep, ((dx, dy), k) in zip(seps, report.deltas)),
             ("\n  ]\n}",),
         ))
     else:
         lines = [f"overall: {verdict.status.value}", *filter(None, (verdict.violated, report.note))]
         _write(chain(
             ("\n".join(lines),),
-            (f"\ndelta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
-             for d in report.per_delta if d.verdict.infeasible),
+            (f"\ndelta {delta}: INFEASIBLE ({report.classes[k].verdict.violated}); pairs forced monochromatic"
+             for delta, k in report.deltas if report.classes[k].verdict.infeasible),
         ))
     return _STATUS_EXITS[verdict.status]
 

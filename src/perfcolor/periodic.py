@@ -51,8 +51,8 @@ __all__ = [
     "BudgetExceededError",
     "CirculantSpec",
     "DEFAULT_NODE_BUDGET",
-    "DeltaVerdict",
     "EnumeratedColoring",
+    "GridClass",
     "GridRejectReport",
     "GridSpec",
     "PeriodConstraint",
@@ -763,9 +763,7 @@ def _backtrack(
     A node's subtraction and mask test run over the band, about 2W + 1
     cells on a window W cells wide.  On the square (2, 2) window at 200,000
     nodes (Python 3.11, one Xeon core) a node took 0.31 us at 32 cells
-    wide, 0.4 us at 100, 0.5 us at 150, 0.6 us at 200 and 0.8 us at 300;
-    the per-cell slack lists the band replaced took 0.55-0.65 us at any
-    width, and were built per pair on each search.
+    wide, 0.4 us at 100, 0.5 us at 150, 0.6 us at 200 and 0.8 us at 300.
 
     Nothing prunes before the first constrained cell, so every coloring of
     the cells before it is walked, and many leave one band.  A window search
@@ -1008,10 +1006,9 @@ def torus_search(
 # --- two-color rejection over a window of differences -------------------------
 
 
-class DeltaVerdict(NamedTuple):
-    """The window verdict of one difference; the differences of one (h, adjacent) class share it."""
+class GridClass(NamedTuple):
+    """One (h, adjacent) class of differences and the window verdict all its differences share."""
 
-    delta: tuple[int, int]
     h: int
     adjacent: bool
     verdict: FilterVerdict
@@ -1020,7 +1017,8 @@ class DeltaVerdict(NamedTuple):
 @dataclass(frozen=True)
 class GridRejectReport:
     verdict: FilterVerdict
-    per_delta: tuple[DeltaVerdict, ...]
+    classes: tuple[GridClass, ...]  # in order of first appearance
+    deltas: tuple[tuple[tuple[int, int], int], ...]  # (delta, class index): the kept table's own rows
     monochromatic: tuple[tuple[int, int], ...]
     note: str | None = None
 
@@ -1039,13 +1037,13 @@ def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> lis
 @lru_cache(maxsize=8)
 def _delta_table(spec: GridSpec, window: int | None) -> tuple[tuple[PairContext, ...], tuple[tuple, ...]]:
     """(pair contexts, rows): one context per (h, adjacent) class, in order of first
-    appearance, and a row (delta, h, adjacent, class index) for one delta of each
-    +-pair within the window (None: twice the offsets' radius).
+    appearance, and a row (delta, class index) for one delta of each +-pair within the
+    window (None: twice the offsets' radius).
 
     The two-color window check reads a difference only through its class, so
-    the 2*window*(window + 1) rows share the classes' contexts.  Every (b, c)
-    asked about on one grid and window reads the same table, so the tables of
-    the last eight grids and windows are kept, the default one under None.
+    the 2*window*(window + 1) rows hold only their class's index.  Every (b, c) asked
+    about on one grid and window reads the same table and reports its rows, so the
+    tables of the last eight grids and windows are kept, the default one under None.
     """
     if window is None:
         window = 2 * spec.radius
@@ -1056,8 +1054,7 @@ def _delta_table(spec: GridSpec, window: int | None) -> tuple[tuple[PairContext,
         for dy in range(-window, window + 1):
             if dx == 0 and dy <= 0:
                 continue  # one representative per +-delta pair
-            key = h, adjacent = grid_h(spec, (dx, dy))
-            rows.append(((dx, dy), h, adjacent, classes.setdefault(key, len(classes))))
+            rows.append(((dx, dy), classes.setdefault(grid_h(spec, (dx, dy)), len(classes))))
     return tuple(PairContext(r, h, adjacent) for h, adjacent in classes), tuple(rows)
 
 
@@ -1074,8 +1071,8 @@ def grid_reject_2color(
     an INFEASIBLE delta means x and x+delta share a color in every perfect
     (b,c)-coloring, i.e. the coloring is invariant under translation by
     delta.  The check reads delta only through its (h, adjacent) class, so
-    it runs once per class, and the deltas of a class share its one verdict
-    object.  Consequences drawn from the invariant directions:
+    it runs once per class; the report holds one verdict per class and the
+    kept table's rows.  Consequences drawn from the invariant directions:
 
     * full-rank direction lattice: the coloring factors through the finite
       quotient, which is searched outright, unpinned, for the parameters;
@@ -1093,20 +1090,20 @@ def grid_reject_2color(
     ``window`` (default twice the offsets' radius) must be at least 1.  The
     tables of differences of the last eight grids and windows asked about
     are kept, one pair context per class, so the calls for every (b, c) on
-    one grid read one table.
+    one grid read one table, and their reports share its rows.
     """
     _check_two_color_target(params, spec.valency)
     _check_node_budget(node_budget)
     b, c = params.b, params.c
     if window is not None and window < 1:
         raise ValueError(f"the window must be at least 1, not {window}")
-    contexts, rows = _delta_table(spec, window)
-    verdicts = [two_color_check(ctx, params) for ctx in contexts]
-    per_delta = tuple([DeltaVerdict(delta, h, adjacent, verdicts[k]) for delta, h, adjacent, k in rows])
-    mono = tuple([delta for delta, _, _, k in rows if verdicts[k].infeasible])
+    contexts, deltas = _delta_table(spec, window)
+    classes = tuple([GridClass(ctx.h, ctx.adjacent, two_color_check(ctx, params)) for ctx in contexts])
+    forced = [cls.verdict.infeasible for cls in classes]
+    mono = tuple([delta for delta, k in deltas if forced[k]])
 
     def report(verdict: FilterVerdict, note: str | None = None) -> GridRejectReport:
-        return GridRejectReport(verdict, per_delta, mono, note)
+        return GridRejectReport(verdict, classes, deltas, mono, note)
 
     if not mono:
         return report(FilterVerdict(VerdictStatus.FEASIBLE))

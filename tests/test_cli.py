@@ -12,10 +12,13 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import grid_h_by_counting
 from perfcolor import cli, periodic
 from perfcolor.cli import main
 from perfcolor.coloring import Coloring, TwoColorParams, induced_parameters
-from perfcolor.filters import Side, distance_power_check, drg_check, drg_sides, row_distance_scan
+from perfcolor.filters import (
+    PairContext, Side, distance_power_check, drg_check, drg_sides, row_distance_scan, two_color_check,
+)
 from perfcolor.graphs import cycle, distance_matrices, from_edges, petersen
 from perfcolor.ratmat import RationalMatrix
 
@@ -686,23 +689,30 @@ def test_grid_reject_square_43(capsys):
     ],
 )
 def test_grid_reject_output_is_json_dumps_or_text_of_the_report(capsys, grid, b, c, budget):
+    # the rows are rebuilt one difference at a time, with h and adjacency counted on the grid;
+    # the overall verdict and note come from the report
     spec = periodic.GridSpec.parse(grid[1]) if grid[0] == "--offsets" else (
         periodic.GridSpec.square() if grid[1] == "square" else periodic.GridSpec.triangular())
     params = TwoColorParams(Fraction(b), Fraction(c), Fraction(spec.valency))
     budget_argv = [] if budget is None else ["--node-budget", str(budget)]
     budget_kw = {} if budget is None else {"node_budget": budget}
     for window in (None, 1, 2, 3, 4):
+        w = 2 * spec.radius if window is None else window
+        rows = []
+        for delta in [(dx, dy) for dx in range(w + 1) for dy in range(-w, w + 1) if dx > 0 or dy > 0]:
+            h, adjacent = grid_h_by_counting(spec.offsets, delta)
+            rows.append((delta, h, adjacent, two_color_check(PairContext(params.r, h, adjacent), params)))
         report = periodic.grid_reject_2color(spec, params, window=window, **budget_kw)
         verdict = report.verdict
         obj = {
             "status": verdict.status.value, "violated": verdict.violated, "note": report.note,
-            "monochromatic": [list(d) for d in report.monochromatic],
-            "deltas": [{"delta": list(d.delta), "h": d.h, "adjacent": d.adjacent, **d.verdict.to_json()}
-                       for d in report.per_delta],
+            "monochromatic": [list(delta) for delta, _, _, v in rows if v.infeasible],
+            "deltas": [{"delta": list(delta), "h": h, "adjacent": adjacent, **v.to_json()}
+                       for delta, h, adjacent, v in rows],
         }
         lines = [f"overall: {verdict.status.value}", *filter(None, [verdict.violated, report.note])]
-        lines += [f"delta {d.delta}: INFEASIBLE ({d.verdict.violated}); pairs forced monochromatic"
-                  for d in report.per_delta if d.verdict.infeasible]
+        lines += [f"delta {delta}: INFEASIBLE ({v.violated}); pairs forced monochromatic"
+                  for delta, _, _, v in rows if v.infeasible]
         code = {"feasible": 0, "infeasible": 1, "inconclusive": 2}[verdict.status.value]
         argv = ["grid", "reject", *grid, "--b", str(b), "--c", str(c), *budget_argv,
                 *([] if window is None else ["--window", str(window)])]

@@ -1070,7 +1070,7 @@ def test_search_trees_of_the_grid_corpus(grid, bc, search, shape, status, nodes,
 def test_grid_reject_square_43():
     report = grid_reject_2color(GridSpec.square(), params(4, 3, 4))
     assert report.verdict.infeasible
-    diag = {d.delta: d for d in report.per_delta}[(1, 1)]
+    diag = report.classes[dict(report.deltas)[1, 1]]
     assert diag.verdict.infeasible
     assert (diag.verdict.lhs, diag.verdict.rhs) == (7, 6)
     assert set(report.monochromatic) == {(1, 1), (1, -1)}
@@ -1079,7 +1079,7 @@ def test_grid_reject_square_43():
 def test_grid_reject_triangular_66_outright():
     report = grid_reject_2color(GridSpec.triangular(), params(6, 6, 6))
     assert report.verdict.infeasible
-    assert any(d.adjacent and d.verdict.infeasible for d in report.per_delta)
+    assert any(cls.adjacent and cls.verdict.infeasible for cls in report.classes)
 
 
 def test_grid_reject_inside_window_feasible():
@@ -1302,11 +1302,12 @@ def test_grid_reject_window_verdicts_follow_the_rule(spec):
                     expected.append(("infeasible", bc, high, f"b+c = {bc} > {high} = 2r-h"))
                 else:
                     expected.append(("feasible", bc, high, None))
+            classes = [report.classes[k] for _, k in report.deltas]
             got = [
-                (d.verdict.status.value, d.verdict.lhs, d.verdict.rhs, d.verdict.violated)
-                for d in report.per_delta
+                (cls.verdict.status.value, cls.verdict.lhs, cls.verdict.rhs, cls.verdict.violated)
+                for cls in classes
             ]
-            assert [(d.delta, d.h, d.adjacent) for d in report.per_delta] == [
+            assert [(delta, cls.h, cls.adjacent) for (delta, _), cls in zip(report.deltas, classes)] == [
                 (delta, *pair) for delta, pair in zip(deltas, pairs)
             ]
             assert got == expected
@@ -1316,7 +1317,7 @@ def test_grid_reject_window_verdicts_follow_the_rule(spec):
 @pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
 def test_grid_reject_checks_each_h_adjacent_class_once(spec, monkeypatch):
     # the window check reads a difference only through (h, adjacent): it runs once per
-    # class and call, and the differences of one class share its verdict object
+    # class and call, and the report holds one record per class, in order of first appearance
     calls = []
     check = periodic.two_color_check
 
@@ -1334,15 +1335,12 @@ def test_grid_reject_checks_each_h_adjacent_class_once(spec, monkeypatch):
             calls.clear()
             report = grid_reject_2color(spec, params(b, c, r), window=window, node_budget=0)
             assert sorted(calls) == sorted(set(classes.values()))
-            verdict_of = {}
-            for d in report.per_delta:
-                assert (d.h, d.adjacent) == classes[d.delta]
-                assert verdict_of.setdefault((d.h, d.adjacent), d.verdict) is d.verdict
-            assert len({id(verdict) for verdict in verdict_of.values()}) == len(verdict_of)
-    if spec.radius == 1:  # the default window: 12 differences in 4 classes
-        calls.clear()
-        assert len(grid_reject_2color(spec, params(1, 1, r)).per_delta) == 12
-        assert len(calls) == 4
+            assert [(cls.h, cls.adjacent) for cls in report.classes] == list(dict.fromkeys(classes.values()))
+            assert [(delta, report.classes[k][:2]) for delta, k in report.deltas] == list(classes.items())
+    # the default window: 12 differences in 4 classes at radius 1, and 40 in 6 at radius 2
+    calls.clear()
+    report = grid_reject_2color(spec, params(1, 1, r))
+    assert (len(report.deltas), len(report.classes), len(calls)) == ((12, 4, 4) if spec.radius == 1 else (40, 6, 6))
 
 
 def test_grid_reject_reads_one_delta_table_per_grid_and_window():
@@ -1351,10 +1349,33 @@ def test_grid_reject_reads_one_delta_table_per_grid_and_window():
     deltas = [(dx, dy) for dx in range(4) for dy in range(-3, 4) if dx > 0 or dy > 0]
     for b, c in product(range(1, 7), repeat=2):
         report = grid_reject_2color(spec, params(b, c, 6), window=3)
-        assert [(d.delta, d.h, d.adjacent) for d in report.per_delta] == [
+        assert [(delta, *report.classes[k][:2]) for delta, k in report.deltas] == [
             (delta, *grid_h(spec, delta)) for delta in deltas
         ]
     assert (_delta_table.cache_info().misses, _delta_table.cache_info().hits) == (1, 35)
+
+
+def test_grid_reject_reports_share_one_table_of_differences():
+    spec = GridSpec.triangular()
+    first = grid_reject_2color(spec, params(1, 1, 6), window=3)
+    second = grid_reject_2color(spec, params(6, 6, 6), window=3)
+    assert first.deltas is second.deltas is _delta_table(spec, 3)[1]
+    assert first.classes != second.classes
+
+
+def test_grid_reject_builds_nothing_per_difference_on_a_kept_table():
+    # at window 200 a copy of 80,400 rows of about 88 B each would be about 7 MB
+    spec = GridSpec.square()
+    grid_reject_2color(spec, params(1, 1, 4), window=200)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = grid_reject_2color(spec, params(1, 1, 4), window=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1 << 20
+    assert len(report.deltas) == 80_400 and report.verdict.feasible
 
 
 # --- shapes kept between searches ---------------------------------------------------------------
