@@ -371,16 +371,15 @@ def _cmd_grid_reject(args) -> int:
         seps = chain(("",), repeat(",\n"))
         _write(chain(
             (json.dumps(head, indent=2)[:-2] + ',\n  "deltas": [\n',),
-            (row(sep, dx, dy, tails[k]) for sep, ((dx, dy), k) in zip(seps, report.deltas)),
+            (row(sep, dx, dy, tails[k]) for sep, ((dx, dy), k) in zip(seps, report.rows())),
             ("\n  ]\n}",),
         ))
     else:
         lines = [f"overall: {verdict.status.value}", *filter(None, (verdict.violated, report.note))]
-        _write(chain(
-            ("\n".join(lines),),
-            (f"\ndelta {delta}: INFEASIBLE ({report.classes[k].verdict.violated}); pairs forced monochromatic"
-             for delta, k in report.deltas if report.classes[k].verdict.infeasible),
-        ))
+        kept = dict(report.kept)  # every forced difference is a kept row
+        lines += [f"delta {delta}: INFEASIBLE ({report.classes[kept[delta]].verdict.violated}); "
+                  "pairs forced monochromatic" for delta in report.monochromatic]
+        _write(("\n".join(lines),))
     return _STATUS_EXITS[verdict.status]
 
 
@@ -567,7 +566,8 @@ def build_parser() -> _Parser:
     add_grid_spec(gr)
     gr.add_argument("--b", required=True)
     gr.add_argument("--c", required=True)
-    gr.add_argument("--window", type=_positive)
+    gr.add_argument("--window", type=_positive, help="differences scanned per coordinate (default twice the "
+                    "offsets' radius; a wider window lists more rows but forces no further direction)")
     _add_common(gr, _cmd_grid_reject, node_budget=True)
     gt = grid_sub.add_parser("torus-search", help="witness search at fixed periods")
     add_grid_spec(gt)

@@ -33,7 +33,7 @@ search at fixed periods is only INCONCLUSIVE.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -1017,10 +1017,18 @@ class GridClass(NamedTuple):
 @dataclass(frozen=True)
 class GridRejectReport:
     verdict: FilterVerdict
-    classes: tuple[GridClass, ...]  # in order of first appearance
-    deltas: tuple[tuple[tuple[int, int], int], ...]  # (delta, class index): the kept table's own rows
+    classes: tuple[GridClass, ...]  # the kept table's, the class (0, False) first
+    window: int
+    kept: tuple[tuple[tuple[int, int], int], ...]  # the kept table's rows, shared by every report on the grid
     monochromatic: tuple[tuple[int, int], ...]
     note: str | None = None
+
+    def rows(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """(delta, class index) for one delta of each +-pair in the window, dx major."""
+        index, w = dict(self.kept), self.window
+        for dx in range(w + 1):
+            for dy in range(-w if dx else 1, w + 1):
+                yield (dx, dy), index.get((dx, dy), 0)  # class 0 is (0, False), past the kept rows
 
 
 def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> list[int]:
@@ -1035,27 +1043,21 @@ def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> lis
 
 
 @lru_cache(maxsize=8)
-def _delta_table(spec: GridSpec, window: int | None) -> tuple[tuple[PairContext, ...], tuple[tuple, ...]]:
-    """(pair contexts, rows): one context per (h, adjacent) class, in order of first
-    appearance, and a row (delta, class index) for one delta of each +-pair within the
-    window (None: twice the offsets' radius).
+def _delta_table(spec: GridSpec) -> tuple[tuple[PairContext, ...], tuple[tuple, ...], int]:
+    """(pair contexts, rows, reach): one context per (h, adjacent) class, and a row
+    (delta, class index) for one delta of each +-pair with max(|dx|, |dy|) <= reach.
 
-    The two-color window check reads a difference only through its class, so
-    the 2*window*(window + 1) rows hold only their class's index.  Every (b, c) asked
-    about on one grid and window reads the same table and reports its rows, so the
-    tables of the last eight grids and windows are kept, the default one under None.
+    Past reach = twice the offsets' radius a difference has no common neighbor and is
+    no offset, so its class (0, False), put first, never fires: its window 0 <= b+c <= 2r
+    holds for every b, c in 0..r.  The tables of the last eight grids are kept.
     """
-    if window is None:
-        window = 2 * spec.radius
-    r = Fraction(spec.valency)
-    classes: dict[tuple[int, bool], int] = {}
+    reach = 2 * spec.radius
+    classes = {(0, False): 0}
     rows = []
-    for dx in range(0, window + 1):
-        for dy in range(-window, window + 1):
-            if dx == 0 and dy <= 0:
-                continue  # one representative per +-delta pair
+    for dx in range(reach + 1):
+        for dy in range(-reach if dx else 1, reach + 1):  # one representative per +-delta pair
             rows.append(((dx, dy), classes.setdefault(grid_h(spec, (dx, dy)), len(classes))))
-    return tuple(PairContext(r, h, adjacent) for h, adjacent in classes), tuple(rows)
+    return tuple(PairContext(Fraction(spec.valency), h, adjacent) for h, adjacent in classes), tuple(rows), reach
 
 
 def grid_reject_2color(
@@ -1070,9 +1072,10 @@ def grid_reject_2color(
     Every difference delta in the window gets the two-color window check;
     an INFEASIBLE delta means x and x+delta share a color in every perfect
     (b,c)-coloring, i.e. the coloring is invariant under translation by
-    delta.  The check reads delta only through its (h, adjacent) class, so
-    it runs once per class; the report holds one verdict per class and the
-    kept table's rows.  Consequences drawn from the invariant directions:
+    delta.  The check reads delta only through its (h, adjacent) class, so it
+    runs once per class of the grid's kept table, which holds the only
+    differences that can fire; the report holds one verdict per class and
+    derives the window's rows.  Consequences drawn from the invariant directions:
 
     * full-rank direction lattice: the coloring factors through the finite
       quotient, which is searched outright, unpinned, for the parameters;
@@ -1087,23 +1090,22 @@ def grid_reject_2color(
     contradiction within ``node_budget``, which caps the quotient search;
     a quotient with more vertices is not built.  As in the searches
     (``_target_matrix``), r is the valency and b, c lie in 0..r.
-    ``window`` (default twice the offsets' radius) must be at least 1.  The
-    tables of differences of the last eight grids and windows asked about
-    are kept, one pair context per class, so the calls for every (b, c) on
-    one grid read one table, and their reports share its rows.
+    ``window`` (default twice the offsets' radius) must be at least 1.
     """
     _check_two_color_target(params, spec.valency)
     _check_node_budget(node_budget)
     b, c = params.b, params.c
     if window is not None and window < 1:
         raise ValueError(f"the window must be at least 1, not {window}")
-    contexts, deltas = _delta_table(spec, window)
+    contexts, kept, reach = _delta_table(spec)
+    w = reach if window is None else window
     classes = tuple([GridClass(ctx.h, ctx.adjacent, two_color_check(ctx, params)) for ctx in contexts])
     forced = [cls.verdict.infeasible for cls in classes]
-    mono = tuple([delta for delta, k in deltas if forced[k]])
+    rows = kept if w >= reach else [row for row in kept if max(row[0][0], abs(row[0][1])) <= w]
+    mono = tuple([delta for delta, k in rows if forced[k]])
 
     def report(verdict: FilterVerdict, note: str | None = None) -> GridRejectReport:
-        return GridRejectReport(verdict, classes, deltas, mono, note)
+        return GridRejectReport(verdict, classes, w, kept, mono, note)
 
     if not mono:
         return report(FilterVerdict(VerdictStatus.FEASIBLE))

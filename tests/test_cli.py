@@ -602,7 +602,7 @@ def test_out_of_memory_exits_66_not_rejected(argv, handler, capfd, monkeypatch):
     assert captured.err.startswith("out of memory: ")
 
 
-def run_capped(argv: list[str], cap: int) -> subprocess.CompletedProcess:
+def run_capped(argv: list[str], cap: int, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``perfcolor argv`` in a child process with ``cap`` bytes of address space."""
     resource = pytest.importorskip("resource")
 
@@ -611,16 +611,29 @@ def run_capped(argv: list[str], cap: int) -> subprocess.CompletedProcess:
 
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "perfcolor", *argv], capture_output=True, text=True,
-                          env=env, preexec_fn=limit, timeout=120)
+    return subprocess.run([sys.executable, "-m", "perfcolor", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, preexec_fn=limit, timeout=120)
 
 
 def test_out_of_memory_under_an_address_space_cap_exits_66():
-    # the message was printed, which allocates: MemoryError again, and exit 1, the code of a rejection
-    proc = run_capped(["grid", "reject", "--grid", "square", "--b", "1", "--c", "1", "--window", "600"], 100 * 10**6)
+    # the message was printed, which allocates: MemoryError again, and exit 1, the code of a rejection;
+    # the dense 3000-vertex cycle needs several hundred MB
+    proc = run_capped(["graph", "cycle", "--n", "3000"], 100 * 10**6)
     assert proc.returncode == 66, proc.stderr
     assert "out of memory: " in proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_grid_reject_wide_window_under_an_address_space_cap(fmt):
+    # the kept table holds only the differences within twice the offsets' radius, and the rows of
+    # a window of 1500 (4.5 million, about 850 MB of JSON) are written as they are derived; a table
+    # of every row needed over 400 MB
+    argv = ["grid", "reject", "--grid", "square", "--b", "1", "--c", "1", "--window", "1500", "--format", fmt]
+    proc = run_capped(argv, 60_000 * 1024, stdout=subprocess.PIPE if fmt == "text" else subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert fmt == "json" or proc.stdout == "overall: feasible\n"
 
 
 def test_scan_under_an_address_space_cap_is_written_whole(tmp_path, capsys):

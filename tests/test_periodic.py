@@ -1070,7 +1070,7 @@ def test_search_trees_of_the_grid_corpus(grid, bc, search, shape, status, nodes,
 def test_grid_reject_square_43():
     report = grid_reject_2color(GridSpec.square(), params(4, 3, 4))
     assert report.verdict.infeasible
-    diag = report.classes[dict(report.deltas)[1, 1]]
+    diag = report.classes[dict(report.rows())[1, 1]]
     assert diag.verdict.infeasible
     assert (diag.verdict.lhs, diag.verdict.rhs) == (7, 6)
     assert set(report.monochromatic) == {(1, 1), (1, -1)}
@@ -1302,22 +1302,30 @@ def test_grid_reject_window_verdicts_follow_the_rule(spec):
                     expected.append(("infeasible", bc, high, f"b+c = {bc} > {high} = 2r-h"))
                 else:
                     expected.append(("feasible", bc, high, None))
-            classes = [report.classes[k] for _, k in report.deltas]
+            rows = list(report.rows())
+            classes = [report.classes[k] for _, k in rows]
             got = [
                 (cls.verdict.status.value, cls.verdict.lhs, cls.verdict.rhs, cls.verdict.violated)
                 for cls in classes
             ]
-            assert [(delta, cls.h, cls.adjacent) for (delta, _), cls in zip(report.deltas, classes)] == [
+            assert [(delta, cls.h, cls.adjacent) for (delta, _), cls in zip(rows, classes)] == [
                 (delta, *pair) for delta, pair in zip(deltas, pairs)
             ]
             assert got == expected
             assert all(type(x) is Fraction for _, lhs, rhs, _ in got for x in (lhs, rhs))
 
 
+def half_window(window):
+    """One delta of each +-pair with max(|dx|, |dy|) <= window, dx major and dy ascending."""
+    return [(dx, dy) for dx in range(window + 1) for dy in range(-window, window + 1) if dx > 0 or dy > 0]
+
+
 @pytest.mark.parametrize("spec", GEOMETRY_SPECS, ids=GEOMETRY_IDS)
 def test_grid_reject_checks_each_h_adjacent_class_once(spec, monkeypatch):
-    # the window check reads a difference only through (h, adjacent): it runs once per
-    # class and call, and the report holds one record per class, in order of first appearance
+    # the window check reads a difference only through (h, adjacent): it runs once per class of
+    # the grid's kept table and call, whatever the window, and the report holds one record per
+    # class, the class (0, False) of the differences past twice the radius first, the rest in
+    # order of first appearance
     calls = []
     check = periodic.two_color_check
 
@@ -1327,55 +1335,88 @@ def test_grid_reject_checks_each_h_adjacent_class_once(spec, monkeypatch):
 
     monkeypatch.setattr(periodic, "two_color_check", counted)
     r = spec.valency
-    for window in (1, 2, 3, 4):
-        deltas = [(dx, dy) for dx in range(window + 1) for dy in range(-window, window + 1)
-                  if dx > 0 or dy > 0]
-        classes = {delta: grid_h_by_counting(spec.offsets, delta) for delta in deltas}
+    near = [grid_h_by_counting(spec.offsets, delta) for delta in half_window(2 * spec.radius)]
+    kept = list(dict.fromkeys([(0, False), *near]))
+    for window in (1, 2, 3, 4, 7):
+        classes = {delta: grid_h_by_counting(spec.offsets, delta) for delta in half_window(window)}
         for b, c in product(range(r + 1), repeat=2):
             calls.clear()
             report = grid_reject_2color(spec, params(b, c, r), window=window, node_budget=0)
-            assert sorted(calls) == sorted(set(classes.values()))
-            assert [(cls.h, cls.adjacent) for cls in report.classes] == list(dict.fromkeys(classes.values()))
-            assert [(delta, report.classes[k][:2]) for delta, k in report.deltas] == list(classes.items())
+            assert calls == kept
+            assert [(cls.h, cls.adjacent) for cls in report.classes] == kept
+            assert [(delta, report.classes[k][:2]) for delta, k in report.rows()] == list(classes.items())
     # the default window: 12 differences in 4 classes at radius 1, and 40 in 6 at radius 2
     calls.clear()
     report = grid_reject_2color(spec, params(1, 1, r))
-    assert (len(report.deltas), len(report.classes), len(calls)) == ((12, 4, 4) if spec.radius == 1 else (40, 6, 6))
+    counts = (len(list(report.rows())), len(report.classes), len(calls))
+    assert counts == ((12, 4, 4) if spec.radius == 1 else (40, 6, 6))
 
 
-def test_grid_reject_reads_one_delta_table_per_grid_and_window():
+def test_grid_reject_reads_one_delta_table_per_grid():
     spec = GridSpec.triangular()
     _delta_table.cache_clear()
-    deltas = [(dx, dy) for dx in range(4) for dy in range(-3, 4) if dx > 0 or dy > 0]
-    for b, c in product(range(1, 7), repeat=2):
-        report = grid_reject_2color(spec, params(b, c, 6), window=3)
-        assert [(delta, *report.classes[k][:2]) for delta, k in report.deltas] == [
-            (delta, *grid_h(spec, delta)) for delta in deltas
-        ]
-    assert (_delta_table.cache_info().misses, _delta_table.cache_info().hits) == (1, 35)
+    for window in (3, None, 1, 9):
+        deltas = half_window(2 if window is None else window)
+        for b, c in product(range(1, 7), repeat=2):
+            report = grid_reject_2color(spec, params(b, c, 6), window=window)
+            assert [(delta, *report.classes[k][:2]) for delta, k in report.rows()] == [
+                (delta, *grid_h(spec, delta)) for delta in deltas
+            ]
+    assert (_delta_table.cache_info().misses, _delta_table.cache_info().hits) == (1, 143)
+    assert len(_delta_table(spec)[1]) == 12  # the differences within twice the radius
 
 
 def test_grid_reject_reports_share_one_table_of_differences():
     spec = GridSpec.triangular()
     first = grid_reject_2color(spec, params(1, 1, 6), window=3)
     second = grid_reject_2color(spec, params(6, 6, 6), window=3)
-    assert first.deltas is second.deltas is _delta_table(spec, 3)[1]
+    third = grid_reject_2color(spec, params(6, 6, 6), window=40)
+    assert first.kept is second.kept is third.kept is _delta_table(spec)[1]
     assert first.classes != second.classes
+    assert (second.verdict, second.note, second.monochromatic) == (third.verdict, third.note, third.monochromatic)
 
 
 def test_grid_reject_builds_nothing_per_difference_on_a_kept_table():
-    # at window 200 a copy of 80,400 rows of about 88 B each would be about 7 MB
+    # at window 200 a table of its 80,400 rows of about 135 B each would be about 10 MB, and at
+    # window 10**6 about 270 GB; the kept table holds the 12 rows within twice the radius
     spec = GridSpec.square()
-    grid_reject_2color(spec, params(1, 1, 4), window=200)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        report = grid_reject_2color(spec, params(1, 1, 4), window=200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < 1 << 20
-    assert len(report.deltas) == 80_400 and report.verdict.feasible
+    grid_reject_2color(spec, params(1, 1, 4))
+    for window in (200, 10**6):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = grid_reject_2color(spec, params(1, 1, 4), window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1 << 20
+        assert report.window == window and len(report.kept) == 12 and report.verdict.feasible
+    assert sum(1 for _ in grid_reject_2color(spec, params(1, 1, 4), window=200).rows()) == 80_400
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), min_size=1, max_size=4), st.data())
+def test_grid_reject_past_twice_the_radius_nothing_fires(offsets, data):
+    # differences past twice the offsets' radius R share the class (0, False), which never fires:
+    # the derived rows match a table counted on the grid at every window, and a window wider
+    # than 2R gives the verdict, note and forced directions of the window 2R
+    spec = GridSpec(frozenset(offsets) | {(-x, -y) for x, y in offsets})
+    reach = 2 * spec.radius
+    r = spec.valency
+    ring = [delta for delta in half_window(reach + 2) if max(abs(delta[0]), abs(delta[1])) > reach]
+    assert {grid_h(spec, delta) for delta in ring} == {(0, False)}
+    b = Fraction(data.draw(st.integers(0, 2 * r)), 2)
+    c = Fraction(data.draw(st.integers(0, 2 * r)), 2)
+    first = None
+    for window in range(1, reach + 4):
+        report = grid_reject_2color(spec, params(b, c, r), window=window, node_budget=1000)
+        assert [(delta, report.classes[k][:2]) for delta, k in report.rows()] == [
+            (delta, grid_h_by_counting(spec.offsets, delta)) for delta in half_window(window)
+        ]
+        if window >= reach:
+            first = first or report
+            assert (report.verdict, report.note, report.monochromatic) == (
+                first.verdict, first.note, first.monochromatic)
 
 
 # --- shapes kept between searches ---------------------------------------------------------------
