@@ -376,8 +376,8 @@ def _cmd_grid_reject(args) -> int:
         ))
     else:
         lines = [f"overall: {verdict.status.value}", *filter(None, (verdict.violated, report.note))]
-        kept = dict(report.kept)  # every forced difference is a kept row
-        lines += [f"delta {delta}: INFEASIBLE ({report.classes[kept[delta]].verdict.violated}); "
+        classes, kept = report.classes, report.kept  # every forced difference is in the kept table
+        lines += [f"delta {delta}: INFEASIBLE ({classes[kept[delta]].verdict.violated}); "
                   "pairs forced monochromatic" for delta in report.monochromatic]
         _write(("\n".join(lines),))
     return _STATUS_EXITS[verdict.status]

@@ -142,7 +142,7 @@ def induced_parameters(g: Graph, f: Coloring) -> RationalMatrix | None:
     rows, mismatch, d = _class_sums(*_sparse_rows(g.adjacency), f.colors, f.k)
     if mismatch is not None:
         return None
-    return RationalMatrix(rows).scaled(Fraction(1, d))  # type: ignore[arg-type]
+    return RationalMatrix.from_integer_form(tuple(map(tuple, rows)), d)  # type: ignore[arg-type]
 
 
 def imperfection_witness(g: Graph, f: Coloring) -> tuple[int, int] | None:

@@ -302,9 +302,8 @@ def circulant_enumerate(
         checks[x] = shared.setdefault(checks[x], checks[x])
     band = 0  # the band on entering p
     parked = [0] * period  # parked[p]: the fields of vertex p - reach, shifted out on leaving p
-    color = [0] * period
+    color = [0] * period  # color[p]: the color position p holds or tried last, 0 once it is left
     top = [0] * (period + 1)  # top[p]: highest color at positions before p
-    next_color = [1] * period
     row: list[int | None] = [None] * (k + 1)  # packed counts of a color's first checked vertex
     rows_set = [(-1, 0)]  # (position, color) of each row set, on a sentinel that never pops
     follow: list[tuple[int, ...]] = [()] * (period + 1)  # rotations s renaming s..p-1 as 0..p-s-1
@@ -338,10 +337,9 @@ def circulant_enumerate(
                 found.append(EnumeratedColoring(Coloring._unchecked(tuple(color), top[p]), matrix))
             p -= 1
             band = ((band & behind) << span | parked[p]) - add[color[p]]
-        elif next_color[p] <= k and next_color[p] <= top[p] + 1:
+        elif color[p] < k and color[p] <= top[p]:  # color[p] + 1 is at most k and top[p] + 1
             nodes += 1
-            c = next_color[p]
-            next_color[p] = c + 1
+            c = color[p] + 1
             color[p] = c
             x = band + add[c]
             before[p] = seen = last[c]
@@ -376,7 +374,7 @@ def circulant_enumerate(
                     p += 1
                     continue
         else:
-            next_color[p] = 1
+            color[p] = 0
             p -= 1
             if p < 0:
                 return tuple(found)
@@ -509,10 +507,11 @@ class _Shape:
     The cells are laid down in runs of one line: ``order`` lists (line,
     count) pairs, each putting the cells of ``lines[line]`` down count
     times, so a window keeps one line per class of rows and never a list
-    of its cells.  Equal cells are one shared tuple.  ``totals`` holds the
-    total weights the constrained cells see, and ``first`` is the first
-    constrained cell (None if there is none).  On a quotient ``cycle`` is
-    its number of cells, and the engine reads offsets modulo it.
+    of its cells.  Equal cells are one shared tuple.  ``top`` is the total
+    weight every constrained cell sees, and ``first`` is the first
+    constrained cell; they are 0 and None when no cell is constrained.  On
+    a quotient ``cycle`` is its number of cells, and the engine reads
+    offsets modulo it.
     ``plans`` keeps the engine's packing of the shape for each S it was
     searched with (``_plan``), at most ``_KEPT_PLANS`` of them, the oldest
     dropped first.  A shape is hashed and compared by identity.
@@ -520,7 +519,7 @@ class _Shape:
 
     lines: tuple[tuple[Cell, ...], ...]
     order: tuple[tuple[int, int], ...]
-    totals: frozenset[int]
+    top: int
     first: int | None
     cycle: int = 0
     plans: dict = field(default_factory=dict, repr=False)
@@ -541,11 +540,11 @@ def _window(spec: GridSpec, width: int, height: int) -> _Shape:
     """A width x height window prepared for ``_backtrack``.
 
     Each cell u says whether it is constrained and lists the pairs (w - u,
-    1) of the constrained cells w that see it; the totals are the weights
-    the constrained cells see.  Cell (x, y) is u = y*width + x, and offset
-    (ox, oy) leads to u + oy*width + ox.  A cell is constrained when it lies
-    at least the offsets' x and y reach from each side, and then every cell
-    it sees is inside.  Which seers are constrained depends only on how near
+    1) of the constrained cells w that see it.  Cell (x, y) is
+    u = y*width + x, and offset (ox, oy) leads to u + oy*width + ox.  A
+    cell is constrained when it lies at least the offsets' x and y reach
+    from each side; then every cell it sees is inside, so the shape's top
+    is the valency.  Which seers are constrained depends only on how near
     each border the cell lies, so a cell's entry is built once per class of
     columns and of rows, and a row is a line of the shape, one per class of
     rows.  Rows at least twice the reach from both borders form one class,
@@ -586,8 +585,8 @@ def _window(spec: GridSpec, width: int, height: int) -> _Shape:
             lines.append(tuple(map(by_kind.__getitem__, column_kind)))
         order.append((numbers[row], count))
     if width > 2 * reach_x and height > 2 * reach_y:  # (reach_x, reach_y) is the first constrained cell
-        return _Shape(tuple(lines), tuple(order), frozenset({spec.valency}), reach_y * width + reach_x)
-    return _Shape(tuple(lines), tuple(order), frozenset(), None)
+        return _Shape(tuple(lines), tuple(order), spec.valency, reach_y * width + reach_x)
+    return _Shape(tuple(lines), tuple(order), 0, None)
 
 
 def torus_quotient(spec: GridSpec, periods: tuple[int, int]) -> Graph:
@@ -654,7 +653,7 @@ def _plan(shape: _Shape, ints: tuple[tuple[int, ...], ...], denom: int) -> tuple
     window and searched in the same bands.
     """
     k, cycle = len(ints), shape.cycle
-    top = max(shape.totals, default=0) * denom
+    top = shape.top * denom
     width = top.bit_length() + 1
     guard = 1 << width - 1
     span = k * width  # the bits of one cell
@@ -698,8 +697,8 @@ def _backtrack(
     each constrained cell w that sees u, one pair per w; on a quotient's
     ``cycle`` of cells the offsets are read modulo it, and in a window
     (``cycle`` 0) as they are.  Cells with equal entries may share one
-    object, which is then prepared once.  The shape's ``totals`` hold the
-    total weights the constrained cells see.  The engine never changes the
+    object, which is then prepared once.  The shape's ``top`` is the total
+    weight every constrained cell sees.  The engine never changes the
     shape's geometry.  What it derives from the shape and S, the packed
     deltas of each distinct cell and the band's layout below, is the
     shape's plan for S (``_plan``): it is built on the first search of that
@@ -712,16 +711,15 @@ def _backtrack(
 
     A constrained cell of color i must see exactly s[i-1, j-1] weight of
     color j; a colored one ends the branch when it sees too much of some
-    color.  Every total must equal each row sum of S;
-    then a complete coloring with no color over its target meets every row
-    exactly, so colors short of their target need no cut.  Each cell tries
-    the colors 1..k in order, except that ``pin_first`` pins the first
-    constrained cell to color 1 (nothing is pinned if the cells stop before
-    one).  On a quotient (``cycle`` > 0) every coloring uses all k colors:
-    a branch ends once the unused colors outnumber the cells left.
-    Complete colorings are collected, only the first unless ``find_all``.
-    Each color tried at a cell is one node; the search stops after
-    ``node_budget`` of them.  The rows of S are scaled to integers by its
+    color.  ``top`` must equal each row sum of S; then a complete coloring
+    with no color over its target meets every row exactly, so colors short
+    of their target need no cut.  Each cell tries the colors 1..k in order,
+    except that ``pin_first`` pins the first constrained cell to color 1
+    (nothing is pinned if the cells stop before one).  On a quotient
+    (``cycle`` > 0) every coloring uses all k colors: a branch ends once the
+    unused colors outnumber the cells left.  Complete colorings are
+    collected, only the first unless ``find_all``.  Each color tried at a
+    cell is one node; the search stops after ``node_budget`` of them.  The rows of S are scaled to integers by its
     denominator, and the weights with them; a color counter per cell stands
     in for recursion, so no window is too deep for the interpreter stack.
 
@@ -795,8 +793,8 @@ def _backtrack(
     """
     k = s.rows
     ints, denom = s.integer_form()
-    totals, cycle = shape.totals, shape.cycle
-    if totals and len({total * denom for total in totals} | {sum(row) for row in ints}) != 1:
+    cycle = shape.cycle
+    if shape.top and any(sum(row) != shape.top * denom for row in ints):
         raise ValueError("every constrained cell must see a total weight equal to each row sum of S")
     if min(min(row) for row in ints) < 0:
         raise ValueError("every entry of S must be non-negative")
@@ -912,7 +910,8 @@ def _quotient(spec: GridSpec, basis: tuple[tuple[int, int], ...]) -> tuple[Neigh
 
     Vertex u's list is who sees u, as the quotient is symmetric.  The shape
     is one line of every cell; each offset w - u is the residue modulo the
-    cycle nearest to zero, and equal cells are one shared tuple.
+    cycle nearest to zero, and equal cells are one shared tuple.  A list
+    counts the offsets, so every cell sees the valency.
     """
     nbrs = _lattice_neighbors(spec, basis)
     n = len(nbrs)
@@ -920,7 +919,7 @@ def _quotient(spec: GridSpec, basis: tuple[tuple[int, int], ...]) -> tuple[Neigh
     shared: dict[Cell, Cell] = {}
     cells = ((True, tuple(((w - u + half) % n - half, a) for w, a in row)) for u, row in enumerate(nbrs))
     line = tuple(shared.setdefault(cell, cell) for cell in cells)
-    return nbrs, _Shape((line,), ((0, 1),), frozenset(sum(a for _, a in row) for row in nbrs), 0, n)
+    return nbrs, _Shape((line,), ((0, 1),), spec.valency, 0, n)
 
 
 def _quotient_colorings(
@@ -1014,21 +1013,26 @@ class GridClass(NamedTuple):
     verdict: FilterVerdict
 
 
+def _differences(w: int) -> Iterator[tuple[int, int]]:
+    """One delta of each +-pair with max(|dx|, |dy|) <= w, dx major and dy ascending."""
+    for dx in range(w + 1):
+        for dy in range(-w if dx else 1, w + 1):
+            yield dx, dy
+
+
 @dataclass(frozen=True)
 class GridRejectReport:
     verdict: FilterVerdict
     classes: tuple[GridClass, ...]  # the kept table's, the class (0, False) first
     window: int
-    kept: tuple[tuple[tuple[int, int], int], ...]  # the kept table's rows, shared by every report on the grid
+    kept: dict[tuple[int, int], int]  # the kept table, delta -> class index, shared by every report on the grid
     monochromatic: tuple[tuple[int, int], ...]
     note: str | None = None
 
     def rows(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """(delta, class index) for one delta of each +-pair in the window, dx major."""
-        index, w = dict(self.kept), self.window
-        for dx in range(w + 1):
-            for dy in range(-w if dx else 1, w + 1):
-                yield (dx, dy), index.get((dx, dy), 0)  # class 0 is (0, False), past the kept rows
+        """(delta, class index) for each difference of the window, in ``_differences`` order."""
+        for delta in _differences(self.window):
+            yield delta, self.kept.get(delta, 0)  # class 0 is (0, False), past the kept table
 
 
 def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> list[int]:
@@ -1043,9 +1047,9 @@ def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> lis
 
 
 @lru_cache(maxsize=8)
-def _delta_table(spec: GridSpec) -> tuple[tuple[PairContext, ...], tuple[tuple, ...], int]:
-    """(pair contexts, rows, reach): one context per (h, adjacent) class, and a row
-    (delta, class index) for one delta of each +-pair with max(|dx|, |dy|) <= reach.
+def _delta_table(spec: GridSpec) -> tuple[tuple[PairContext, ...], dict[tuple[int, int], int], int]:
+    """(pair contexts, kept table, reach): one context per (h, adjacent) class, and the
+    class index of each difference within reach, keyed by delta in ``_differences`` order.
 
     Past reach = twice the offsets' radius a difference has no common neighbor and is
     no offset, so its class (0, False), put first, never fires: its window 0 <= b+c <= 2r
@@ -1053,11 +1057,8 @@ def _delta_table(spec: GridSpec) -> tuple[tuple[PairContext, ...], tuple[tuple, 
     """
     reach = 2 * spec.radius
     classes = {(0, False): 0}
-    rows = []
-    for dx in range(reach + 1):
-        for dy in range(-reach if dx else 1, reach + 1):  # one representative per +-delta pair
-            rows.append(((dx, dy), classes.setdefault(grid_h(spec, (dx, dy)), len(classes))))
-    return tuple(PairContext(Fraction(spec.valency), h, adjacent) for h, adjacent in classes), tuple(rows), reach
+    kept = {delta: classes.setdefault(grid_h(spec, delta), len(classes)) for delta in _differences(reach)}
+    return tuple(PairContext(Fraction(spec.valency), h, adjacent) for h, adjacent in classes), kept, reach
 
 
 def grid_reject_2color(
@@ -1101,8 +1102,7 @@ def grid_reject_2color(
     w = reach if window is None else window
     classes = tuple([GridClass(ctx.h, ctx.adjacent, two_color_check(ctx, params)) for ctx in contexts])
     forced = [cls.verdict.infeasible for cls in classes]
-    rows = kept if w >= reach else [row for row in kept if max(row[0][0], abs(row[0][1])) <= w]
-    mono = tuple([delta for delta, k in rows if forced[k]])
+    mono = tuple([delta for delta, k in kept.items() if forced[k] and max(delta[0], abs(delta[1])) <= w])
 
     def report(verdict: FilterVerdict, note: str | None = None) -> GridRejectReport:
         return GridRejectReport(verdict, classes, w, kept, mono, note)
@@ -1207,7 +1207,7 @@ def patch_search(
         raise ValueError("patch dimensions must be positive")
     _check_node_budget(node_budget)
     shape = _window(spec, width, height)
-    if not shape.totals:
+    if shape.first is None:
         raise ValueError("patch too small: no cell has its whole neighborhood inside")
 
     s = _target_matrix(target, spec.valency)

@@ -75,32 +75,30 @@ class RationalMatrix:
         # entries in lowest terms over their least common denominator share no factor with it
         self._ints, self._d = rows, d
 
-    @classmethod
-    def _reduced(cls, ints: tuple[tuple[int, ...], ...], d: int) -> "RationalMatrix":
-        """Wrap integer rows over d > 0, non-empty and of equal length, dividing out gcd(d, *ints)."""
-        if d != 1:
-            g = gcd(d, *chain.from_iterable(ints))
-            if g != 1:
-                ints = tuple(tuple(x // g for x in row) for row in ints)
-                d //= g
-        m = object.__new__(cls)
-        m._ints, m._d = ints, d
-        return m
-
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The stored integer rows and denominator d: self[i, j] = rows[i][j] / d, d the least common one."""
         return self._ints, self._d
 
     @classmethod
     def from_integer_form(cls, rows: tuple[tuple[int, ...], ...], d: int = 1) -> "RationalMatrix":
-        """The matrix rows[i][j] / d, for d > 0 and non-empty integer tuples of one length; no entry is coerced."""
-        return cls._reduced(rows, d)
+        """The matrix rows[i][j] / d, for d > 0 and non-empty integer tuples of one length.
+
+        No entry is coerced; gcd(d, *entries) is divided out, which gives the stored form.
+        """
+        if d != 1:
+            g = gcd(d, *chain.from_iterable(rows))
+            if g != 1:
+                rows = tuple(tuple(x // g for x in row) for row in rows)
+                d //= g
+        m = object.__new__(cls)
+        m._ints, m._d = rows, d
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         if n < 1:
             raise ValueError("matrix must have at least one row and one column")
-        return cls._reduced(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        return cls.from_integer_form(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -133,7 +131,8 @@ class RationalMatrix:
     def scaled(self, factor: RatLike) -> "RationalMatrix":
         f = rat(factor)
         p = f.numerator
-        return RationalMatrix._reduced(tuple(tuple(x * p for x in row) for row in self._ints), self._d * f.denominator)
+        rows = tuple(tuple(x * p for x in row) for row in self._ints)
+        return RationalMatrix.from_integer_form(rows, self._d * f.denominator)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Exact product: with A = A'/da and B = B'/db, it is A'B' / (da db), reduced once.
@@ -160,7 +159,7 @@ class RationalMatrix:
             else:
                 bt = bt or tuple(zip(*b))  # columns of other
                 rows.append(tuple(sum(map(mul, row, col)) for col in bt))
-        return RationalMatrix._reduced(tuple(rows), self._d * other._d)
+        return RationalMatrix.from_integer_form(tuple(rows), self._d * other._d)
 
     def __pow__(self, exponent: int) -> "RationalMatrix":
         if not self.is_square:
@@ -250,14 +249,6 @@ class Polynomial:
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
 
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self._coeffs == (Fraction(0),)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
@@ -332,4 +323,4 @@ def _add_diagonal(a: RationalMatrix, c: Fraction) -> RationalMatrix:
         row = [x * f for x in row]
         row[i] += diagonal
         rows.append(tuple(row))
-    return RationalMatrix._reduced(tuple(rows), d)
+    return RationalMatrix.from_integer_form(tuple(rows), d)

@@ -58,7 +58,7 @@ def minimal_rejecting_patch(
 def square_grid_diagonal_rejection() -> ReproItem:
     spec = GridSpec.square()
     report = grid_reject_2color(spec, _params(4, 3, 4))
-    diag = report.classes[dict(report.rows())[1, 1]]
+    diag = report.classes[report.kept[1, 1]]
     ok = (
         diag.verdict.infeasible
         and diag.verdict.lhs == 7

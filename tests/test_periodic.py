@@ -62,10 +62,10 @@ from perfcolor.periodic import (
 from perfcolor.ratmat import RationalMatrix
 
 
-def line_shape(cells, totals):
-    """Explicit window cells as a ``_backtrack`` shape of one line."""
+def line_shape(cells, top):
+    """Explicit window cells as a ``_backtrack`` shape of one line, each constrained one seeing top."""
     first = next((u for u, (constrained, _) in enumerate(cells) if constrained), None)
-    return _Shape((tuple(cells),), ((0, 1),), frozenset(totals), first)
+    return _Shape((tuple(cells),), ((0, 1),), top, first)
 
 
 def params(b, c, r):
@@ -835,11 +835,12 @@ def test_backtrack_requires_cell_weight_equal_to_row_sums():
     # a cell seeing weight 1 against a row summing to 2 could never meet it,
     # yet the engine only cuts colors over target, so it refuses such input
     with pytest.raises(ValueError, match="row sum"):
-        _backtrack(RationalMatrix([[2]]), line_shape([(True, ((0, 1),))], {1}), node_budget=10)
-    # cells seeing totals 1 and 2 against rows summing to 1 and 2: not one common total
+        _backtrack(RationalMatrix([[2]]), line_shape([(True, ((0, 1),))], 1), node_budget=10)
+    # rows summing to 1 and 2 against one total: one of them always differs from it
     cells = [(True, ((0, 1), (1, 1))), (True, ((0, 1),))]
-    with pytest.raises(ValueError, match="row sum"):
-        _backtrack(RationalMatrix([[1, 0], [0, 2]]), line_shape(cells, {1, 2}), node_budget=10)
+    for top in (1, 2):
+        with pytest.raises(ValueError, match="row sum"):
+            _backtrack(RationalMatrix([[1, 0], [0, 2]]), line_shape(cells, top), node_budget=10)
 
 
 def test_patch_search_budget_exhaustion():
@@ -889,7 +890,7 @@ def test_patch_search_target_with_negative_entry_is_malformed():
         lambda: torus_search(GridSpec.square(), (2, 2), (1, 7)),
         lambda: patch_search(GridSpec.square(), RationalMatrix([[5, -1], [2, 2]]), (4, 4)),
         lambda: _backtrack(  # a negative entry would borrow across the engine's packed fields
-            RationalMatrix([[5, -1], [2, 2]]), line_shape([(False, ())], ()), node_budget=10
+            RationalMatrix([[5, -1], [2, 2]]), line_shape([(False, ())], 0), node_budget=10
         ),
     ):
         with pytest.raises(ValueError, match="negative"):
@@ -986,7 +987,7 @@ def test_backtrack_matches_reference_search(spec, data):
         flags = [True] * len(targets)
         interior = [0]  # every cell is constrained
         shape = _quotient(spec, tuple(basis))[1]
-        assert shape.totals == frozenset({r})
+        assert shape.top == r
     allowed = [tuple(range(1, k + 1))] * len(targets)
     if pin_first and interior:
         allowed[interior[0]] = (1,)
@@ -1070,7 +1071,7 @@ def test_search_trees_of_the_grid_corpus(grid, bc, search, shape, status, nodes,
 def test_grid_reject_square_43():
     report = grid_reject_2color(GridSpec.square(), params(4, 3, 4))
     assert report.verdict.infeasible
-    diag = report.classes[dict(report.rows())[1, 1]]
+    diag = report.classes[report.kept[1, 1]]
     assert diag.verdict.infeasible
     assert (diag.verdict.lhs, diag.verdict.rhs) == (7, 6)
     assert set(report.monochromatic) == {(1, 1), (1, -1)}
@@ -1265,7 +1266,8 @@ def test_window_matches_coordinate_oracle(spec):
             flags, interior, targets = window_by_coordinates(spec.offsets, width, height)
             seen = Counter(w for column in targets for w, _ in column)
             shape = _window(spec, width, height)
-            assert shape.totals == frozenset(seen[w] for w in interior)
+            assert {seen[w] for w in interior} == ({shape.top} if interior else set())
+            assert shape.top == (spec.valency if interior else 0)
             assert shape.first == (interior[0] if interior else None)
             for prefix in range(1, width * height + 2):
                 cells = _laid(shape.lines, shape.order, prefix)
@@ -1398,8 +1400,9 @@ def test_grid_reject_builds_nothing_per_difference_on_a_kept_table():
 @given(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), min_size=1, max_size=4), st.data())
 def test_grid_reject_past_twice_the_radius_nothing_fires(offsets, data):
     # differences past twice the offsets' radius R share the class (0, False), which never fires:
-    # the derived rows match a table counted on the grid at every window, and a window wider
-    # than 2R gives the verdict, note and forced directions of the window 2R
+    # the derived rows match a table counted on the grid at every window, the forced directions
+    # are their INFEASIBLE rows in order, and a window wider than 2R gives the verdict, note and
+    # forced directions of the window 2R
     spec = GridSpec(frozenset(offsets) | {(-x, -y) for x, y in offsets})
     reach = 2 * spec.radius
     r = spec.valency
@@ -1413,6 +1416,8 @@ def test_grid_reject_past_twice_the_radius_nothing_fires(offsets, data):
         assert [(delta, report.classes[k][:2]) for delta, k in report.rows()] == [
             (delta, grid_h_by_counting(spec.offsets, delta)) for delta in half_window(window)
         ]
+        assert report.monochromatic == tuple(
+            delta for delta, k in report.rows() if report.classes[k].verdict.infeasible)
         if window >= reach:
             first = first or report
             assert (report.verdict, report.note, report.monochromatic) == (
@@ -1500,7 +1505,7 @@ def test_a_kept_shape_is_unchanged_by_its_searches():
         assert torus_search(spec, (4, 5), (3, 3), node_budget=25).stats.nodes == 26
 
     def frozen():  # every byte of both shapes, their plans and the quotient's neighbor lists
-        return pickle.dumps([(s.lines, s.order, s.totals, s.cycle, s.plans) for s in (window, quotient[1])]
+        return pickle.dumps([(s.lines, s.order, s.top, s.cycle, s.plans) for s in (window, quotient[1])]
                             + [quotient[0]])
 
     searches()  # the first searches pack the plans
