@@ -37,8 +37,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 from math import gcd
 from typing import NamedTuple
 
@@ -124,12 +124,8 @@ class CirculantSpec:
         return cls(tuple(int(part) for part in text.split(",") if part.strip()))
 
 
-@lru_cache(maxsize=4096)
 def circulant_h(spec: CirculantSpec, t: int) -> int:
-    """Common neighbors of x and x+t: |{+-d_i} multiset-cap {t +- d_i}|.
-
-    Memoized: a sweep over many (b, c) pairs asks for the same shifts again.
-    """
+    """Common neighbors of x and x+t: |{+-d_i} multiset-cap {t +- d_i}|, 0 unless t is in (D + D) | |D - D|."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     left = Counter()
@@ -150,6 +146,16 @@ class PeriodConstraint:
     divides: int  # gcd of fired, 0 when nothing fired
 
 
+@lru_cache(maxsize=8)
+def _shift_table(spec: CirculantSpec) -> tuple[tuple[int, int, int], ...]:
+    """(t, low, high) for each t in D | (D + D) | |D - D|, ascending, where the window of
+    x and x+t is low <= b+c <= high.  The tables of the last eight sets are kept."""
+    ds = set(spec.ds)
+    shifts = ds | {d + e for d in ds for e in ds} | {abs(d - e) for d in ds for e in ds if d != e}
+    hs = {t: circulant_h(spec, t) for t in sorted(shifts)}
+    return tuple((t, h + 2 if t in ds else h, 4 * spec.m - h) for t, h in hs.items())
+
+
 def circulant_period_filter(
     spec: CirculantSpec, params: TwoColorParams, t_max: int
 ) -> PeriodConstraint:
@@ -160,8 +166,8 @@ def circulant_period_filter(
     length.  Any of these contradicts a differently colored pair at
     distance t, so the coloring's period must divide every fired t, hence
     their gcd.  As in the searches (``_target_matrix``), r is 2m and b, c lie in
-    0..r; t_max is at least 1.  Past 2 max(D) no shift fires: there h = 0,
-    t is no connection length, and 0 <= b+c <= 4m, so the scan stops there.
+    0..r; t_max is at least 1.  A shift outside ``_shift_table`` (m(m+1) at most) has h = 0 and
+    is no connection length, and 0 <= b+c <= 4m, so it never fires, however large t_max or D.
     b+c is read once as num/den, den > 0, and each bound x is compared as
     x * den with num, in integers.
     """
@@ -170,11 +176,7 @@ def circulant_period_filter(
     _check_two_color_target(params, spec.valency)
     bc = params.b_plus_c
     num, den = bc.numerator, bc.denominator
-    fired = []
-    for t in range(1, min(t_max, 2 * max(spec.ds)) + 1):
-        h = circulant_h(spec, t)
-        if num > (4 * spec.m - h) * den or num < h * den or (t in spec.ds and num < (h + 2) * den):
-            fired.append(t)
+    fired = [t for t, low, high in _shift_table(spec) if t <= t_max and not low * den <= num <= high * den]
     return PeriodConstraint(tuple(fired), gcd(*fired))
 
 
@@ -430,7 +432,7 @@ class GridSpec:
     def valency(self) -> int:
         return len(self.offsets)
 
-    @property
+    @cached_property  # read by every grid_reject_2color call at the default window
     def radius(self) -> int:
         return max(max(abs(x), abs(y)) for x, y in self.offsets)
 
@@ -1013,13 +1015,6 @@ class GridClass(NamedTuple):
     verdict: FilterVerdict
 
 
-def _differences(w: int) -> Iterator[tuple[int, int]]:
-    """One delta of each +-pair with max(|dx|, |dy|) <= w, dx major and dy ascending."""
-    for dx in range(w + 1):
-        for dy in range(-w if dx else 1, w + 1):
-            yield dx, dy
-
-
 @dataclass(frozen=True)
 class GridRejectReport:
     verdict: FilterVerdict
@@ -1030,9 +1025,11 @@ class GridRejectReport:
     note: str | None = None
 
     def rows(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """(delta, class index) for each difference of the window, in ``_differences`` order."""
-        for delta in _differences(self.window):
-            yield delta, self.kept.get(delta, 0)  # class 0 is (0, False), past the kept table
+        """(delta, class index) for each delta > (0, 0) with max(|dx|, |dy|) <= window, in sorted order."""
+        w = self.window
+        for delta in product(range(w + 1), range(-w, w + 1)):
+            if delta > (0, 0):
+                yield delta, self.kept.get(delta, 0)  # class 0 is (0, False), outside the kept table
 
 
 def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> list[int]:
@@ -1047,18 +1044,19 @@ def _coset_sizes(offsets: frozenset[tuple[int, int]], g: tuple[int, int]) -> lis
 
 
 @lru_cache(maxsize=8)
-def _delta_table(spec: GridSpec) -> tuple[tuple[PairContext, ...], dict[tuple[int, int], int], int]:
-    """(pair contexts, kept table, reach): one context per (h, adjacent) class, and the
-    class index of each difference within reach, keyed by delta in ``_differences`` order.
+def _delta_table(spec: GridSpec) -> tuple[tuple[PairContext, ...], dict[tuple[int, int], int]]:
+    """(pair contexts, kept table): one context per (h, adjacent) class, and the class
+    index of each delta > (0, 0) in offsets | (offsets - offsets), in sorted order.
 
-    Past reach = twice the offsets' radius a difference has no common neighbor and is
-    no offset, so its class (0, False), put first, never fires: its window 0 <= b+c <= 2r
-    holds for every b, c in 0..r.  The tables of the last eight grids are kept.
+    Any other difference has no common neighbor and is no offset, so its class (0, False),
+    put first, never fires: its window 0 <= b+c <= 2r holds for every b, c in 0..r.  The
+    tables of the last eight grids are kept.
     """
-    reach = 2 * spec.radius
+    offsets = spec.offsets
+    deltas = {d for d in offsets | {(x - u, y - v) for x, y in offsets for u, v in offsets} if d > (0, 0)}
     classes = {(0, False): 0}
-    kept = {delta: classes.setdefault(grid_h(spec, delta), len(classes)) for delta in _differences(reach)}
-    return tuple(PairContext(Fraction(spec.valency), h, adjacent) for h, adjacent in classes), kept, reach
+    kept = {delta: classes.setdefault(grid_h(spec, delta), len(classes)) for delta in sorted(deltas)}
+    return tuple(PairContext(Fraction(spec.valency), h, adjacent) for h, adjacent in classes), kept
 
 
 def grid_reject_2color(
@@ -1098,8 +1096,8 @@ def grid_reject_2color(
     b, c = params.b, params.c
     if window is not None and window < 1:
         raise ValueError(f"the window must be at least 1, not {window}")
-    contexts, kept, reach = _delta_table(spec)
-    w = reach if window is None else window
+    contexts, kept = _delta_table(spec)
+    w = 2 * spec.radius if window is None else window
     classes = tuple([GridClass(ctx.h, ctx.adjacent, two_color_check(ctx, params)) for ctx in contexts])
     forced = [cls.verdict.infeasible for cls in classes]
     mono = tuple([delta for delta, k in kept.items() if forced[k] and max(delta[0], abs(delta[1])) <= w])

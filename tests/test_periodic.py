@@ -1,4 +1,5 @@
 import pickle
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -46,6 +47,7 @@ from perfcolor.periodic import (
     _lattice_basis,
     _lattice_neighbors,
     _quotient,
+    _shift_table,
     _window,
     circulant_enumerate,
     circulant_h,
@@ -147,7 +149,8 @@ def test_period_filter_valency_check():
 
 
 def test_period_filter_stops_at_twice_the_longest_connection():
-    # past 2 max(D) no shift fires, so a huge t_max costs no more than 2 max(D)
+    # only the shifts in D, D + D and |D - D| can fire, all at most 2 max(D), so a huge t_max
+    # reads no more shifts than t_max = 2 max(D)
     spec = CirculantSpec((1, 2, 4))
     start = time.perf_counter()
     constraint = circulant_period_filter(spec, params(1, 1, 6), t_max=10**9)
@@ -155,23 +158,29 @@ def test_period_filter_stops_at_twice_the_longest_connection():
     assert constraint == circulant_period_filter(spec, params(1, 1, 6), t_max=8)
 
 
+def _period_filter_fires(spec, p, t):
+    """The period filter's condition at shift t."""
+    bc, h = p.b + p.c, circulant_h(spec, t)
+    return bc > 4 * spec.m - h or bc < h or (t in spec.ds and bc < h + 2)
+
+
 def _period_filter_every_shift(spec, p, t_max):
     """The period filter's condition tried at every t in 1..t_max."""
-    bc = p.b + p.c
-    fired = tuple(
-        t for t in range(1, t_max + 1)
-        if bc > 4 * spec.m - circulant_h(spec, t) or bc < circulant_h(spec, t)
-        or (t in spec.ds and bc < circulant_h(spec, t) + 2)
-    )
+    fired = tuple(t for t in range(1, t_max + 1) if _period_filter_fires(spec, p, t))
     divides = 0
     for t in fired:
         divides = gcd(divides, t)
     return PeriodConstraint(fired, divides)
 
 
+# connection sets on which D | (D + D) | |D - D| leaves gaps in 1..2 max(D)
+SPARSE_CONNECTIONS = [(1, 9), (2, 17), (1, 6, 40), (3, 3, 50), (5, 5, 5)]
+
+
 @pytest.mark.parametrize(
     "ds",
-    [ds for size in range(1, 6) for ds in combinations(range(1, 6), size)] + [(1, 1), (2, 2, 3)],
+    [ds for size in range(1, 6) for ds in combinations(range(1, 6), size)]
+    + [(1, 1), (2, 2, 3)] + SPARSE_CONNECTIONS,
     ids=str,
 )
 def test_period_filter_matches_a_scan_of_every_shift(ds):
@@ -187,7 +196,9 @@ def test_period_filter_matches_a_scan_of_every_shift(ds):
             assert circulant_period_filter(spec, p, t_max) == _period_filter_every_shift(spec, p, t_max)
 
 
-@pytest.mark.parametrize("ds", [ds for size in range(1, 6) for ds in combinations(range(1, 6), size)], ids=str)
+@pytest.mark.parametrize(
+    "ds", [ds for size in range(1, 6) for ds in combinations(range(1, 6), size)] + SPARSE_CONNECTIONS, ids=str
+)
 def test_period_filter_fires_where_the_two_color_window_is_infeasible(ds):
     # circulant_period_filter re-codes two_color_check's window on integers; the two must agree
     spec = CirculantSpec(ds)
@@ -200,6 +211,24 @@ def test_period_filter_fires_where_the_two_color_window_is_infeasible(ds):
             if two_color_check(PairContext(Fraction(r), circulant_h(spec, t), t in ds), p).infeasible
         )
         assert circulant_period_filter(spec, p, top).fired == window
+
+
+def test_period_filter_reads_only_the_shifts_that_can_fire(monkeypatch):
+    # on C(1, 10**8) the shifts 1..2 max(D) number 2 * 10**8; the filter asks circulant_h for the
+    # m(m+1) = 6 shifts of D | (D + D) | |D - D| once, and every other shift fires nowhere
+    calls = []
+    h = periodic.circulant_h
+    monkeypatch.setattr(periodic, "circulant_h", lambda spec, t: calls.append(t) or h(spec, t))
+    _shift_table.cache_clear()
+    ds = (1, 10**8)
+    spec = CirculantSpec(ds)
+    candidates = {1, 2, 10**8 - 1, 10**8, 10**8 + 1, 2 * 10**8}
+    shifts = sorted(candidates | set(random.Random(34).sample(range(1, 10**9 + 1), 1000)))
+    for b, c in product(range(5), repeat=2):  # _period_filter_fires reads the unpatched circulant_h
+        p = params(b, c, 4)
+        fired = circulant_period_filter(spec, p, t_max=10**9).fired
+        assert fired == tuple(t for t in shifts if _period_filter_fires(spec, p, t))
+    assert len(calls) <= len(ds) * (len(ds) + 1) and set(calls) == candidates
 
 
 # --- circulant quotients -------------------------------------------------------------
@@ -1326,7 +1355,7 @@ def half_window(window):
 def test_grid_reject_checks_each_h_adjacent_class_once(spec, monkeypatch):
     # the window check reads a difference only through (h, adjacent): it runs once per class of
     # the grid's kept table and call, whatever the window, and the report holds one record per
-    # class, the class (0, False) of the differences past twice the radius first, the rest in
+    # class, the class (0, False) of the differences outside the kept table first, the rest in
     # order of first appearance
     calls = []
     check = periodic.two_color_check
@@ -1347,7 +1376,8 @@ def test_grid_reject_checks_each_h_adjacent_class_once(spec, monkeypatch):
             assert calls == kept
             assert [(cls.h, cls.adjacent) for cls in report.classes] == kept
             assert [(delta, report.classes[k][:2]) for delta, k in report.rows()] == list(classes.items())
-    # the default window: 12 differences in 4 classes at radius 1, and 40 in 6 at radius 2
+    # the default window 2R: 12 rows in 4 classes at radius 1, and 40 in 6 at radius 2, read from
+    # kept tables of 6 (square), 9 (triangular) and 10 differences
     calls.clear()
     report = grid_reject_2color(spec, params(1, 1, r))
     counts = (len(list(report.rows())), len(report.classes), len(calls))
@@ -1365,7 +1395,7 @@ def test_grid_reject_reads_one_delta_table_per_grid():
                 (delta, *grid_h(spec, delta)) for delta in deltas
             ]
     assert (_delta_table.cache_info().misses, _delta_table.cache_info().hits) == (1, 143)
-    assert len(_delta_table(spec)[1]) == 12  # the differences within twice the radius
+    assert len(_delta_table(spec)[1]) == 9  # the offsets and the differences of two, one of each +-pair
 
 
 def test_grid_reject_reports_share_one_table_of_differences():
@@ -1380,7 +1410,8 @@ def test_grid_reject_reports_share_one_table_of_differences():
 
 def test_grid_reject_builds_nothing_per_difference_on_a_kept_table():
     # at window 200 a table of its 80,400 rows of about 135 B each would be about 10 MB, and at
-    # window 10**6 about 270 GB; the kept table holds the 12 rows within twice the radius
+    # window 10**6 about 270 GB; the kept table holds the 6 differences that can fire: the
+    # offsets and the differences of two offsets, one of each +-pair
     spec = GridSpec.square()
     grid_reject_2color(spec, params(1, 1, 4))
     for window in (200, 10**6):
@@ -1392,15 +1423,16 @@ def test_grid_reject_builds_nothing_per_difference_on_a_kept_table():
         finally:
             tracemalloc.stop()
         assert peak - start < 1 << 20
-        assert report.window == window and len(report.kept) == 12 and report.verdict.feasible
+        assert report.window == window and len(report.kept) == 6 and report.verdict.feasible
     assert sum(1 for _ in grid_reject_2color(spec, params(1, 1, 4), window=200).rows()) == 80_400
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), min_size=1, max_size=4), st.data())
 def test_grid_reject_past_twice_the_radius_nothing_fires(offsets, data):
-    # differences past twice the offsets' radius R share the class (0, False), which never fires:
-    # the derived rows match a table counted on the grid at every window, the forced directions
+    # a difference that is no offset and no difference of two offsets, as is each past twice the
+    # offsets' radius R, is in the class (0, False), which never fires: the derived rows match a
+    # table counted on the grid at every window, the forced directions
     # are their INFEASIBLE rows in order, and a window wider than 2R gives the verdict, note and
     # forced directions of the window 2R
     spec = GridSpec(frozenset(offsets) | {(-x, -y) for x, y in offsets})
@@ -1422,6 +1454,35 @@ def test_grid_reject_past_twice_the_radius_nothing_fires(offsets, data):
             first = first or report
             assert (report.verdict, report.note, report.monochromatic) == (
                 first.verdict, first.note, first.monochromatic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any), min_size=1, max_size=4))
+def test_grid_kept_table_is_the_box_differences_that_can_fire(offsets):
+    # the kept table holds the differences of the 2R box whose (h, adjacent) is not (0, False),
+    # numbered as the classes first appear along the box, dx major, with (0, False) first
+    spec = GridSpec(frozenset(offsets) | {(-x, -y) for x, y in offsets})
+    contexts, kept = _delta_table(spec)
+    classes = {(0, False): 0}
+    box = {delta: classes.setdefault(grid_h(spec, delta), len(classes)) for delta in half_window(2 * spec.radius)}
+    assert list(kept.items()) == [(delta, k) for delta, k in box.items() if k]
+    assert [(ctx.h, ctx.adjacent) for ctx in contexts] == list(classes)
+
+
+def test_grid_reject_reads_only_the_differences_that_can_fire(monkeypatch):
+    # the 2R box of 1,0;0,100000 holds about 8 * 10**10 differences; the kept table asks grid_h
+    # for at most |offsets|**2 of them
+    calls = []
+    h = periodic.grid_h
+    monkeypatch.setattr(periodic, "grid_h", lambda spec, delta: calls.append(delta) or h(spec, delta))
+    _delta_table.cache_clear()
+    spec = GridSpec.parse("1,0;0,100000")
+    report = grid_reject_2color(spec, params(1, 1, 4), window=2)
+    assert len(calls) <= len(spec.offsets) ** 2
+    assert [(delta, report.classes[k][:2]) for delta, k in report.rows()] == [
+        (delta, h(spec, delta)) for delta in half_window(2)
+    ]
+    assert len(list(report.rows())) == 12
 
 
 # --- shapes kept between searches ---------------------------------------------------------------
@@ -1613,6 +1674,6 @@ def test_circulant_h_memo_matches_counting_across_a_sweep():
         for t in range(1, 17):
             assert circulant_h(spec, t) == circulant_h_by_counting(ds, t)
         for params, constraint in zip(pairs, swept):
-            circulant_h.cache_clear()
+            _shift_table.cache_clear()
             assert circulant_period_filter(spec, params, 16) == constraint
-    assert circulant_h.cache_info().maxsize is not None
+    assert _shift_table.cache_info().maxsize == 8
