@@ -645,14 +645,15 @@ class SearchOutcome:
 def _plan(shape: _Shape, ints: tuple[tuple[int, ...], ...], denom: int) -> tuple:
     """The engine's packing of ``shape`` for S = ints / denom: see ``_backtrack``.
 
-    Returns the lines of deltas ([0, delta of color 1, ..., delta of color
-    k] for each cell of each line), the band's length in cells, the bits of
-    a cell, the guard bits of the band, the band before any color, one
-    cell's mask, the front cell's place and a fresh cell there.  Every delta
-    of a distinct cell is packed once, and the lines of deltas share them as
-    the shape's lines share cells.  The band holds the offsets of the whole
-    shape, so a window laid down only up to a budget is packed as the whole
-    window and searched in the same bands.
+    Returns the lines of rows ([k, delta of color 1, ..., delta of color k]
+    for each cell of each line: a row starts with the highest color the cell
+    tries), the band's length in cells, the bits of a cell, the guard bits
+    of the band, the band before any color, one cell's mask, the front
+    cell's place and a fresh cell there.  Every row of a distinct cell is
+    packed once, and the lines of rows share them as the shape's lines share
+    cells.  The band holds the offsets of the whole shape, so a window laid
+    down only up to a budget is packed as the whole window and searched in
+    the same bands.
     """
     k, cycle = len(ints), shape.cycle
     top = shape.top * denom
@@ -668,13 +669,13 @@ def _plan(shape: _Shape, ints: tuple[tuple[int, ...], ...], denom: int) -> tuple
         length = cycle
     own = back * span  # the current cell's place in the band
 
-    def deltas(cell: Cell) -> list[int]:  # [0, delta of color 1, ..., delta of color k]
+    def deltas(cell: Cell) -> list[int]:  # [k, delta of color 1, ..., delta of color k]
         constrained, seers = cell
         unit = 0
         for d, weight in seers:
             unit += weight * denom << (d + back) % (cycle or length) * span
         cuts = cut if constrained else [0] * k
-        return [0] + [(low << own) + (unit << c * width) for c, low in enumerate(cuts)]
+        return [k] + [(low << own) + (unit << c * width) for c, low in enumerate(cuts)]
 
     prepared = {key: deltas(cell) for key, cell in distinct.items()}
     repunit = ((1 << length * span) - 1) // ((1 << span) - 1)  # bit 0 of every cell
@@ -701,29 +702,28 @@ def _backtrack(
     (``cycle`` 0) as they are.  Cells with equal entries may share one
     object, which is then prepared once.  The shape's ``top`` is the total
     weight every constrained cell sees.  The engine never changes the
-    shape's geometry.  What it derives from the shape and S, the packed
-    deltas of each distinct cell and the band's layout below, is the
-    shape's plan for S (``_plan``): it is built on the first search of that
-    shape and S and kept on the shape, so a later search only lays the
-    deltas down for its cells and runs.  A window search reaches cell u
-    only after a node at each of cells 0..u, so only its first
-    ``node_budget + 1`` cells are laid down; the band is that of the whole
-    window, so a search cut short by its budget walks the first nodes of
-    the whole search, table for table.
+    shape: what it derives from the shape and S, each distinct cell's row
+    of packed deltas and the band's layout below, is the shape's plan for S
+    (``_plan``), built on the first search of that S and kept on the shape.
+    A window search reaches cell u only after a node at each of cells
+    0..u, so only the rows of its first ``node_budget + 1`` cells are laid
+    down; the band is that of the whole window, so a search cut short by
+    its budget walks the first nodes of the whole search, table for table.
 
     A constrained cell of color i must see exactly s[i-1, j-1] weight of
     color j; a colored one ends the branch when it sees too much of some
     color.  ``top`` must equal each row sum of S; then a complete coloring
     with no color over its target meets every row exactly, so colors short
-    of their target need no cut.  Each cell tries the colors 1..k in order,
-    except that ``pin_first`` pins the first constrained cell to color 1
-    (nothing is pinned if the cells stop before one).  On a quotient
-    (``cycle`` > 0) every coloring uses all k colors: a branch ends once the
-    unused colors outnumber the cells left.  Complete colorings are
-    collected, only the first unless ``find_all``.  Each color tried at a
-    cell is one node; the search stops after ``node_budget`` of them.  The rows of S are scaled to integers by its
-    denominator, and the weights with them; a color counter per cell stands
-    in for recursion, so no window is too deep for the interpreter stack.
+    of their target need no cut.  Each cell tries the colors 1..k in order;
+    ``pin_first`` gives the first constrained cell a copy of its row that
+    tries color 1 alone (nothing is pinned if the cells stop before one).
+    On a quotient (``cycle`` > 0) every coloring uses all k colors: a branch
+    ends once the unused colors outnumber the cells left.  Complete
+    colorings are collected, only the first unless ``find_all``.  Each color
+    tried at a cell is one node; the search stops after ``node_budget`` of
+    them.  The rows of S are scaled to integers by its denominator, and the
+    weights with them; a color counter per cell stands in for recursion, so
+    no window is too deep for the interpreter stack.
 
     The slack of every cell near the current one is packed into one
     integer, the band (broadword arithmetic, Knuth, TAOCP 7.1.3).  A cell
@@ -740,15 +740,16 @@ def _backtrack(
 
     The band holds the cells at offsets -B..F from the current cell u, B
     and F the largest offsets back and forward in ``cells``, so it holds
-    every cell u's color moves.  Each cell and color has one delta: the
-    cut of u's own row (top minus the row, field by field) at u's place and
-    the color's weight at each seer's place.  Trying color c is
-    ``x = band - delta``; the branch lives iff every guard bit of ``x`` is
-    set, and a cleared one's position names the cell and color that failed.
-    The unused-color cut comes next.  To go on, the band is kept for u
-    while u has colors left, and ``x`` drops the cell at the back, shifts by
-    one cell and takes the next cell in at the front, fresh (guard + top in
-    every field) on its first entry.  Going back restores the kept band.
+    every cell u's color moves.  A node reads u's row: the highest color u
+    tries, then a delta per color, the cut of u's own row of S (top minus
+    the row, field by field) at u's place and the color's weight at each
+    seer's place.  Trying color c is ``x = band - delta``; the branch lives
+    iff every guard bit of ``x`` is set, and a cleared one's position names
+    the cell and color that failed.  The unused-color cut comes next.  A
+    color that passes, but for u's last, keeps the band for u, and it goes
+    on: ``x`` drops the cell at the back, shifts by one cell and takes the
+    next cell in at the front, fresh (guard + top in every field) on its
+    first entry.  Going back restores the kept band.
 
     On a quotient the offsets are read modulo the cycle, so seers across
     the wrap are near cyclically: on a p x q torus the band is 2q + 1 cells
@@ -823,9 +824,8 @@ def _backtrack(
     if all_colors and k > n:
         return found, nodes, True, 0
     first = shape.first if shape.first is not None and shape.first < n else None  # if laid down
-    limits = [k] * n  # limits[u]: the highest color cell u tries
-    if pin_first and first is not None:
-        limits[first] = 1
+    if pin_first and first is not None:  # a row of its own, trying color 1 alone
+        delta[first] = [1] + delta[first][1:]
     last = n - 1
     room = _TABLE_BITS // (length * span + 1024)  # table entries left
     # the depths 1..prefix keep tables of failed subtrees
@@ -837,8 +837,8 @@ def _backtrack(
     u = 0
     while True:
         c = color[u] + 1
-        limit = limits[u]
-        if c > limit:  # back up; this branch comes first so that the loop's hot jumps stay short
+        row = delta[u]
+        if c > row[0]:  # back up; this branch comes first so that the loop's hot jumps stay short
             u -= 1
             if u < prefix:  # leaving depth u + 1, whose subtree failed
                 if u < 0:
@@ -861,14 +861,14 @@ def _backtrack(
         nodes += 1
         if nodes > node_budget:
             return found, nodes, False, skipped
-        x = band - delta[u][c]
+        x = band - row[c]
         if x & guards != guards:
             continue
         if all_colors and unused - (not used[c]) > last - u:
             continue
+        if c < row[0]:  # a last color's band is never searched from: a one-color path keeps none
+            kept[u] = band
         if u < descend:
-            if c < limit:
-                kept[u] = band
             if all_colors:
                 if not used[c]:
                     unused -= 1
@@ -899,8 +899,6 @@ def _backtrack(
         entered[u] = (after, nodes)
         if u + 1 == prefix:
             descend = last
-        if c < limit:
-            kept[u] = band
         band = after
         u += 1
         color[u] = 0
@@ -929,14 +927,19 @@ def _quotient_colorings(
 ) -> tuple[list[Coloring], int, bool]:
     """Colorings in all k colors meeting S of the grid's quotient by the lattice with Hermite basis ``basis``.
 
-    The last ``_KEPT_SHAPES`` quotients of at most ``_KEPT_QUOTIENT_CELLS``
-    cells are kept, neighbor lists and shape; those grow with the cells, so
-    a larger quotient is built for its search alone.
+    Unless ``find_all``, cell 0 is pinned to color 1, since some translate of
+    any coloring puts color 1 there; the first coloring and its nodes are
+    the unpinned search's, which tries color 1 first.  The last
+    ``_KEPT_SHAPES`` quotients of at most ``_KEPT_QUOTIENT_CELLS`` cells are
+    kept, neighbor lists and shape; those grow with the cells, so a larger
+    quotient is built for its search alone.
     """
     (a, _), (_, d) = basis
     nbrs, shape = (_quotient if a * d <= _KEPT_QUOTIENT_CELLS else _quotient.__wrapped__)(spec, basis)
     k = s.rows
-    found, nodes, complete, _ = _backtrack(s, shape, find_all=find_all, node_budget=node_budget)
+    found, nodes, complete, _ = _backtrack(
+        s, shape, pin_first=not find_all, find_all=find_all, node_budget=node_budget
+    )
     for colors in found:  # the engine's colorings meet S; a mismatch here is a fault in it
         if _class_sums(nbrs, 1, colors, k, s)[1] is not None:
             raise AssertionError(f"search returned a coloring that misses S: {colors}")
@@ -982,8 +985,8 @@ def torus_search(
 
     WITNESS carries quotient colorings that re-verify; no witness is only
     INCONCLUSIVE for the infinite grid, since other periods might work.
-    ``node_budget`` caps the nodes the search expands; a witness takes one
-    per cell, so a torus with more cells is refused before it is built.
+    Unless ``find_all``, it is pinned by translation.  ``node_budget`` caps
+    its nodes, one per cell for a witness, so a larger torus is not built.
     """
     p, q = periods
     if p < 1 or q < 1:
@@ -1077,9 +1080,9 @@ def grid_reject_2color(
     derives the window's rows.  Consequences drawn from the invariant directions:
 
     * full-rank direction lattice: the coloring factors through the finite
-      quotient, which is searched outright, unpinned, for the parameters;
-      renaming colors maps (c, b)-colorings onto (b, c)-colorings, so an
-      empty search is a proof of nonexistence in both orientations;
+      quotient, which is searched outright, pinned by translation, for the
+      parameters; renaming colors maps (c, b)-colorings onto (b, c)-colorings,
+      so an empty search is a proof of nonexistence in both orientations;
     * rank one: neighbors of a vertex fall into classes that are forced
       monochromatic, so b and c must each be a subset sum of the class
       sizes; otherwise nonexistence again.
@@ -1251,15 +1254,11 @@ def offset_automorphisms(spec: GridSpec) -> tuple[tuple[tuple[int, int], tuple[i
     plane; the identity alone is returned otherwise.
     """
     offs = sorted(spec.offsets)
-    basis_pair = None
-    for e1, e2 in combinations(offs, 2):
-        if e1[0] * e2[1] - e1[1] * e2[0] != 0:
-            basis_pair = (e1, e2)
-            break
     identity = ((1, 0), (0, 1))
-    if basis_pair is None:
+    spanning = [(e1, e2) for e1, e2 in combinations(offs, 2) if e1[0] * e2[1] - e1[1] * e2[0]]
+    if not spanning:
         return (identity,)
-    e1, e2 = basis_pair
+    e1, e2 = spanning[0]
     det_e = e1[0] * e2[1] - e1[1] * e2[0]
     autos = set()
     for f1 in offs:

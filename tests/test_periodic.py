@@ -1031,6 +1031,29 @@ def test_backtrack_matches_reference_search(spec, data):
     assert 0 <= skipped <= got[1] and (tables or not skipped)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([GridSpec.square(), GridSpec.triangular(), KING]), st.data())
+def test_a_pinned_quotient_search_finds_the_first_unpinned_witness(spec, data):
+    # tori (b = 0) and sheared quotients: translations act transitively and a coloring uses
+    # every color, so pinning cell 0 to color 1 loses no witness, and color 1 comes first
+    k = data.draw(st.integers(1, 3), label="k")
+    rows = target_rows(data, k, spec.valency)
+    a = data.draw(st.integers(1, 4), label="a")
+    d = data.draw(st.integers(1, 12 // a), label="d")
+    basis = ((a, data.draw(st.integers(0, d - 1), label="b")), (0, d))
+    targets = lattice_neighbor_counts(spec.offsets, list(basis))
+    expected, nodes, complete = reference_backtrack(
+        rows, targets, [True] * len(targets), [tuple(range(1, k + 1))] * len(targets),
+        all_colors=True, find_all=False, node_budget=10**5,
+    )
+    assert complete
+    found, pinned_nodes, pinned_complete = periodic._quotient_colorings(
+        spec, basis, RationalMatrix(rows), find_all=False, node_budget=10**5
+    )
+    assert pinned_complete and [w.colors for w in found] == expected
+    assert pinned_nodes == nodes if found else pinned_nodes <= nodes
+
+
 # --- search trees of the benchmark's grid corpus -------------------------------------------------
 #
 # The engine's node count is its tree: any change to pruning or to the order
@@ -1212,14 +1235,14 @@ def test_period_filter_refuses_t_max_below_one(t_max):
 
 
 def test_grid_reject_searches_the_forced_quotient_once(monkeypatch):
-    # (4,3) on the square grid forces the index-2 quotient; the unpinned search of
-    # (4,3) also covers (3,4), so a budget that covers it alone is a proof
+    # (4,3) on the square grid forces the index-2 quotient; the search of (4,3), pinned by
+    # translation, also covers (3,4), so a budget that covers it alone (3 nodes) is a proof
     proof = grid_reject_2color(GridSpec.square(), params(4, 3, 4)).verdict
     assert proof.infeasible and proof.violated.endswith("admits no (4,3)-coloring in either orientation")
-    for budget in range(6, 12):
+    for budget in range(3, 12):
         report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=budget)
         assert report.verdict == proof
-    for budget in range(2, 6):
+    for budget in range(2, 3):
         report = grid_reject_2color(GridSpec.square(), params(4, 3, 4), node_budget=budget)
         assert report.verdict.status.value == "inconclusive"
         assert report.note == "the search of the index-2 quotient ran out of its node budget"
@@ -1564,6 +1587,7 @@ def test_a_kept_shape_is_unchanged_by_its_searches():
         assert patch_search(spec, RationalMatrix([[6]]), (7, 7)).stats.nodes == 49
         assert torus_search(spec, (4, 5), (3, 3), find_all=True).stats.nodes == 3546
         assert torus_search(spec, (4, 5), (3, 3), node_budget=25).stats.nodes == 26
+        assert torus_search(spec, (4, 5), (3, 3)).stats.nodes == 1773  # pinned by translation
 
     def frozen():  # every byte of both shapes, their plans and the quotient's neighbor lists
         return pickle.dumps([(s.lines, s.order, s.top, s.cycle, s.plans) for s in (window, quotient[1])]
@@ -1575,6 +1599,9 @@ def test_a_kept_shape_is_unchanged_by_its_searches():
     searches()
     assert frozen() == before
     assert _window(spec, 7, 7) is window and _quotient(spec, ((4, 0), (0, 5))) is quotient
+    for shape in (window, quotient[1]):  # a pin copies its row: every kept row still tries k colors
+        for (ints, _), plan in shape.plans.items():
+            assert {row[0] for line in plan[0] for row in line} == {len(ints)}
 
 
 def test_each_shape_is_prepared_once(monkeypatch):
@@ -1590,7 +1617,7 @@ def test_each_shape_is_prepared_once(monkeypatch):
     spec = GridSpec.square()
     for _ in range(3):
         assert patch_search(spec, (4, 3), (6, 6)).status is SearchStatus.REJECTED
-        assert torus_search(spec, (4, 4), (4, 3)).stats.nodes == 46
+        assert torus_search(spec, (4, 4), (4, 3)).stats.nodes == 21  # pinned by translation
         assert torus_search(spec, (4, 4), (3, 4), find_all=True).stats.nodes == 46
         assert grid_reject_2color(spec, params(4, 3, 4)).verdict.infeasible  # the index-2 quotient
         # 400 cells: over the quotients kept, so built for each search
@@ -1599,6 +1626,39 @@ def test_each_shape_is_prepared_once(monkeypatch):
     assert len(_window(spec, 6, 6).plans) == 2  # (4, 3) and the swapped (3, 4)
     assert built == [((4, 0), (0, 4)), ((1, 1), (0, 2))] + [((20, 0), (0, 20))] * 3
     assert _quotient.cache_info().currsize == 2
+
+
+def test_a_window_search_lays_three_lists_per_cell():
+    # the search of test_a_window_search_keeps_no_memory_per_cell lays 10**6 + 1 cells, budget
+    # and one, before its first node: a delta row, a kept band and a color each, 24 B a cell
+    rows = GridSpec.parse("1,0")
+    cycle3 = RationalMatrix([[0, 2, 0], [0, 0, 2], [2, 0, 0]])
+    patch_search(rows, cycle3, (1000, 1000), node_budget=10)  # the window and its plan, kept
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        refuted = patch_search(rows, cycle3, (1000, 1000), node_budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (refuted.status, refuted.stats.nodes) == (SearchStatus.REJECTED, 21)
+    assert peak - start < 24 << 20
+
+
+def test_a_one_color_window_keeps_no_band_per_depth():
+    # one color: every cell descends with its last color, whose kept band is never searched from,
+    # so none is held; holding each would cost a band of about 130 B a depth, 1.3 MB here
+    spec, one = GridSpec.square(), RationalMatrix([[4]])
+    patch_search(spec, one, (100, 100), node_budget=10)  # the window and its plan, kept
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        outcome = patch_search(spec, one, (100, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status, outcome.stats.nodes) == (SearchStatus.INCONCLUSIVE, 10_000)
+    assert peak - start < 1 << 20
 
 
 def test_a_window_search_keeps_no_memory_per_cell():
